@@ -217,8 +217,8 @@ main()
         {
             db::DbStats s;
             Tick t0 = env.kernel.now();
-            auto parts = db::scanTable(mdb, P, nullptr,
-                                       db::EngineMode::Conv, s);
+            auto parts = db::scanTablePacked(
+                mdb, P, nullptr, db::EngineMode::Conv, s);
             db::bnlJoin(mdb, parts.rows, P.rowWidth(),
                         P.schema().indexOf("p_partkey"), L,
                         ls.indexOf("l_partkey"), month, s);
@@ -229,11 +229,11 @@ main()
         {
             db::DbStats s;
             Tick t0 = env.kernel.now();
-            auto lines = db::scanTable(mdb, L, month,
-                                       db::EngineMode::Biscuit, s);
+            auto lines = db::scanTablePacked(
+                mdb, L, month, db::EngineMode::Biscuit, s);
             // WITHOUT the heuristic: part still drives the join.
-            auto parts = db::scanTable(mdb, P, nullptr,
-                                       db::EngineMode::Conv, s);
+            auto parts = db::scanTablePacked(
+                mdb, P, nullptr, db::EngineMode::Conv, s);
             db::bnlJoin(mdb, parts.rows, P.rowWidth(),
                         P.schema().indexOf("p_partkey"), L,
                         ls.indexOf("l_partkey"), month, s);
@@ -245,8 +245,8 @@ main()
         {
             db::DbStats s;
             Tick t0 = env.kernel.now();
-            auto lines = db::scanTable(mdb, L, month,
-                                       db::EngineMode::Biscuit, s);
+            auto lines = db::scanTablePacked(
+                mdb, L, month, db::EngineMode::Biscuit, s);
             db::bnlJoin(mdb, lines.rows, L.rowWidth(),
                         ls.indexOf("l_partkey"), P,
                         P.schema().indexOf("p_partkey"), nullptr, s);

@@ -12,10 +12,13 @@
 # placement pass (fig_place vs its golden — the cost-model placement
 # must beat both static plans with byte-identical rows), a pipeline
 # pass (fig_pipeline vs its golden — the searched multi-stage plan
-# must beat both static plans with byte-identical rows), then
-# sanitizer builds via BISCUIT_SANITIZE (ASan/UBSan ctest; TSan lane +
-# serve-soak tests plus traced 2-lane fig10 runs at 1 and 4 drives so
-# the trace buffers and the drive array see real thread concurrency).
+# must beat both static plans with byte-identical rows), a hetero
+# pass (fig_hetero vs its golden — the jointly planned mixed batch
+# must beat both static plans with byte-identical scan rows and word
+# counts), then sanitizer builds via BISCUIT_SANITIZE (ASan/UBSan
+# ctest; TSan lane + serve-soak tests plus traced 2-lane fig10 runs at
+# 1 and 4 drives so the trace buffers and the drive array see real
+# thread concurrency).
 #
 # Usage: scripts/verify.sh [--no-sanitize] [--no-perf-smoke]
 set -euo pipefail

@@ -5,7 +5,9 @@
  *
  * The 22 TPC-H query drivers (src/tpch/queries.cc) compose these
  * primitives; each primitive charges its own simulated time so query
- * elapsed times fall out of the composition.
+ * elapsed times fall out of the composition. Rows pass between the
+ * primitives as RowSets of packed slots; a Row is decoded only at the
+ * output boundary (scanTable, and the query's final result).
  */
 
 #ifndef BISCUIT_DB_EXECUTOR_H_
@@ -25,9 +27,9 @@ namespace bisc::db {
 /** Which engine variant a query runs as (paper: Conv vs. Biscuit). */
 enum class EngineMode { Conv, Biscuit };
 
-struct ScanOutcome
+/** What a scan reports besides its rows. */
+struct ScanInfo
 {
-    std::vector<Row> rows;
     bool used_ndp = false;
     double sampled_selectivity = -1.0;  ///< -1: sampling not run
 
@@ -56,12 +58,28 @@ struct ScanOutcome
     std::string note;                   ///< planner decision trace
 };
 
+/** A scan's matching rows as packed slots (host-operator input). */
+struct PackedScan : ScanInfo
+{
+    RowSet rows;  ///< table schema, global row order
+};
+
+/** A scan's matching rows, decoded. */
+struct ScanOutcome : ScanInfo
+{
+    std::vector<Row> rows;
+};
+
 /**
  * Scan @p table with predicate @p pred (may be null = full scan).
  * In Biscuit mode the planner heuristic decides between the offload
  * path and the conventional path; Conv mode always streams to the
- * host. Rows returned satisfy @p pred exactly.
+ * host. Rows returned satisfy @p pred exactly, in global row order.
  */
+PackedScan scanTablePacked(MiniDb &db, Table &table, const ExprPtr &pred,
+                           EngineMode mode, DbStats &stats);
+
+/** scanTablePacked() with its rows decoded (zero simulated time). */
 ScanOutcome scanTable(MiniDb &db, Table &table, const ExprPtr &pred,
                       EngineMode mode, DbStats &stats);
 
@@ -117,13 +135,14 @@ std::string scanStatKey(const Table &table, const pm::KeySet &keys);
  * outer rows — the effect Biscuit's filter-first join order
  * magnifies, paper §V-C) and hash-join *semantics*. @p outer_width is
  * the storage width of one outer row (join-buffer occupancy);
- * @p inner_pred filters inner rows during each pass. Output rows are
- * outer ++ inner concatenations.
+ * @p inner_pred filters inner rows during each pass. Each output slot
+ * is the outer slot followed by the inner slot, under
+ * Schema::concat(outer schema, inner schema); rows come out in outer
+ * order, and an outer row's matches newest (last-scanned) first.
  */
-std::vector<Row> bnlJoin(MiniDb &db, const std::vector<Row> &outer,
-                         Bytes outer_width, int outer_col,
-                         Table &inner, int inner_col,
-                         const ExprPtr &inner_pred, DbStats &stats);
+RowSet bnlJoin(MiniDb &db, const RowSet &outer, Bytes outer_width,
+               int outer_col, Table &inner, int inner_col,
+               const ExprPtr &inner_pred, DbStats &stats);
 
 /** Aggregation spec for groupBy. */
 struct AggSpec
@@ -135,20 +154,25 @@ struct AggSpec
 
 /**
  * Group @p rows by @p key_cols and compute @p aggs per group. Output
- * rows are [keys..., aggregates...]. Charges per-row host CPU.
+ * rows are [keys..., aggregates...]: the key columns keep their input
+ * type and width (values from a group's first row); Count is Int64,
+ * every other aggregate Double. Group identity is the valueToString()
+ * of the keys (doubles group at "%.2f"), and groups come out ordered
+ * by that key string. Charges per-row host CPU.
  */
-std::vector<Row> groupBy(MiniDb &db, const std::vector<Row> &rows,
-                         const std::vector<int> &key_cols,
-                         const std::vector<AggSpec> &aggs,
-                         DbStats &stats);
+RowSet groupBy(MiniDb &db, const RowSet &rows,
+               const std::vector<int> &key_cols,
+               const std::vector<AggSpec> &aggs, DbStats &stats);
 
-/** In-place sort by (column, descending?) keys. */
-void sortRows(std::vector<Row> &rows,
-              const std::vector<std::pair<int, bool>> &keys);
+/**
+ * In-place sort by (column, descending?) keys, compareValues()
+ * semantics. Not stable: tied rows land where std::sort puts them.
+ */
+void sortRows(RowSet &rows, const std::vector<std::pair<int, bool>> &keys);
 
 /** Filter @p rows by @p pred on the host (charges per-row CPU). */
-std::vector<Row> filterRows(MiniDb &db, const std::vector<Row> &rows,
-                            const ExprPtr &pred, DbStats &stats);
+RowSet filterRows(MiniDb &db, const RowSet &rows, const ExprPtr &pred,
+                  DbStats &stats);
 
 }  // namespace bisc::db
 

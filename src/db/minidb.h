@@ -16,6 +16,7 @@
 #ifndef BISCUIT_DB_MINIDB_H_
 #define BISCUIT_DB_MINIDB_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -256,21 +257,52 @@ class MiniDb
     PlannerConfig planner;
 
     /**
-     * The loaded "minidb" SSDlet module (scan/sample offload code).
-     * Loaded lazily by the executor on the first offload and kept
-     * resident — like a production engine would keep its offload
-     * module loaded.
+     * Lazy-load state of one per-drive SSDlet module. A module load
+     * takes simulated time, so fibers can race to the same loader;
+     * loadModulesOnce() lets the first caller load and parks the rest
+     * until the ids are published.
      */
-    std::uint64_t minidb_module = 0;
-    bool minidb_module_loaded = false;
+    struct ModuleLoad
+    {
+        bool loaded = false;
+        bool loading = false;
+        std::unique_ptr<sim::Waiter> ready;  ///< made by the first waiter
+    };
 
     /**
-     * Per-drive module ids of the loaded minidb module (index =
-     * drive). Populated together with minidb_module (which aliases
-     * entry 0); every drive carries the module so any shard can run
-     * the scan/sample SSDlets.
+     * Run @p load, which fills one module's per-drive ids, unless
+     * @p state shows it has run. While one fiber loads, later callers
+     * wait for it instead of loading (and publishing) a second time.
+     */
+    void
+    loadModulesOnce(ModuleLoad &state, const std::function<void()> &load)
+    {
+        if (state.loaded)
+            return;
+        if (state.loading) {
+            if (!state.ready)
+                state.ready = std::make_unique<sim::Waiter>(env_.kernel);
+            while (!state.loaded)
+                state.ready->wait();
+            return;
+        }
+        state.loading = true;
+        load();
+        state.loading = false;
+        state.loaded = true;
+        if (state.ready)
+            state.ready->notifyAll();
+    }
+
+    /**
+     * Per-drive module ids of the "minidb" SSDlet module (scan/sample
+     * offload code; index = drive). Loaded lazily by the executor on
+     * the first offload and kept resident — like a production engine
+     * would keep its offload module loaded. Every drive carries the
+     * module so any shard can run the scan/sample SSDlets.
      */
     std::vector<std::uint64_t> minidb_drive_modules;
+    ModuleLoad minidb_load;
 
     /**
      * Per-drive module ids of the "minidb_prune" module, the run-list
@@ -280,7 +312,7 @@ class MiniDb
      * lazily on the first pruned offload.
      */
     std::vector<std::uint64_t> prune_drive_modules;
-    bool prune_module_loaded = false;
+    ModuleLoad prune_load;
 
     /**
      * Per-drive module ids of the "minidb_pipe" module, the exact
@@ -290,7 +322,7 @@ class MiniDb
      * re-check image loads lazily on the first pipelined offload.
      */
     std::vector<std::uint64_t> pipe_drive_modules;
-    bool pipe_module_loaded = false;
+    ModuleLoad pipe_load;
 
     /**
      * Per-drive module ids of the "hetero" module (device word-count
@@ -301,9 +333,9 @@ class MiniDb
      * stays identical. Loaded lazily on first unified use.
      */
     std::vector<std::uint64_t> hetero_drive_modules;
-    bool hetero_module_loaded = false;
+    ModuleLoad hetero_load;
     std::vector<std::uint64_t> grep_drive_modules;
-    bool grep_module_loaded = false;
+    ModuleLoad grep_load;
 
     /**
      * Multi-query placement session (db/session.h) the planner

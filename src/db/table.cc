@@ -143,22 +143,6 @@ Table::rowsInPage(std::uint64_t page) const
     return 0;
 }
 
-std::vector<Row>
-Table::decodePage(const std::uint8_t *data, Bytes len,
-                  std::uint64_t page) const
-{
-    std::vector<Row> rows;
-    std::uint64_t n = rowsInPage(page);
-    rows.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Bytes off = i * schema_.rowWidth();
-        if (off + schema_.rowWidth() > len)
-            break;
-        rows.push_back(schema_.decodeRow(data + off));
-    }
-    return rows;
-}
-
 void
 Table::forEachRow(const std::function<void(const Row &)> &fn) const
 {

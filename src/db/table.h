@@ -124,13 +124,6 @@ class Table
     /** Number of valid rows in page @p page. */
     std::uint64_t rowsInPage(std::uint64_t page) const;
 
-    /**
-     * Decode every row of page @p page from raw page bytes (as
-     * returned by either datapath).
-     */
-    std::vector<Row> decodePage(const std::uint8_t *data,
-                                Bytes len, std::uint64_t page) const;
-
     /** Functional whole-table iteration (verification only). */
     void forEachRow(const std::function<void(const Row &)> &fn) const;
 

@@ -127,40 +127,38 @@ RegisterSSDLet("hetero", "idSemiScan", SemiScanLet);
 void
 loadGrepModules(MiniDb &db)
 {
-    if (db.grep_module_loaded)
-        return;
-    const std::uint32_t drives = db.host().driveCount();
-    db.grep_drive_modules.clear();
-    db.grep_drive_modules.reserve(drives);
-    for (std::uint32_t d = 0; d < drives; ++d) {
-        sisc::SSD ssd(db.env().array.drive(d).runtime);
-        host::installGrepModule(ssd.runtime().fs());
-        db.grep_drive_modules.push_back(ssd.loadModule(
-            sisc::File(ssd, "/var/isc/slets/grep.slet")));
-    }
-    db.grep_module_loaded = true;
+    db.loadModulesOnce(db.grep_load, [&] {
+        const std::uint32_t drives = db.host().driveCount();
+        db.grep_drive_modules.clear();
+        db.grep_drive_modules.reserve(drives);
+        for (std::uint32_t d = 0; d < drives; ++d) {
+            sisc::SSD ssd(db.env().array.drive(d).runtime);
+            host::installGrepModule(ssd.runtime().fs());
+            db.grep_drive_modules.push_back(ssd.loadModule(
+                sisc::File(ssd, "/var/isc/slets/grep.slet")));
+        }
+    });
 }
 
 /** Lazily install and load the "hetero" module on every drive. */
 void
 loadHeteroModules(MiniDb &db)
 {
-    if (db.hetero_module_loaded)
-        return;
-    const std::uint32_t drives = db.host().driveCount();
-    db.hetero_drive_modules.clear();
-    db.hetero_drive_modules.reserve(drives);
-    for (std::uint32_t d = 0; d < drives; ++d) {
-        sisc::SSD ssd(db.env().array.drive(d).runtime);
-        auto &fs = ssd.runtime().fs();
-        if (!fs.exists("/var/isc/slets/hetero.slet")) {
-            rt::ModuleRegistry::global().installModuleFile(
-                fs, "/var/isc/slets/hetero.slet", "hetero");
+    db.loadModulesOnce(db.hetero_load, [&] {
+        const std::uint32_t drives = db.host().driveCount();
+        db.hetero_drive_modules.clear();
+        db.hetero_drive_modules.reserve(drives);
+        for (std::uint32_t d = 0; d < drives; ++d) {
+            sisc::SSD ssd(db.env().array.drive(d).runtime);
+            auto &fs = ssd.runtime().fs();
+            if (!fs.exists("/var/isc/slets/hetero.slet")) {
+                rt::ModuleRegistry::global().installModuleFile(
+                    fs, "/var/isc/slets/hetero.slet", "hetero");
+            }
+            db.hetero_drive_modules.push_back(ssd.loadModule(
+                sisc::File(ssd, "/var/isc/slets/hetero.slet")));
         }
-        db.hetero_drive_modules.push_back(ssd.loadModule(
-            sisc::File(ssd, "/var/isc/slets/hetero.slet")));
-    }
-    db.hetero_module_loaded = true;
+    });
 }
 
 /** Run the device word-count SSDlet against @p drive's file. */

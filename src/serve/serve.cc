@@ -462,7 +462,7 @@ serveMain(db::MiniDb &db, const ServeConfig &cfg,
     const Tick t0 = kernel.now();
 
     // Warm-up, before any client is live: the minidb module on every
-    // drive (loadMinidbModules is not re-entrant across fibers) and a
+    // drive (so no job's latency includes the one-time load) and a
     // resident grep module per drive (a served drive keeps offload
     // modules hot instead of paying load/relocate per request).
     db::warmMinidbModule(db);

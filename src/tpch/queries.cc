@@ -1,8 +1,10 @@
 #include "tpch/queries.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
+#include <string_view>
 
 #include "db/planner.h"
 #include "obs/obs.h"
@@ -16,8 +18,9 @@ using db::CmpOp;
 using db::EngineMode;
 using db::ExprPtr;
 using db::MiniDb;
-using db::Row;
-using db::ScanOutcome;
+using db::PackedScan;
+using db::RowRef;
+using db::RowSet;
 using db::Table;
 using db::Value;
 
@@ -31,27 +34,22 @@ dv(const Value &v)
                : std::get<double>(v);
 }
 
-const std::string &
-sv(const Value &v)
-{
-    return std::get<std::string>(v);
-}
-
 /** Append a computed column to every row (charged per row). */
 void
-addComputed(MiniDb &db, std::vector<Row> &rows,
-            const std::function<Value(const Row &)> &fn)
+addComputed(MiniDb &db, RowSet &rows, const db::Column &column,
+            const std::function<Value(RowRef)> &fn)
 {
-    for (auto &row : rows)
-        row.push_back(fn(row));
+    rows.addColumn(column, fn);
     db.host().consumeCpu(db.planner.row_cpu * rows.size());
 }
 
-void
-limitRows(std::vector<Row> &rows, std::size_t n)
+/** A one-row, one-column Double result. */
+RowSet
+scalar(double v)
 {
-    if (rows.size() > n)
-        rows.resize(n);
+    RowSet r(db::Schema({db::col("value", db::Type::Double)}));
+    r.appendRow({Value(v)});
+    return r;
 }
 
 /** Everything a query body needs. */
@@ -73,11 +71,11 @@ struct Ctx
      * The planner's candidate scan: its offload decision defines the
      * query's Fig. 10 category.
      */
-    ScanOutcome
+    PackedScan
     primary(Table &table, const ExprPtr &pred)
     {
-        ScanOutcome s =
-            db::scanTable(db, table, pred, mode, out.stats);
+        PackedScan s =
+            db::scanTablePacked(db, table, pred, mode, out.stats);
         out.ndp_used = s.used_ndp;
         out.planner_note = s.note;
         out.sampled_selectivity = s.sampled_selectivity;
@@ -90,23 +88,46 @@ struct Ctx
     }
 
     /** A secondary scan (never the offload candidate). */
-    ScanOutcome
+    PackedScan
     scan(Table &table, const ExprPtr &pred)
     {
-        return db::scanTable(db, table, pred, EngineMode::Conv,
-                             out.stats);
+        return db::scanTablePacked(db, table, pred, EngineMode::Conv,
+                                   out.stats);
     }
 
-    std::vector<Row>
-    join(const std::vector<Row> &outer, Bytes outer_width,
-         int outer_col, Table &inner, const char *inner_col,
+    RowSet
+    join(const RowSet &outer, Bytes outer_width, int outer_col,
+         Table &inner, const char *inner_col,
          const ExprPtr &inner_pred = nullptr)
     {
         return db::bnlJoin(db, outer, outer_width, outer_col, inner,
                            inner.schema().indexOf(inner_col),
                            inner_pred, out.stats);
     }
+
+    /**
+     * Append l_extendedprice * (1 - l_discount), reading the lineitem
+     * columns at @p base (charged per row).
+     */
+    void
+    addRevenue(RowSet &rows, int base)
+    {
+        const int price = base + ix("lineitem", "l_extendedprice");
+        const int disc = base + ix("lineitem", "l_discount");
+        addComputed(db, rows, db::col("revenue", db::Type::Double),
+                    [=](RowRef r) {
+                        return Value(r.num(price) *
+                                     (1.0 - r.num(disc)));
+                    });
+    }
 };
+
+/** Index of the last column of @p rows (a just-computed one). */
+int
+lastCol(const RowSet &rows)
+{
+    return static_cast<int>(rows.schema().size()) - 1;
+}
 
 // =====================================================================
 // The 22 queries. Column index bookkeeping: joined rows concatenate
@@ -116,7 +137,7 @@ struct Ctx
 
 // Q1: pricing summary report. One-sided shipdate range: the planner
 // never attempts NDP ("expects the selectivity to be very low").
-std::vector<Row>
+RowSet
 q1(Ctx &c)
 {
     auto &L = c.t("lineitem");
@@ -124,10 +145,7 @@ q1(Ctx &c)
     auto s = c.primary(
         L, db::cmp(ls, "l_shipdate", CmpOp::Le,
                    std::string("1998-06-15")));
-    addComputed(c.db, s.rows, [&](const Row &r) {
-        return Value(dv(r[c.ix("lineitem", "l_extendedprice")]) *
-                     (1.0 - dv(r[c.ix("lineitem", "l_discount")])));
-    });
+    c.addRevenue(s.rows, 0);
     int disc_price = static_cast<int>(ls.size());
     auto grouped = db::groupBy(
         c.db, s.rows,
@@ -144,7 +162,7 @@ q1(Ctx &c)
 
 // Q2: minimum-cost supplier. Part filter samples out (BRASS is a
 // fifth of all types: nearly every page matches).
-std::vector<Row>
+RowSet
 q2(Ctx &c)
 {
     auto &P = c.t("part");
@@ -174,12 +192,12 @@ q2(Ctx &c)
     int s_acctbal = static_cast<int>(ps.size()) + 4 +
                     c.ix("supplier", "s_acctbal");
     db::sortRows(j4, {{s_acctbal, true}});
-    limitRows(j4, 100);
+    j4.truncate(100);
     return j4;
 }
 
 // Q3: shipping priority. Customer segment filter samples out.
-std::vector<Row>
+RowSet
 q3(Ctx &c)
 {
     auto &C = c.t("customer");
@@ -199,11 +217,7 @@ q3(Ctx &c)
                      db::cmp(L.schema(), "l_shipdate", CmpOp::Gt,
                              std::string("1995-03-15")));
     int base = static_cast<int>(cs.size() + O.schema().size());
-    addComputed(c.db, j2, [&](const Row &r) {
-        return Value(
-            dv(r[base + c.ix("lineitem", "l_extendedprice")]) *
-            (1.0 - dv(r[base + c.ix("lineitem", "l_discount")])));
-    });
+    c.addRevenue(j2, base);
     int rev = static_cast<int>(cs.size() + O.schema().size() +
                                L.schema().size());
     auto grouped = db::groupBy(
@@ -212,13 +226,13 @@ q3(Ctx &c)
          static_cast<int>(cs.size()) + c.ix("orders", "o_orderdate")},
         {{AggSpec::Op::Sum, rev}}, c.out.stats);
     db::sortRows(grouped, {{2, true}});
-    limitRows(grouped, 10);
+    grouped.truncate(10);
     return grouped;
 }
 
 // Q4: order priority checking. Three-month o_orderdate window: month
 // keys, clustered orders, NDP offloads.
-std::vector<Row>
+RowSet
 q4(Ctx &c)
 {
     auto &O = c.t("orders");
@@ -233,12 +247,11 @@ q4(Ctx &c)
                                 "l_receiptdate"));
     // EXISTS semantics: one hit per order.
     std::set<std::int64_t> seen;
-    std::vector<Row> exists;
+    RowSet exists(j.schema());
     int o_orderkey = os.indexOf("o_orderkey");
-    for (auto &r : j) {
-        auto key = std::get<std::int64_t>(r[o_orderkey]);
-        if (seen.insert(key).second)
-            exists.push_back(r);
+    for (std::size_t i = 0; i < j.size(); ++i) {
+        if (seen.insert(j[i].i64(o_orderkey)).second)
+            exists.append(j.slot(i));
     }
     auto grouped = db::groupBy(c.db, exists,
                                {os.indexOf("o_orderpriority")},
@@ -253,7 +266,7 @@ q4(Ctx &c)
 // order, while the conventional MariaDB plan drives the BNL from the
 // smallest predicated table (customer), re-scanning the fact tables
 // once per buffer block.
-std::vector<Row>
+RowSet
 q5(Ctx &c)
 {
     auto &O = c.t("orders");
@@ -268,7 +281,7 @@ q5(Ctx &c)
     auto asia = db::cmp(R.schema(), "r_name", CmpOp::Eq,
                         std::string("ASIA"));
 
-    std::vector<Row> j4;
+    RowSet j4;
     int base_l, base_n;
     if (c.mode == EngineMode::Biscuit) {
         // NDP plan: filtered orders first. Layout [O, L, C, N, R].
@@ -313,15 +326,10 @@ q5(Ctx &c)
         base_l = static_cast<int>(cs.size() + os.size());
     }
 
-    addComputed(c.db, j4, [&](const Row &r) {
-        return Value(
-            dv(r[base_l + c.ix("lineitem", "l_extendedprice")]) *
-            (1.0 - dv(r[base_l + c.ix("lineitem", "l_discount")])));
-    });
+    c.addRevenue(j4, base_l);
     int n_name = base_n + c.ix("nation", "n_name");
-    int rev = static_cast<int>(j4.empty() ? 0 : j4[0].size() - 1);
     auto grouped = db::groupBy(c.db, j4, {n_name},
-                               {{AggSpec::Op::Sum, rev}},
+                               {{AggSpec::Op::Sum, lastCol(j4)}},
                                c.out.stats);
     db::sortRows(grouped, {{1, true}});
     return grouped;
@@ -329,7 +337,7 @@ q5(Ctx &c)
 
 // Q6: revenue forecast. Pure scan + aggregate on lineitem; the
 // one-year shipdate conjunct provides the key.
-std::vector<Row>
+RowSet
 q6(Ctx &c)
 {
     auto &L = c.t("lineitem");
@@ -341,18 +349,18 @@ q6(Ctx &c)
                             std::string("1994-12-31")),
                 db::between(ls, "l_discount", 0.05, 0.07),
                 db::cmp(ls, "l_quantity", CmpOp::Lt, 24.0)}));
+    const int price = ls.indexOf("l_extendedprice");
+    const int disc = ls.indexOf("l_discount");
     double revenue = 0;
-    for (auto &r : s.rows) {
-        revenue += dv(r[ls.indexOf("l_extendedprice")]) *
-                   dv(r[ls.indexOf("l_discount")]);
-    }
+    for (std::size_t i = 0; i < s.rows.size(); ++i)
+        revenue += s.rows[i].num(price) * s.rows[i].num(disc);
     c.db.host().consumeCpu(c.db.planner.row_cpu * s.rows.size());
-    return {{Value(revenue)}};
+    return scalar(revenue);
 }
 
 // Q7: volume shipping. The filter lives on tiny nation tables; the
 // planner gives up NDP ("target table size is too small").
-std::vector<Row>
+RowSet
 q7(Ctx &c)
 {
     auto &N = c.t("nation");
@@ -370,31 +378,25 @@ q7(Ctx &c)
     auto j2 = c.join(j1, w1, s_suppkey, L, "l_suppkey");
     // The date window applies after the join (not the NDP candidate).
     int base_l = static_cast<int>(ns.size() + S.schema().size());
-    std::vector<Row> filtered;
-    for (auto &r : j2) {
-        const auto &d = sv(r[base_l + c.ix("lineitem", "l_shipdate")]);
+    const int ship = base_l + c.ix("lineitem", "l_shipdate");
+    RowSet filtered(j2.schema());
+    for (std::size_t i = 0; i < j2.size(); ++i) {
+        std::string_view d = j2[i].str(ship);
         if (d >= "1995-01-01" && d <= "1996-12-31")
-            filtered.push_back(std::move(r));
+            filtered.append(j2.slot(i));
     }
     c.db.host().consumeCpu(c.db.planner.row_cpu * j2.size());
-    addComputed(c.db, filtered, [&](const Row &r) {
-        return Value(
-            dv(r[base_l + c.ix("lineitem", "l_extendedprice")]) *
-            (1.0 - dv(r[base_l + c.ix("lineitem", "l_discount")])));
-    });
+    c.addRevenue(filtered, base_l);
     int n_name = ns.indexOf("n_name");
-    int vol = filtered.empty()
-                  ? 0
-                  : static_cast<int>(filtered[0].size() - 1);
     auto grouped = db::groupBy(c.db, filtered, {n_name},
-                               {{AggSpec::Op::Sum, vol}},
+                               {{AggSpec::Op::Sum, lastCol(filtered)}},
                                c.out.stats);
     db::sortRows(grouped, {{0, false}});
     return grouped;
 }
 
 // Q8: national market share. Two-year o_orderdate window: year keys.
-std::vector<Row>
+RowSet
 q8(Ctx &c)
 {
     auto &O = c.t("orders");
@@ -412,17 +414,13 @@ q8(Ctx &c)
     auto j2 = c.join(j1, w1, l_partkey, P, "p_partkey",
                      db::cmp(P.schema(), "p_type", CmpOp::Eq,
                              std::string("ECONOMY ANODIZED STEEL")));
-    int base_l = static_cast<int>(os.size());
-    addComputed(c.db, j2, [&](const Row &r) {
-        return Value(
-            dv(r[base_l + c.ix("lineitem", "l_extendedprice")]) *
-            (1.0 - dv(r[base_l + c.ix("lineitem", "l_discount")])));
-    });
+    c.addRevenue(j2, static_cast<int>(os.size()));
     // Group volume by order year.
     int o_date = os.indexOf("o_orderdate");
-    for (auto &r : j2)
-        r.push_back(Value(sv(r[o_date]).substr(0, 4)));
-    int year = j2.empty() ? 0 : static_cast<int>(j2[0].size() - 1);
+    j2.addColumn(db::col("year", db::Type::String, 4), [=](RowRef r) {
+        return Value(std::string(r.str(o_date).substr(0, 4)));
+    });
+    int year = lastCol(j2);
     int vol = year - 1;
     auto grouped = db::groupBy(c.db, j2, {year},
                                {{AggSpec::Op::Sum, vol}},
@@ -432,7 +430,7 @@ q8(Ctx &c)
 }
 
 // Q9: product type profit. '%green%' p_name filter samples out.
-std::vector<Row>
+RowSet
 q9(Ctx &c)
 {
     auto &P = c.t("part");
@@ -453,18 +451,19 @@ q9(Ctx &c)
     auto &N = c.t("nation");
     auto j3 = c.join(j2, w2, s_nat, N, "n_nationkey");
     int base_l = static_cast<int>(ps.size());
-    addComputed(c.db, j3, [&](const Row &r) {
-        return Value(
-            dv(r[base_l + c.ix("lineitem", "l_extendedprice")]) *
-            (1.0 - dv(r[base_l + c.ix("lineitem", "l_discount")])) -
-            0.5 * dv(r[base_l + c.ix("lineitem", "l_quantity")]));
-    });
+    const int price = base_l + c.ix("lineitem", "l_extendedprice");
+    const int disc = base_l + c.ix("lineitem", "l_discount");
+    const int qty = base_l + c.ix("lineitem", "l_quantity");
+    addComputed(c.db, j3, db::col("profit", db::Type::Double),
+                [=](RowRef r) {
+                    return Value(r.num(price) * (1.0 - r.num(disc)) -
+                                 0.5 * r.num(qty));
+                });
     int n_name = static_cast<int>(ps.size() + L.schema().size() +
                                   S.schema().size()) +
                  c.ix("nation", "n_name");
-    int profit = j3.empty() ? 0 : static_cast<int>(j3[0].size() - 1);
     auto grouped = db::groupBy(c.db, j3, {n_name},
-                               {{AggSpec::Op::Sum, profit}},
+                               {{AggSpec::Op::Sum, lastCol(j3)}},
                                c.out.stats);
     db::sortRows(grouped, {{0, false}});
     return grouped;
@@ -472,7 +471,7 @@ q9(Ctx &c)
 
 // Q10: returned item reporting. Three-month o_orderdate offloads;
 // conventional MariaDB drives the BNL from customer.
-std::vector<Row>
+RowSet
 q10(Ctx &c)
 {
     auto &O = c.t("orders");
@@ -485,7 +484,7 @@ q10(Ctx &c)
     auto returned = db::cmp(L.schema(), "l_returnflag", CmpOp::Eq,
                             std::string("R"));
 
-    std::vector<Row> j2;
+    RowSet j2;
     int base_l, c_name;
     if (c.mode == EngineMode::Biscuit) {
         // NDP plan: filtered orders first. Layout [O, L, C].
@@ -515,22 +514,17 @@ q10(Ctx &c)
         c_name = cs.indexOf("c_name");
     }
 
-    addComputed(c.db, j2, [&](const Row &r) {
-        return Value(
-            dv(r[base_l + c.ix("lineitem", "l_extendedprice")]) *
-            (1.0 - dv(r[base_l + c.ix("lineitem", "l_discount")])));
-    });
-    int rev = j2.empty() ? 0 : static_cast<int>(j2[0].size() - 1);
+    c.addRevenue(j2, base_l);
     auto grouped = db::groupBy(c.db, j2, {c_name},
-                               {{AggSpec::Op::Sum, rev}},
+                               {{AggSpec::Op::Sum, lastCol(j2)}},
                                c.out.stats);
     db::sortRows(grouped, {{1, true}});
-    limitRows(grouped, 20);
+    grouped.truncate(20);
     return grouped;
 }
 
 // Q11: important stock. Nation filter on a tiny table: no NDP.
-std::vector<Row>
+RowSet
 q11(Ctx &c)
 {
     auto &N = c.t("nation");
@@ -546,18 +540,18 @@ q11(Ctx &c)
     auto &PS = c.t("partsupp");
     auto j2 = c.join(j1, w1, s_suppkey, PS, "ps_suppkey");
     int base_ps = static_cast<int>(ns.size() + S.schema().size());
-    addComputed(c.db, j2, [&](const Row &r) {
-        return Value(
-            dv(r[base_ps + c.ix("partsupp", "ps_supplycost")]) *
-            dv(r[base_ps + c.ix("partsupp", "ps_availqty")]));
-    });
+    const int cost = base_ps + c.ix("partsupp", "ps_supplycost");
+    const int avail = base_ps + c.ix("partsupp", "ps_availqty");
+    addComputed(c.db, j2, db::col("value", db::Type::Double),
+                [=](RowRef r) {
+                    return Value(r.num(cost) * r.num(avail));
+                });
     int ps_partkey = base_ps + c.ix("partsupp", "ps_partkey");
-    int val = j2.empty() ? 0 : static_cast<int>(j2[0].size() - 1);
     auto grouped = db::groupBy(c.db, j2, {ps_partkey},
-                               {{AggSpec::Op::Sum, val}},
+                               {{AggSpec::Op::Sum, lastCol(j2)}},
                                c.out.stats);
     db::sortRows(grouped, {{1, true}});
-    limitRows(grouped, 50);
+    grouped.truncate(50);
     return grouped;
 }
 
@@ -565,7 +559,7 @@ q11(Ctx &c)
 // offloads (the planner prefers the single year key over the two IN
 // keys); the conventional MariaDB plan drives the BNL from the
 // smaller orders table and re-scans lineitem per block.
-std::vector<Row>
+RowSet
 q12(Ctx &c)
 {
     auto &L = c.t("lineitem");
@@ -580,7 +574,7 @@ q12(Ctx &c)
          db::cmpCols(ls, "l_commitdate", CmpOp::Lt, "l_receiptdate"),
          db::cmpCols(ls, "l_shipdate", CmpOp::Lt, "l_commitdate")});
 
-    std::vector<Row> j;
+    RowSet j;
     int l_base, o_base;
     if (c.mode == EngineMode::Biscuit) {
         // NDP plan: filtered lineitem first. Layout [L, O].
@@ -600,13 +594,17 @@ q12(Ctx &c)
     }
 
     int o_prio = o_base + c.ix("orders", "o_orderpriority");
-    for (auto &r : j) {
-        const auto &p = sv(r[o_prio]);
-        bool high = p == "1-URGENT" || p == "2-HIGH";
-        r.push_back(Value(std::int64_t{high ? 1 : 0}));
-        r.push_back(Value(std::int64_t{high ? 0 : 1}));
-    }
-    int hi = j.empty() ? 0 : static_cast<int>(j[0].size() - 2);
+    auto high = [o_prio](RowRef r) {
+        std::string_view p = r.str(o_prio);
+        return p == "1-URGENT" || p == "2-HIGH";
+    };
+    j.addColumn(db::col("high", db::Type::Int64), [&](RowRef r) {
+        return Value(std::int64_t{high(r) ? 1 : 0});
+    });
+    j.addColumn(db::col("low", db::Type::Int64), [&](RowRef r) {
+        return Value(std::int64_t{high(r) ? 0 : 1});
+    });
+    int hi = lastCol(j) - 1;
     auto grouped = db::groupBy(
         c.db, j, {l_base + ls.indexOf("l_shipmode")},
         {{AggSpec::Op::Sum, hi}, {AggSpec::Op::Sum, hi + 1}},
@@ -616,7 +614,7 @@ q12(Ctx &c)
 }
 
 // Q13: customer distribution. NOT LIKE cannot run on the matcher IP.
-std::vector<Row>
+RowSet
 q13(Ctx &c)
 {
     auto &O = c.t("orders");
@@ -637,7 +635,7 @@ q13(Ctx &c)
 // Q14: promotion effect. One-month l_shipdate window: the flagship
 // offload — early filtering flips the join from part-outer (many
 // full lineitem passes) to filtered-lineitem-outer.
-std::vector<Row>
+RowSet
 q14(Ctx &c)
 {
     auto &L = c.t("lineitem");
@@ -647,7 +645,7 @@ q14(Ctx &c)
                             std::string("1995-09-01"),
                             std::string("1995-09-30"));
 
-    std::vector<Row> joined;
+    RowSet joined;
     int l_base, p_base;
     if (c.mode == EngineMode::Biscuit) {
         // NDP plan: filter lineitem on the device, then put the
@@ -670,22 +668,23 @@ q14(Ctx &c)
         p_base = 0;
         l_base = static_cast<int>(P.schema().size());
     }
+    const int price = l_base + c.ix("lineitem", "l_extendedprice");
+    const int disc = l_base + c.ix("lineitem", "l_discount");
+    const int type = p_base + c.ix("part", "p_type");
     double promo = 0, total = 0;
-    for (auto &r : joined) {
-        double rev =
-            dv(r[l_base + c.ix("lineitem", "l_extendedprice")]) *
-            (1.0 - dv(r[l_base + c.ix("lineitem", "l_discount")]));
+    for (std::size_t i = 0; i < joined.size(); ++i) {
+        const RowRef r = joined[i];
+        double rev = r.num(price) * (1.0 - r.num(disc));
         total += rev;
-        if (sv(r[p_base + c.ix("part", "p_type")]).rfind("PROMO",
-                                                         0) == 0)
+        if (r.str(type).starts_with("PROMO"))
             promo += rev;
     }
     c.db.host().consumeCpu(c.db.planner.row_cpu * joined.size());
-    return {{Value(total > 0 ? 100.0 * promo / total : 0.0)}};
+    return scalar(total > 0 ? 100.0 * promo / total : 0.0);
 }
 
 // Q15: top supplier. Three-month l_shipdate window offloads.
-std::vector<Row>
+RowSet
 q15(Ctx &c)
 {
     auto &L = c.t("lineitem");
@@ -693,28 +692,24 @@ q15(Ctx &c)
     auto lines = c.primary(
         L, db::between(ls, "l_shipdate", std::string("1996-01-01"),
                        std::string("1996-03-31")));
-    addComputed(c.db, lines.rows, [&](const Row &r) {
-        return Value(dv(r[c.ix("lineitem", "l_extendedprice")]) *
-                     (1.0 - dv(r[c.ix("lineitem", "l_discount")])));
-    });
+    c.addRevenue(lines.rows, 0);
     int rev = static_cast<int>(ls.size());
     auto grouped = db::groupBy(c.db, lines.rows,
                                {ls.indexOf("l_suppkey")},
                                {{AggSpec::Op::Sum, rev}},
                                c.out.stats);
     db::sortRows(grouped, {{1, true}});
-    limitRows(grouped, 1);
+    grouped.truncate(1);
     // Attach the supplier record.
     auto &S = c.t("supplier");
-    auto j = c.join(grouped, 16, 0, S, "s_suppkey");
-    return j;
+    return c.join(grouped, 16, 0, S, "s_suppkey");
 }
 
 // Q16: part/supplier relationship (simplified: the spec's negated
 // brand/type predicates are replaced by a brand equality so the
 // planner reaches its sampling stage, which rejects the offload — a
 // fifth of pages would not match, but nearly all do).
-std::vector<Row>
+RowSet
 q16(Ctx &c)
 {
     auto &P = c.t("part");
@@ -730,13 +725,13 @@ q16(Ctx &c)
          ps.indexOf("p_size")},
         {{AggSpec::Op::Count, -1}}, c.out.stats);
     db::sortRows(grouped, {{3, true}});
-    limitRows(grouped, 40);
+    grouped.truncate(40);
     return grouped;
 }
 
 // Q17: small-quantity-order revenue. Brand+container filter samples
 // out (a 25th of rows still touches nearly every page).
-std::vector<Row>
+RowSet
 q17(Ctx &c)
 {
     auto &P = c.t("part");
@@ -754,25 +749,25 @@ q17(Ctx &c)
                 c.ix("lineitem", "l_quantity");
     int p_key = ps.indexOf("p_partkey");
     std::map<std::int64_t, std::pair<double, int>> avg;
-    for (auto &r : j) {
-        auto &acc = avg[std::get<std::int64_t>(r[p_key])];
-        acc.first += dv(r[l_qty]);
+    for (std::size_t i = 0; i < j.size(); ++i) {
+        auto &acc = avg[j[i].i64(p_key)];
+        acc.first += j[i].num(l_qty);
         acc.second += 1;
     }
     double total = 0;
     int l_price = static_cast<int>(ps.size()) +
                   c.ix("lineitem", "l_extendedprice");
-    for (auto &r : j) {
-        auto &acc = avg[std::get<std::int64_t>(r[p_key])];
-        if (dv(r[l_qty]) < 0.2 * acc.first / acc.second)
-            total += dv(r[l_price]);
+    for (std::size_t i = 0; i < j.size(); ++i) {
+        auto &acc = avg[j[i].i64(p_key)];
+        if (j[i].num(l_qty) < 0.2 * acc.first / acc.second)
+            total += j[i].num(l_price);
     }
     c.db.host().consumeCpu(2 * c.db.planner.row_cpu * j.size());
-    return {{Value(total / 7.0)}};
+    return scalar(total / 7.0);
 }
 
 // Q18: large volume customer. No filter predicate at all.
-std::vector<Row>
+RowSet
 q18(Ctx &c)
 {
     auto &L = c.t("lineitem");
@@ -781,22 +776,22 @@ q18(Ctx &c)
     auto per_order = db::groupBy(
         c.db, lines.rows, {ls.indexOf("l_orderkey")},
         {{AggSpec::Op::Sum, ls.indexOf("l_quantity")}}, c.out.stats);
-    std::vector<Row> big;
-    for (auto &r : per_order) {
-        if (dv(r[1]) > 270.0)
-            big.push_back(r);
+    RowSet big(per_order.schema());
+    for (std::size_t i = 0; i < per_order.size(); ++i) {
+        if (per_order[i].num(1) > 270.0)
+            big.append(per_order.slot(i));
     }
     c.db.host().consumeCpu(c.db.planner.row_cpu * per_order.size());
     auto &O = c.t("orders");
     auto j = c.join(big, 16, 0, O, "o_orderkey");
     db::sortRows(j, {{1, true}});
-    limitRows(j, 100);
+    j.truncate(100);
     return j;
 }
 
 // Q19: discounted revenue. The OR arms mix numeric ranges the matcher
 // cannot express: no NDP attempt.
-std::vector<Row>
+RowSet
 q19(Ctx &c)
 {
     auto &L = c.t("lineitem");
@@ -819,17 +814,17 @@ q19(Ctx &c)
                     ls.indexOf("l_partkey"), P, "p_partkey",
                     db::cmp(P.schema(), "p_brand", CmpOp::Eq,
                             std::string("Brand#12")));
+    const int price = c.ix("lineitem", "l_extendedprice");
+    const int disc = c.ix("lineitem", "l_discount");
     double rev = 0;
-    for (auto &r : j) {
-        rev += dv(r[c.ix("lineitem", "l_extendedprice")]) *
-               (1.0 - dv(r[c.ix("lineitem", "l_discount")]));
-    }
+    for (std::size_t i = 0; i < j.size(); ++i)
+        rev += j[i].num(price) * (1.0 - j[i].num(disc));
     c.db.host().consumeCpu(c.db.planner.row_cpu * j.size());
-    return {{Value(rev)}};
+    return scalar(rev);
 }
 
 // Q20: potential part promotion. 'forest%' p_name filter samples out.
-std::vector<Row>
+RowSet
 q20(Ctx &c)
 {
     auto &P = c.t("part");
@@ -849,13 +844,13 @@ q20(Ctx &c)
                                {{AggSpec::Op::Count, -1}},
                                c.out.stats);
     db::sortRows(grouped, {{0, false}});
-    limitRows(grouped, 50);
+    grouped.truncate(50);
     return grouped;
 }
 
 // Q21: suppliers who kept orders waiting. Single-character status
 // predicate: expected selectivity too low, no NDP attempt.
-std::vector<Row>
+RowSet
 q21(Ctx &c)
 {
     auto &O = c.t("orders");
@@ -878,13 +873,13 @@ q21(Ctx &c)
                                {{AggSpec::Op::Count, -1}},
                                c.out.stats);
     db::sortRows(grouped, {{1, true}});
-    limitRows(grouped, 100);
+    grouped.truncate(100);
     return grouped;
 }
 
 // Q22: global sales opportunity. Two-character country codes are
 // below the matcher's useful key length: no NDP attempt.
-std::vector<Row>
+RowSet
 q22(Ctx &c)
 {
     auto &C = c.t("customer");
@@ -896,24 +891,26 @@ q22(Ctx &c)
     // Custom predicate: phone prefix in the code set and positive
     // balance (the IN above intentionally fails to match whole
     // fields; re-filter by prefix here).
-    std::vector<Row> eligible;
     int c_phone = cs.indexOf("c_phone");
     int c_bal = cs.indexOf("c_acctbal");
     auto all = c.scan(C, nullptr);
-    for (auto &r : all.rows) {
-        const auto &p = sv(r[c_phone]);
-        bool code = p.rfind("13", 0) == 0 || p.rfind("31", 0) == 0 ||
-                    p.rfind("23", 0) == 0;
-        if (code && dv(r[c_bal]) > 0.0)
-            eligible.push_back(r);
+    RowSet eligible(all.rows.schema());
+    for (std::size_t i = 0; i < all.rows.size(); ++i) {
+        const RowRef r = all.rows[i];
+        std::string_view p = r.str(c_phone);
+        bool code = p.starts_with("13") || p.starts_with("31") ||
+                    p.starts_with("23");
+        if (code && r.num(c_bal) > 0.0)
+            eligible.append(r.data());
     }
     c.db.host().consumeCpu(c.db.planner.row_cpu * all.rows.size());
     (void)cust;
-    for (auto &r : eligible)
-        r.push_back(Value(sv(r[c_phone]).substr(0, 2)));
-    int code_col =
-        eligible.empty() ? 0 : static_cast<int>(eligible[0].size() - 1);
-    auto grouped = db::groupBy(c.db, eligible, {code_col},
+    eligible.addColumn(db::col("code", db::Type::String, 2),
+                       [=](RowRef r) {
+                           return Value(
+                               std::string(r.str(c_phone).substr(0, 2)));
+                       });
+    auto grouped = db::groupBy(c.db, eligible, {lastCol(eligible)},
                                {{AggSpec::Op::Count, -1},
                                 {AggSpec::Op::Sum, c_bal}},
                                c.out.stats);
@@ -921,7 +918,7 @@ q22(Ctx &c)
     return grouped;
 }
 
-using QueryFn = std::vector<Row> (*)(Ctx &);
+using QueryFn = RowSet (*)(Ctx &);
 
 struct QueryEntry
 {
@@ -987,7 +984,7 @@ runQuery(int q, db::MiniDb &db, db::EngineMode mode)
     Ctx ctx{db, mode, out};
     auto &kernel = db.env().kernel;
     Tick t0 = kernel.now();
-    out.rows = it->second.fn(ctx);
+    out.rows = it->second.fn(ctx).toRows();
     out.elapsed = kernel.now() - t0;
     OBS_COMPLETE(kernel.obs(), "tpch",
                  kernel.obs().intern(

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -31,6 +34,35 @@ TEST(DbTypes, DateHelpers)
     EXPECT_EQ(dateAddDays("1995-12-31", 1), "1996-01-01");
     EXPECT_EQ(dateAddDays("1996-02-28", 1), "1996-02-29");  // leap
     EXPECT_EQ(dateAddDays("1997-02-28", 1), "1997-03-01");
+}
+
+TEST(DbTypes, DateFormattingRoundTripsEveryDay1900To2100)
+{
+    // Every calendar day of 1900-2100 against "%04d-%02d-%02d" and a
+    // plain day counter from 1970-01-01.
+    auto leap = [](int y) {
+        return (y % 4 == 0 && y % 100 != 0) || y % 400 == 0;
+    };
+    const int mdays[] = {31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31};
+    std::int64_t days = -25567;  // 1900-01-01
+    char want[24];
+    for (int y = 1900; y <= 2100; ++y) {
+        for (int m = 1; m <= 12; ++m) {
+            const int n = mdays[m - 1] + (m == 2 && leap(y) ? 1 : 0);
+            for (int d = 1; d <= n; ++d, ++days) {
+                std::snprintf(want, sizeof(want), "%04d-%02d-%02d", y,
+                              m, d);
+                ASSERT_EQ(makeDate(y, m, d), want);
+                ASSERT_EQ(daysToDate(days), want);
+                ASSERT_EQ(dateToDays(want), days) << want;
+            }
+        }
+    }
+    EXPECT_EQ(days, 47847);  // 2101-01-01
+    // Outside the digit-formatting range the printf fallback applies.
+    EXPECT_EQ(makeDate(12345, 1, 2), "12345-01-0");
+    EXPECT_EQ(makeDate(-1, 1, 2), "-001-01-02");
+    EXPECT_EQ(dateToDays(" 970-01-01"), dateToDays("0970-01-01"));
 }
 
 TEST(DbTypes, CompareValues)
@@ -404,6 +436,16 @@ TEST_F(MiniDbTest, NdpScanIsFasterOnSelectivePredicate)
     EXPECT_LT(ndp_time, conv_time);
 }
 
+/** A RowSet of @p rows under @p schema. */
+RowSet
+rowSet(const Schema &schema, const std::vector<Row> &rows)
+{
+    RowSet out(schema);
+    for (const Row &r : rows)
+        out.appendRow(r);
+    return out;
+}
+
 TEST_F(MiniDbTest, BnlJoinCombinesAndCharges)
 {
     auto &dims = db_.createTable(
@@ -416,37 +458,141 @@ TEST_F(MiniDbTest, BnlJoinCombinesAndCharges)
 
     auto &t = db_.table("events");
     DbStats stats;
-    std::vector<Row> joined;
+    RowSet joined;
     env_.run([&] {
-        auto events = scanTable(
+        auto events = scanTablePacked(
             db_, t,
             cmp(t.schema(), "day", CmpOp::Lt,
                 std::string("1994-02-01")),
             EngineMode::Conv, stats);
         // Join on id%50 ... build a computed key column first.
-        for (auto &r : events.rows)
-            r.push_back(
-                Value(std::get<std::int64_t>(r[0]) % 50));
+        events.rows.addColumn(col("k50", Type::Int64), [](RowRef r) {
+            return Value(r.i64(0) % 50);
+        });
         joined = bnlJoin(db_, events.rows, t.rowWidth() + 8, 4, dims,
                          0, nullptr, stats);
     });
     ASSERT_FALSE(joined.empty());
     // Every joined row aligns key columns.
-    for (const auto &r : joined) {
-        EXPECT_EQ(std::get<std::int64_t>(r[4]),
-                  std::get<std::int64_t>(r[5]));
-    }
+    for (std::size_t i = 0; i < joined.size(); ++i)
+        EXPECT_EQ(joined[i].i64(4), joined[i].i64(5));
     EXPECT_GT(stats.pages_to_host, db_.table("events").pageCount());
+}
+
+TEST_F(MiniDbTest, JoinedSlotIsOuterSlotThenInnerSlot)
+{
+    auto &dims = db_.createTable(
+        "dims", Schema({col("k", Type::Int64),
+                        col("label", Type::String, 8)}));
+    // Keys 0..9 twice over: every outer row matches two inner rows.
+    std::vector<Row> dim_rows;
+    for (std::int64_t i = 0; i < 20; ++i)
+        dim_rows.push_back({i % 10, std::string("L") + std::to_string(i)});
+    dims.loadRows(dim_rows);
+
+    Schema outer_schema({col("id", Type::Int64), col("k", Type::Int64),
+                         col("note", Type::String, 6)});
+    RowSet outer = rowSet(outer_schema,
+                          {{std::int64_t{100}, std::int64_t{3},
+                            std::string("a")},
+                           {std::int64_t{101}, std::int64_t{42},
+                            std::string("miss")},
+                           {std::int64_t{102}, std::int64_t{7},
+                            std::string("c")}});
+    DbStats stats;
+    RowSet joined;
+    env_.run([&] {
+        joined = bnlJoin(db_, outer, outer_schema.rowWidth(), 1, dims, 0,
+                         nullptr, stats);
+    });
+
+    const Schema &js = joined.schema();
+    ASSERT_EQ(js.size(), outer_schema.size() + dims.schema().size());
+    EXPECT_EQ(js.rowWidth(), outer_schema.rowWidth() + dims.rowWidth());
+    for (std::size_t i = 0; i < js.size(); ++i) {
+        const Column &want = i < outer_schema.size()
+                                 ? outer_schema.at(i)
+                                 : dims.schema().at(i - outer_schema.size());
+        EXPECT_EQ(js.at(i).name, want.name);
+        EXPECT_EQ(js.at(i).type, want.type);
+        EXPECT_EQ(js.at(i).width, want.width);
+    }
+
+    // Outer order; within an outer row, the last-scanned match first.
+    ASSERT_EQ(joined.size(), 4u);
+    const std::vector<std::pair<std::size_t, std::int64_t>> expect = {
+        {0, 13}, {0, 3}, {2, 17}, {2, 7}};
+    for (std::size_t i = 0; i < expect.size(); ++i) {
+        const auto [outer_row, inner_row] = expect[i];
+        EXPECT_EQ(std::memcmp(joined.slot(i), outer.slot(outer_row),
+                              outer.rowWidth()),
+                  0);
+        std::vector<std::uint8_t> inner(dims.rowWidth());
+        dims.schema().encodeRow(
+            dims.rowAt(static_cast<std::uint64_t>(inner_row)),
+            inner.data());
+        EXPECT_EQ(std::memcmp(joined.slot(i) + outer.rowWidth(),
+                              inner.data(), inner.size()),
+                  0);
+    }
+    EXPECT_EQ(joined[0].str(4), "L13");
+
+    // An empty outer still yields the joined schema.
+    RowSet none;
+    env_.run([&] {
+        none = bnlJoin(db_, RowSet(outer_schema),
+                       outer_schema.rowWidth(), 1, dims, 0, nullptr,
+                       stats);
+    });
+    EXPECT_TRUE(none.empty());
+    EXPECT_EQ(none.schema().rowWidth(), js.rowWidth());
+}
+
+TEST(RowSetTest, ComputedNumericAndStringColumns)
+{
+    Schema s({col("id", Type::Int64), col("price", Type::Double),
+              col("day", Type::Date)});
+    RowSet rows = rowSet(s, {{std::int64_t{1}, 2.5,
+                              std::string("1995-09-01")},
+                             {std::int64_t{2}, 4.0,
+                              std::string("1996-01-31")}});
+    rows.addColumn(col("twice", Type::Double), [](RowRef r) {
+        return Value(2.0 * r.num(1));
+    });
+    rows.addColumn(col("n", Type::Int64), [](RowRef r) {
+        return Value(r.i64(0) * 10);
+    });
+    // A fixed-width string column cuts longer values to its width.
+    rows.addColumn(col("year", Type::String, 4), [](RowRef r) {
+        return Value(std::string(r.str(2)));
+    });
+
+    ASSERT_EQ(rows.schema().size(), 6u);
+    EXPECT_EQ(rows.rowWidth(), s.rowWidth() + 8 + 8 + 4);
+    EXPECT_EQ(rows.schema().offsetOf(5), s.rowWidth() + 16);
+    std::vector<Row> back = rows.toRows();
+    ASSERT_EQ(back.size(), 2u);
+    EXPECT_EQ(back[0], (Row{std::int64_t{1}, 2.5,
+                            std::string("1995-09-01"), 5.0,
+                            std::int64_t{10}, std::string("1995")}));
+    EXPECT_EQ(back[1], (Row{std::int64_t{2}, 4.0,
+                            std::string("1996-01-31"), 8.0,
+                            std::int64_t{20}, std::string("1996")}));
+    EXPECT_EQ(rows[1].str(5), "1996");
+    EXPECT_DOUBLE_EQ(rows[1].num(4), 20.0);
 }
 
 TEST_F(MiniDbTest, GroupByAggregates)
 {
-    std::vector<Row> rows;
+    std::vector<Row> input;
     for (std::int64_t i = 0; i < 10; ++i)
-        rows.push_back({Value(std::string(i % 2 ? "odd" : "even")),
-                        Value(static_cast<double>(i))});
+        input.push_back({Value(std::string(i % 2 ? "odd" : "even")),
+                         Value(static_cast<double>(i))});
+    RowSet rows = rowSet(Schema({col("parity", Type::String, 8),
+                                 col("v", Type::Double)}),
+                         input);
     DbStats stats;
-    std::vector<Row> grouped;
+    RowSet grouped;
     env_.run([&] {
         grouped = groupBy(db_, rows, {0},
                           {{AggSpec::Op::Sum, 1},
@@ -458,35 +604,143 @@ TEST_F(MiniDbTest, GroupByAggregates)
     });
     ASSERT_EQ(grouped.size(), 2u);
     sortRows(grouped, {{0, false}});
+    std::vector<Row> out = grouped.toRows();
     // even: 0+2+4+6+8 = 20; odd: 1+3+5+7+9 = 25.
-    EXPECT_EQ(std::get<std::string>(grouped[0][0]), "even");
-    EXPECT_DOUBLE_EQ(std::get<double>(grouped[0][1]), 20.0);
-    EXPECT_DOUBLE_EQ(std::get<double>(grouped[0][2]), 4.0);
-    EXPECT_EQ(std::get<std::int64_t>(grouped[0][3]), 5);
-    EXPECT_DOUBLE_EQ(std::get<double>(grouped[0][4]), 0.0);
-    EXPECT_DOUBLE_EQ(std::get<double>(grouped[0][5]), 8.0);
-    EXPECT_DOUBLE_EQ(std::get<double>(grouped[1][1]), 25.0);
+    EXPECT_EQ(std::get<std::string>(out[0][0]), "even");
+    EXPECT_DOUBLE_EQ(std::get<double>(out[0][1]), 20.0);
+    EXPECT_DOUBLE_EQ(std::get<double>(out[0][2]), 4.0);
+    EXPECT_EQ(std::get<std::int64_t>(out[0][3]), 5);
+    EXPECT_DOUBLE_EQ(std::get<double>(out[0][4]), 0.0);
+    EXPECT_DOUBLE_EQ(std::get<double>(out[0][5]), 8.0);
+    EXPECT_DOUBLE_EQ(std::get<double>(out[1][1]), 25.0);
+}
+
+TEST_F(MiniDbTest, GroupIdentityIsValueToString)
+{
+    // Doubles group at "%.2f": 1.001 and 1.004 share "1.00". Groups
+    // come out ordered by key string ("10.00" sorts before "2.00"),
+    // each keyed by its first row's value.
+    Schema s({col("k", Type::Double), col("v", Type::Int64)});
+    const std::vector<double> keys = {1.004, 2.0, 1.001, 10.0, 1.006,
+                                      0.5};
+    std::vector<Row> input;
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        input.push_back({keys[i], static_cast<std::int64_t>(i)});
+    DbStats stats;
+    RowSet grouped;
+    env_.run([&] {
+        grouped = groupBy(db_, rowSet(s, input), {0},
+                          {{AggSpec::Op::Count, -1},
+                           {AggSpec::Op::Sum, 1}},
+                          stats);
+    });
+    std::vector<Row> out = grouped.toRows();
+    ASSERT_EQ(out.size(), 5u);
+    std::vector<std::string> names;
+    for (const Row &r : out)
+        names.push_back(valueToString(r[0]));
+    EXPECT_EQ(names, (std::vector<std::string>{"0.50", "1.00", "1.01",
+                                               "10.00", "2.00"}));
+    EXPECT_EQ(std::get<double>(out[1][0]), 1.004);
+    EXPECT_EQ(std::get<std::int64_t>(out[1][1]), 2);
+    EXPECT_EQ(std::get<double>(out[1][2]), 0.0 + 2.0);
+    EXPECT_EQ(grouped.schema().at(1).type, Type::Int64);
+    EXPECT_EQ(grouped.schema().at(2).type, Type::Double);
 }
 
 TEST_F(MiniDbTest, SortAndFilterRows)
 {
-    std::vector<Row> rows = {{Value(std::int64_t{3})},
-                             {Value(std::int64_t{1})},
-                             {Value(std::int64_t{2})}};
-    sortRows(rows, {{0, false}});
-    EXPECT_EQ(std::get<std::int64_t>(rows[0][0]), 1);
-    sortRows(rows, {{0, true}});
-    EXPECT_EQ(std::get<std::int64_t>(rows[0][0]), 3);
-
     Schema s({col("v", Type::Int64)});
+    RowSet rows = rowSet(s, {{Value(std::int64_t{3})},
+                             {Value(std::int64_t{1})},
+                             {Value(std::int64_t{2})}});
+    sortRows(rows, {{0, false}});
+    EXPECT_EQ(rows[0].i64(0), 1);
+    sortRows(rows, {{0, true}});
+    EXPECT_EQ(rows[0].i64(0), 3);
+
     DbStats stats;
-    std::vector<Row> kept;
+    RowSet kept;
     env_.run([&] {
         kept = filterRows(db_, rows,
                           cmp(s, "v", CmpOp::Ge, std::int64_t{2}),
                           stats);
     });
     EXPECT_EQ(kept.size(), 2u);
+}
+
+TEST(RowSetTest, SortWithTiedKeysMatchesRowSort)
+{
+    // Many ties across mixed-type keys: the slot sort must leave
+    // every row exactly where std::sort over decoded Rows with
+    // compareValues() does (ties included, since neither is stable).
+    Schema s({col("k", Type::Int64), col("d", Type::Double),
+              col("name", Type::String, 6), col("seq", Type::Int64)});
+    std::vector<Row> input;
+    for (std::int64_t i = 0; i < 300; ++i) {
+        input.push_back({std::int64_t{(i * 7) % 5},
+                         static_cast<double>((i * 13) % 4) / 2.0,
+                         std::string(1, static_cast<char>('a' + i % 3)),
+                         i});
+    }
+    const std::vector<std::vector<std::pair<int, bool>>> specs = {
+        {{0, false}}, {{1, true}}, {{2, false}, {0, true}},
+        {{1, false}, {2, true}}};
+    for (const auto &keys : specs) {
+        RowSet rows = rowSet(s, input);
+        sortRows(rows, keys);
+        std::vector<Row> want = input;
+        std::sort(want.begin(), want.end(),
+                  [&](const Row &a, const Row &b) {
+                      for (auto [c, desc] : keys) {
+                          int r = compareValues(
+                              a[static_cast<std::size_t>(c)],
+                              b[static_cast<std::size_t>(c)]);
+                          if (r != 0)
+                              return desc ? r > 0 : r < 0;
+                      }
+                      return false;
+                  });
+        EXPECT_EQ(rows.toRows(), want);
+    }
+}
+
+TEST_F(MiniDbTest, FilterRowsAgreesWithEvalPred)
+{
+    Schema s({col("id", Type::Int64), col("qty", Type::Double),
+              col("day", Type::Date), col("mode", Type::String, 8),
+              col("ship", Type::Date)});
+    const char *modes[] = {"AIR", "MAIL", "SHIP", "TRUCK", "RAIL"};
+    std::vector<Row> input;
+    for (std::int64_t i = 0; i < 400; ++i) {
+        input.push_back({i, static_cast<double>(i % 37) / 2.0,
+                         dateAddDays("1995-01-01", i % 90),
+                         std::string(modes[i % 5]),
+                         dateAddDays("1995-01-01", (i * 7) % 95)});
+    }
+    RowSet rows = rowSet(s, input);
+    const std::vector<ExprPtr> preds = {
+        exprAnd({between(s, "day", std::string("1995-01-10"),
+                         std::string("1995-02-20")),
+                 cmp(s, "qty", CmpOp::Lt, 9.0)}),
+        exprOr({inSet(s, "mode", {std::string("AIR"),
+                                  std::string("RAIL")}),
+                like(s, "mode", "%IL")}),
+        exprNot(cmpCols(s, "day", CmpOp::Lt, "ship")),
+        exprAnd({notLike(s, "mode", "%R%"),
+                 cmp(s, "id", CmpOp::Ge, std::int64_t{100})}),
+        nullptr};
+    for (const ExprPtr &pred : preds) {
+        DbStats stats;
+        RowSet kept;
+        env_.run([&] { kept = filterRows(db_, rows, pred, stats); });
+        std::vector<Row> want;
+        for (const Row &r : input)
+            if (!pred || evalPred(*pred, r))
+                want.push_back(r);
+        EXPECT_EQ(kept.toRows(), want);
+        EXPECT_EQ(stats.rows_examined, input.size());
+    }
 }
 
 }  // namespace

@@ -185,6 +185,30 @@ TEST(ServeSoak, PlacedGrepRoutingIsDeterministicAndDrains)
     EXPECT_FALSE(serve::ServeConfig{}.placed_greps);
 }
 
+TEST(ServeSoak, ConcurrentLazyModuleLoadsComplete)
+{
+    // Unified pipelines load their device modules lazily, on first
+    // use, and a module load yields in simulated time: with four
+    // clients arriving together, several fibers reach the same loader
+    // at once. Every one of them must come back with the published
+    // ids (this configuration used to abort with "unknown module
+    // id").
+    serve::ServeConfig cfg;
+    cfg.clients = 4;
+    cfg.jobs_per_client = 20;
+    cfg.mean_interarrival = 2 * kMsec;
+    cfg.unified_pipelines = true;
+
+    sisc::Env env(ssd::defaultConfig(), 4);
+    serve::ServeReport rep = serve::runServe(env, cfg);
+
+    EXPECT_EQ(rep.submitted,
+              static_cast<std::uint64_t>(cfg.clients) *
+                  cfg.jobs_per_client);
+    EXPECT_EQ(rep.completed + rep.rejected, rep.submitted);
+    EXPECT_GT(rep.completed, 0u);
+}
+
 TEST(ServeSoak, ConfigFromEnvironment)
 {
     if (std::getenv("BISCUIT_CLIENTS") != nullptr ||
