@@ -46,6 +46,10 @@ benches=(
     fig_place
     fig_pipeline
     fig_hetero
+    ablation_ndp
+    ablation_ftl
+    table4_pointer_chasing
+    table5_string_search
 )
 
 out_dir="$build_dir/bench_out"
