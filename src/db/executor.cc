@@ -615,14 +615,6 @@ mergeShardRows(std::vector<ShardRows> per_shard)
     return out;
 }
 
-/** One empty ShardRows per shard of @p table. */
-std::vector<ShardRows>
-shardRows(const Table &table)
-{
-    return std::vector<ShardRows>(table.shardCount(),
-                                  ShardRows(table.schema()));
-}
-
 /**
  * Run @p work(s) for every shard of @p table: inline when there is
  * one shard (the historical code path, tick-for-tick), on one fiber
@@ -642,21 +634,24 @@ forEachShard(MiniDb &db, Table &table, const char *what,
                 work);
 }
 
-std::vector<std::string>
-keyStrings(const pm::KeySet &keys)
-{
-    return keys.keys();
-}
-
 /**
  * Zone-map prune of @p table for this scan, when the statistics
- * layer is enabled and applicable. pruned=false leaves both scan
- * paths on their historical full-table code, tick for tick.
+ * layer is enabled and applicable. pruned=false streams every shard
+ * whole on the historical full-table code, tick for tick.
  */
 struct ScanPrune
 {
     PrunePlan plan;
     bool pruned = false;
+
+    /** Local (first, count) page runs shard @p s streams. */
+    std::vector<std::pair<std::uint64_t, std::uint64_t>>
+    runs(const Table &table, std::uint32_t s) const
+    {
+        if (!pruned)
+            return {{0, table.shardPageCount(s)}};
+        return shardPruneRuns(table, plan, s);
+    }
 };
 
 ScanPrune
@@ -690,320 +685,12 @@ notePrune(MiniDb &db, DbStats &stats, const PrunePlan &plan)
               plan.pages_total - plan.pages_selected);
 }
 
-/** Conventional scan: stream the (possibly pruned) table to host. */
-PackedScan
-convScan(MiniDb &db, Table &table, const ExprPtr &pred,
-         DbStats &stats)
+/** db.place.* metrics of a planned scan (BISCUIT_OBS-gated; never
+ *  read back into any timing or placement decision). */
+void
+notePlacement(MiniDb &db, const PlacementPlan &plan, bool pipeline,
+              Tick measured)
 {
-    OpTimer timer(db, stats, "conv_scan");
-    PackedScan out;
-    auto &host = db.host();
-    const Bytes page_size = table.pageSize();
-    const ScanPrune sp = scanPrune(db, table, pred);
-
-    // One streaming pass per shard (drives stream concurrently); the
-    // fan-out collects per-shard matching slots, tagged by global
-    // page, that the merge below restores to global page order. A
-    // pruned scan issues one stream per surviving page run instead —
-    // the window callback is oblivious, since stream offsets are
-    // absolute file offsets.
-    std::uint64_t matched_pages = 0;
-    std::vector<ShardRows> per_shard = shardRows(table);
-    auto onWindow = [&](std::uint32_t s, Bytes off,
-                        const std::uint8_t *data, Bytes len) {
-        host.consumeCpuPerByte(len,
-                               host.config().db_scan_ns_per_byte);
-        for (Bytes p = 0; p < len; p += page_size) {
-            std::uint64_t page_idx =
-                table.globalPage(s, (off + p) / page_size);
-            Bytes n = std::min(page_size, len - p);
-            if (collectMatches(table, pred, data + p, n, page_idx,
-                               per_shard[s], stats))
-                ++matched_pages;
-        }
-    };
-    forEachShard(db, table, "db.convscan", [&](std::uint32_t s) {
-        if (!sp.pruned) {
-            Bytes size = table.shardPageCount(s) * page_size;
-            host.streamReadOn(
-                s, table.file(), 0, size, 1_MiB,
-                [&, s](Bytes off, const std::uint8_t *data,
-                       Bytes len) { onWindow(s, off, data, len); });
-            return;
-        }
-        for (const auto &[first, count] :
-             shardPruneRuns(table, sp.plan, s)) {
-            host.streamReadOn(
-                s, table.file(), first * page_size,
-                count * page_size, 1_MiB,
-                [&, s](Bytes off, const std::uint8_t *data,
-                       Bytes len) { onWindow(s, off, data, len); });
-        }
-    });
-    out.rows = mergeShardRows(std::move(per_shard));
-    if (sp.plan.usable)
-        notePrune(db, stats, sp.plan);
-    stats.pages_to_host +=
-        sp.pruned ? sp.plan.pages_selected : table.pageCount();
-    ++stats.conv_scans;
-    if (table.pageCount() > 0) {
-        out.measured_selectivity =
-            static_cast<double>(matched_pages) /
-            static_cast<double>(table.pageCount());
-    }
-    out.note = out.note.empty() ? "conventional scan" : out.note;
-    return out;
-}
-
-/** NDP scan: page filter on the device, exact re-check on the host. */
-PackedScan
-ndpScan(MiniDb &db, Table &table, const ExprPtr &pred,
-        const pm::KeySet &keys, DbStats &stats)
-{
-    OpTimer timer(db, stats, "ndp_scan");
-    PackedScan out;
-    out.used_ndp = true;
-    auto &host = db.host();
-    const Bytes page_size = table.pageSize();
-    const ScanPrune sp = scanPrune(db, table, pred);
-
-    loadMinidbModules(db);
-    if (sp.pruned)
-        loadPruneModules(db);
-
-    // One scan/filter SSDlet per shard, each on its own drive: the
-    // SSDlet streams the shard's surviving page runs (local page
-    // space; the whole shard when unpruned) through that drive's
-    // channel matchers while the host drains each drive on a
-    // dedicated fiber. The merge restores global page order.
-    std::uint64_t shipped_pages = 0;
-    std::vector<ShardRows> per_shard = shardRows(table);
-    forEachShard(db, table, "db.ndpscan", [&](std::uint32_t s) {
-        sisc::SSD ssd(db.env().array.drive(s).runtime);
-        sisc::Application app(ssd);
-        auto makeScan = [&] {
-            if (!sp.pruned) {
-                // The historical full-shard SSDlet, tick for tick.
-                return sisc::SSDLet(
-                    app, db.minidb_drive_modules[s], "idScanFilter",
-                    std::make_tuple(
-                        slet::File(table.file()), keyStrings(keys),
-                        static_cast<std::uint64_t>(page_size),
-                        table.shardPageCount(s)));
-            }
-            std::vector<std::uint64_t> runs;
-            for (const auto &[first, count] :
-                 shardPruneRuns(table, sp.plan, s)) {
-                runs.push_back(first);
-                runs.push_back(count);
-            }
-            return sisc::SSDLet(
-                app, db.prune_drive_modules[s], "idScanFilterRuns",
-                std::make_tuple(slet::File(table.file()),
-                                keyStrings(keys),
-                                static_cast<std::uint64_t>(page_size),
-                                runs));
-        };
-        sisc::SSDLet scan = makeScan();
-        auto port = app.connectTo<Packet>(scan.out(0));
-        app.start();
-
-        Packet batch;
-        std::vector<std::uint8_t> data;  // reused across pages
-        while (port.get(batch)) {
-            auto n = batch.get<std::uint32_t>();
-            for (std::uint32_t i = 0; i < n; ++i) {
-                auto local_page = batch.get<std::uint64_t>();
-                auto len = batch.get<std::uint32_t>();
-                data.resize(len);
-                batch.getBytes(data.data(), len);
-                std::uint64_t page_idx =
-                    table.globalPage(s, local_page);
-
-                // Exact predicate evaluation on the returned page,
-                // straight off the packed slots.
-                host.consumeCpuPerByte(
-                    len, host.config().db_scan_ns_per_byte);
-                collectMatches(table, pred, data.data(), len,
-                               page_idx, per_shard[s], stats);
-                ++stats.pages_to_host;
-                ++shipped_pages;
-            }
-        }
-        app.wait();
-    });
-    out.rows = mergeShardRows(std::move(per_shard));
-    if (sp.plan.usable)
-        notePrune(db, stats, sp.plan);
-    stats.pages_scanned_device +=
-        sp.pruned ? sp.plan.pages_selected : table.pageCount();
-    ++stats.ndp_scans;
-    if (table.pageCount() > 0) {
-        out.measured_selectivity =
-            static_cast<double>(shipped_pages) /
-            static_cast<double>(table.pageCount());
-    }
-    return out;
-}
-
-/**
- * Cost-model-placed scan: each shard runs where the placer put it —
- * its drive's scan/filter SSDlet or the host streaming path — with
- * every shard on its own fiber so heterogeneous placements overlap.
- * Row output is merged to global page order, so results are
- * byte-identical across placements (and to both legacy paths).
- */
-PackedScan
-placedScan(MiniDb &db, Table &table, const ExprPtr &pred,
-           const pm::KeySet &keys, const PlacementPlan &plan,
-           DbStats &stats)
-{
-    OpTimer timer(db, stats, "placed_scan");
-    const Tick begin = db.env().kernel.now();
-    PackedScan out;
-    const bool any_device = plan.anyDevice();
-    out.used_ndp = any_device;
-    auto &host = db.host();
-    const Bytes page_size = table.pageSize();
-    const ScanPrune sp = scanPrune(db, table, pred);
-
-    if (any_device) {
-        loadMinidbModules(db);
-        if (sp.pruned)
-            loadPruneModules(db);
-    }
-
-    // Crossed-the-interface pages: a host shard streams all of its
-    // (surviving) pages; a device shard ships only matches. Matched
-    // pages (>= 1 row passing the exact re-check) are counted
-    // placement-independently and fed back to the placer.
-    std::uint64_t crossed_pages = 0;
-    std::uint64_t matched_pages = 0;
-    std::vector<ShardRows> per_shard = shardRows(table);
-
-    auto hostShard = [&](std::uint32_t s) {
-        auto onWindow = [&](Bytes off, const std::uint8_t *data,
-                            Bytes len) {
-            host.consumeCpuPerByte(
-                len, host.config().db_scan_ns_per_byte);
-            for (Bytes p = 0; p < len; p += page_size) {
-                std::uint64_t page_idx =
-                    table.globalPage(s, (off + p) / page_size);
-                Bytes n = std::min(page_size, len - p);
-                if (collectMatches(table, pred, data + p, n, page_idx,
-                                   per_shard[s], stats))
-                    ++matched_pages;
-            }
-        };
-        if (!sp.pruned) {
-            Bytes size = table.shardPageCount(s) * page_size;
-            stats.pages_to_host += table.shardPageCount(s);
-            crossed_pages += table.shardPageCount(s);
-            host.streamReadOn(s, table.file(), 0, size, 1_MiB,
-                              onWindow);
-            return;
-        }
-        for (const auto &[first, count] :
-             shardPruneRuns(table, sp.plan, s)) {
-            stats.pages_to_host += count;
-            crossed_pages += count;
-            host.streamReadOn(s, table.file(), first * page_size,
-                              count * page_size, 1_MiB, onWindow);
-        }
-    };
-
-    auto deviceShard = [&](std::uint32_t s) {
-        sisc::SSD ssd(db.env().array.drive(s).runtime);
-        sisc::Application app(ssd);
-        auto makeScan = [&] {
-            if (!sp.pruned) {
-                return sisc::SSDLet(
-                    app, db.minidb_drive_modules[s], "idScanFilter",
-                    std::make_tuple(
-                        slet::File(table.file()), keyStrings(keys),
-                        static_cast<std::uint64_t>(page_size),
-                        table.shardPageCount(s)));
-            }
-            std::vector<std::uint64_t> runs;
-            for (const auto &[first, count] :
-                 shardPruneRuns(table, sp.plan, s)) {
-                runs.push_back(first);
-                runs.push_back(count);
-            }
-            return sisc::SSDLet(
-                app, db.prune_drive_modules[s], "idScanFilterRuns",
-                std::make_tuple(slet::File(table.file()),
-                                keyStrings(keys),
-                                static_cast<std::uint64_t>(page_size),
-                                runs));
-        };
-        sisc::SSDLet scan = makeScan();
-        auto port = app.connectTo<Packet>(scan.out(0));
-        app.start();
-
-        std::uint64_t shard_pages = 0;
-        if (sp.pruned) {
-            for (const auto &[first, count] :
-                 shardPruneRuns(table, sp.plan, s))
-                shard_pages += count;
-        } else {
-            shard_pages = table.shardPageCount(s);
-        }
-        stats.pages_scanned_device += shard_pages;
-
-        Packet batch;
-        std::vector<std::uint8_t> data;  // reused across pages
-        while (port.get(batch)) {
-            auto n = batch.get<std::uint32_t>();
-            for (std::uint32_t i = 0; i < n; ++i) {
-                auto local_page = batch.get<std::uint64_t>();
-                auto len = batch.get<std::uint32_t>();
-                data.resize(len);
-                batch.getBytes(data.data(), len);
-                std::uint64_t page_idx =
-                    table.globalPage(s, local_page);
-                host.consumeCpuPerByte(
-                    len, host.config().db_scan_ns_per_byte);
-                if (collectMatches(table, pred, data.data(), len,
-                                   page_idx, per_shard[s], stats))
-                    ++matched_pages;
-                ++stats.pages_to_host;
-                ++crossed_pages;
-            }
-        }
-        app.wait();
-    };
-
-    forEachShard(db, table, "db.placedscan", [&](std::uint32_t s) {
-        if (s < plan.sites.size() && !plan.sites[s].on_host)
-            deviceShard(s);
-        else
-            hostShard(s);
-    });
-    out.rows = mergeShardRows(std::move(per_shard));
-    if (sp.plan.usable)
-        notePrune(db, stats, sp.plan);
-    if (any_device)
-        ++stats.ndp_scans;
-    else
-        ++stats.conv_scans;
-    if (table.pageCount() > 0) {
-        out.measured_selectivity =
-            static_cast<double>(crossed_pages) /
-            static_cast<double>(table.pageCount());
-        // Feedback for the next placement of this same scan: the
-        // measured matched-page fraction supersedes the histogram
-        // estimate, which cannot see row clustering.
-        db.matched_page_frac[scanStatKey(table, keys)] =
-            static_cast<double>(matched_pages) /
-            static_cast<double>(table.pageCount());
-    }
-    out.placement = plan.describe();
-    out.predicted_ticks = plan.predicted;
-    out.measured_ticks = db.env().kernel.now() - begin;
-
-    // db.place.* metrics (BISCUIT_OBS-gated; never read back into
-    // any timing or placement decision).
     auto &obs = db.env().kernel.obs();
     std::uint64_t dev_stages = 0;
     for (const Site &site : plan.sites)
@@ -1018,44 +705,54 @@ placedScan(MiniDb &db, Table &table, const ExprPtr &pred,
     OBS_COUNT(obs.metrics().counter("db.place.predicted_us", "us"),
               plan.predicted / 1000);
     OBS_COUNT(obs.metrics().counter("db.place.measured_us", "us"),
-              out.measured_ticks / 1000);
-    if (out.measured_ticks > 0) {
+              measured / 1000);
+    if (pipeline) {
+        OBS_COUNT(obs.metrics().counter(
+                      "db.place.pipeline.edges_priced", "edges"),
+                  plan.edges_priced);
+        OBS_COUNT(obs.metrics().counter(
+                      "db.place.pipeline.edge_predicted_us", "us"),
+                  plan.edge_ticks / 1000);
+    }
+    if (measured > 0) {
         const double err =
             100.0 *
             std::abs(static_cast<double>(plan.predicted) -
-                     static_cast<double>(out.measured_ticks)) /
-            static_cast<double>(out.measured_ticks);
+                     static_cast<double>(measured)) /
+            static_cast<double>(measured);
         OBS_HIST(obs.metrics().histogram(
                      "db.place.abs_err_pct", "pct",
                      {1, 2, 5, 10, 20, 35, 50, 75, 100}),
                  static_cast<std::uint64_t>(err));
     }
-    return out;
 }
 
 /**
- * Pipeline-placed scan (PlannerConfig::use_pipeline): the placer
- * assigned every stage of the scan DAG — per-shard matcher scans
- * [0, n), per-shard exact re-checks [n, 2n), host merge 2n — and this
- * fan-out runs each shard in the shape its pair of sites dictates:
+ * The table scan executor. @p sites places every stage of the scan:
+ * per-shard matcher scans [0, n) and per-shard exact re-checks
+ * [n, 2n); a missing site is the host. Each shard, on its own fiber
+ * when the table spans drives, runs in the shape its pair of sites
+ * gives:
  *
- *   (host, host):     the conventional streaming path;
- *   (device, host):   matcher on the drive, re-check on the host
- *                     (the PR 8 placed shape);
+ *   (host, host):     stream the shard to the host, check there;
+ *   (device, host):   matcher on the drive ships candidate pages,
+ *                     the host re-checks them;
  *   (device, device): matcher and re-check chained in-drive through
  *                     the typed FBP port — one application, one core
- *                     slot, only matching *rows* ever cross the HIL.
+ *                     slot, only matching *rows* cross the HIL.
  *
  * Rows are merged to global page order, so results are byte-identical
- * across all three shapes (and to both legacy paths).
+ * across shapes and drive counts. A decision that carries a placer
+ * plan (d.plan.valid) also gets the planned-scan extras: the session
+ * launch checkpoint and release, the placement trace, matched-page
+ * feedback for the next plan and the db.place.* metrics.
  */
 PackedScan
-pipelinedScan(MiniDb &db, Table &table, const ExprPtr &pred,
-              const pm::KeySet &keys, const PlacementPlan &plan_in,
-              const PipelineGraph &graph, DbStats &stats,
-              int session_query = -1)
+runScan(MiniDb &db, Table &table, const ExprPtr &pred,
+        const PlanDecision &d, std::vector<Site> sites, const char *op,
+        DbStats &stats)
 {
-    OpTimer timer(db, stats, "pipelined_scan");
+    OpTimer timer(db, stats, op);
     const Tick begin = db.env().kernel.now();
     PackedScan out;
 
@@ -1063,14 +760,17 @@ pipelinedScan(MiniDb &db, Table &table, const ExprPtr &pred,
     // may have drifted since the plan was admitted (the caller could
     // have queued behind admission control); re-price the still-
     // unlaunched stages against a fresh snapshot, then commit.
-    PlacementPlan plan = plan_in;
-    if (session_query >= 0 && db.place_session != nullptr) {
-        db.place_session->maybeReplan(session_query);
-        plan = db.place_session->plan(session_query);
-        db.place_session->markLaunched(session_query);
+    const bool planned = d.plan.valid;
+    const bool in_session =
+        d.session_query >= 0 && db.place_session != nullptr;
+    PlacementPlan plan = d.plan;
+    if (in_session) {
+        db.place_session->maybeReplan(d.session_query);
+        plan = db.place_session->plan(d.session_query);
+        db.place_session->markLaunched(d.session_query);
+        sites = plan.sites;
     }
-    const bool any_device = plan.anyDevice();
-    out.used_ndp = any_device;
+
     auto &host = db.host();
     const Bytes page_size = table.pageSize();
     const Bytes row_width = table.schema().rowWidth();
@@ -1078,8 +778,7 @@ pipelinedScan(MiniDb &db, Table &table, const ExprPtr &pred,
     const ScanPrune sp = scanPrune(db, table, pred);
 
     auto siteOf = [&](std::uint32_t stage) {
-        return stage < plan.sites.size() ? plan.sites[stage]
-                                         : Site{true, 0};
+        return stage < sites.size() ? sites[stage] : Site{true, 0};
     };
     auto chained = [&](std::uint32_t s) {
         const Site scan = siteOf(s);
@@ -1087,10 +786,13 @@ pipelinedScan(MiniDb &db, Table &table, const ExprPtr &pred,
         return !scan.on_host && !re.on_host &&
                scan.drive == re.drive;
     };
-
+    bool any_device = false;
     bool any_chained = false;
-    for (std::uint32_t s = 0; s < nshards; ++s)
+    for (std::uint32_t s = 0; s < nshards; ++s) {
+        any_device = any_device || !siteOf(s).on_host;
         any_chained = any_chained || chained(s);
+    }
+    out.used_ndp = any_device;
     if (any_device) {
         loadMinidbModules(db);
         if (sp.pruned)
@@ -1109,9 +811,13 @@ pipelinedScan(MiniDb &db, Table &table, const ExprPtr &pred,
     const std::uint64_t last_page =
         table.pageCount() == 0 ? 0 : table.pageCount() - 1;
 
-    std::uint64_t crossed_pages = 0;
+    // matched_pages: pages holding at least one exact match, wherever
+    // the re-check ran. selected_pages: what measured_selectivity
+    // reports — pages a device shard shipped, matched pages of a host
+    // shard.
     std::uint64_t matched_pages = 0;
-    std::vector<ShardRows> per_shard = shardRows(table);
+    std::uint64_t selected_pages = 0;
+    std::vector<ShardRows> per_shard(nshards, ShardRows(table.schema()));
 
     auto hostShard = [&](std::uint32_t s) {
         auto onWindow = [&](Bytes off, const std::uint8_t *data,
@@ -1123,68 +829,55 @@ pipelinedScan(MiniDb &db, Table &table, const ExprPtr &pred,
                     table.globalPage(s, (off + p) / page_size);
                 Bytes n = std::min(page_size, len - p);
                 if (collectMatches(table, pred, data + p, n, page_idx,
-                                   per_shard[s], stats))
+                                   per_shard[s], stats)) {
                     ++matched_pages;
+                    ++selected_pages;
+                }
             }
         };
-        if (!sp.pruned) {
-            Bytes size = table.shardPageCount(s) * page_size;
-            stats.pages_to_host += table.shardPageCount(s);
-            crossed_pages += table.shardPageCount(s);
-            host.streamReadOn(s, table.file(), 0, size, 1_MiB,
-                              onWindow);
-            return;
-        }
-        for (const auto &[first, count] :
-             shardPruneRuns(table, sp.plan, s)) {
+        for (const auto &[first, count] : sp.runs(table, s)) {
             stats.pages_to_host += count;
-            crossed_pages += count;
             host.streamReadOn(s, table.file(), first * page_size,
                               count * page_size, 1_MiB, onWindow);
         }
     };
 
+    // The shard's matcher SSDlet: the historical full-shard scan, or
+    // the run-list scan over the pages the zone maps kept.
     auto makeScanLet = [&](sisc::Application &app, std::uint32_t s) {
         if (!sp.pruned) {
             return sisc::SSDLet(
                 app, db.minidb_drive_modules[s], "idScanFilter",
                 std::make_tuple(
-                    slet::File(table.file()), keyStrings(keys),
+                    slet::File(table.file()), d.keys.keys(),
                     static_cast<std::uint64_t>(page_size),
                     table.shardPageCount(s)));
         }
         std::vector<std::uint64_t> runs;
-        for (const auto &[first, count] :
-             shardPruneRuns(table, sp.plan, s)) {
+        for (const auto &[first, count] : sp.runs(table, s)) {
             runs.push_back(first);
             runs.push_back(count);
         }
         return sisc::SSDLet(
             app, db.prune_drive_modules[s], "idScanFilterRuns",
-            std::make_tuple(slet::File(table.file()),
-                            keyStrings(keys),
+            std::make_tuple(slet::File(table.file()), d.keys.keys(),
                             static_cast<std::uint64_t>(page_size),
                             runs));
     };
-    auto shardPagesStreamed = [&](std::uint32_t s) {
-        if (!sp.pruned)
-            return table.shardPageCount(s);
-        std::uint64_t pages = 0;
-        for (const auto &[first, count] :
-             shardPruneRuns(table, sp.plan, s))
-            pages += count;
-        return pages;
+    auto noteDeviceScan = [&](std::uint32_t s) {
+        for (const auto &[first, count] : sp.runs(table, s))
+            stats.pages_scanned_device += count;
     };
 
     // Matcher on the drive, exact re-check on the host: matcher-
-    // selected *pages* cross the HIL (the PR 8 placed shape).
+    // selected *pages* cross the HIL.
     auto deviceShard = [&](std::uint32_t s) {
         sisc::SSD ssd(db.env().array.drive(s).runtime);
         sisc::Application app(ssd);
         sisc::SSDLet scan = makeScanLet(app, s);
         auto port = app.connectTo<Packet>(scan.out(0));
         app.start();
-        stats.pages_scanned_device += shardPagesStreamed(s);
+        noteDeviceScan(s);
 
         Packet batch;
         std::vector<std::uint8_t> data;  // reused across pages
@@ -1203,7 +896,7 @@ pipelinedScan(MiniDb &db, Table &table, const ExprPtr &pred,
                                    page_idx, per_shard[s], stats))
                     ++matched_pages;
                 ++stats.pages_to_host;
-                ++crossed_pages;
+                ++selected_pages;
             }
         }
         app.wait();
@@ -1236,7 +929,7 @@ pipelinedScan(MiniDb &db, Table &table, const ExprPtr &pred,
         app.connect(scan.out(0), recheck.in(0));
         auto port = app.connectTo<Packet>(recheck.out(0));
         app.start();
-        stats.pages_scanned_device += shardPagesStreamed(s);
+        noteDeviceScan(s);
 
         Packet batch;
         ShardRows &mine = per_shard[s];
@@ -1254,18 +947,18 @@ pipelinedScan(MiniDb &db, Table &table, const ExprPtr &pred,
                 batch.getBytes(mine.rows.appendSlots(n_rows),
                                static_cast<Bytes>(n_rows) * row_width);
                 stats.rows_examined += n_rows;
-                // Only matched pages reach the host at all here;
-                // count them as crossing for the selectivity
-                // bookkeeping (as row payloads, not raw pages).
+                // Only matched pages reach the host at all here, as
+                // row payloads rather than raw pages.
                 ++matched_pages;
                 ++stats.pages_to_host;
-                ++crossed_pages;
+                ++selected_pages;
             }
         }
         app.wait();
     };
 
-    forEachShard(db, table, "db.pipescan", [&](std::uint32_t s) {
+    const std::string fibers = std::string("db.") + op;
+    forEachShard(db, table, fibers.c_str(), [&](std::uint32_t s) {
         if (chained(s))
             chainedShard(s);
         else if (!siteOf(s).on_host)
@@ -1282,56 +975,27 @@ pipelinedScan(MiniDb &db, Table &table, const ExprPtr &pred,
         ++stats.conv_scans;
     if (table.pageCount() > 0) {
         out.measured_selectivity =
-            static_cast<double>(crossed_pages) /
+            static_cast<double>(selected_pages) /
             static_cast<double>(table.pageCount());
-        // Same placement-independent feedback as placedScan: the
-        // exact re-check decides what a "matched" page is, wherever
-        // it runs, so every placement records the same fraction.
-        db.matched_page_frac[scanStatKey(table, keys)] =
+    }
+    if (!planned)
+        return out;
+
+    // Feedback for the next placement of this same scan: the exact
+    // re-check decides what a matched page is, wherever it runs, so
+    // every placement records the same fraction — and it supersedes
+    // the histogram estimate, which cannot see row clustering.
+    if (table.pageCount() > 0) {
+        db.matched_page_frac[scanStatKey(table, d.keys)] =
             static_cast<double>(matched_pages) /
             static_cast<double>(table.pageCount());
     }
     out.placement = plan.describe();
     out.predicted_ticks = plan.predicted;
     out.measured_ticks = db.env().kernel.now() - begin;
-
-    // db.place.* + db.place.pipeline.* metrics (BISCUIT_OBS-gated;
-    // never read back into any timing or placement decision).
-    auto &obs = db.env().kernel.obs();
-    std::uint64_t dev_stages = 0;
-    for (const Site &site : plan.sites)
-        if (!site.on_host)
-            ++dev_stages;
-    OBS_COUNT(obs.metrics().counter("db.place.plans", "plans"));
-    OBS_COUNT(obs.metrics().counter("db.place.stages_device",
-                                    "stages"),
-              dev_stages);
-    OBS_COUNT(obs.metrics().counter("db.place.stages_host", "stages"),
-              plan.sites.size() - dev_stages);
-    OBS_COUNT(obs.metrics().counter("db.place.predicted_us", "us"),
-              plan.predicted / 1000);
-    OBS_COUNT(obs.metrics().counter("db.place.measured_us", "us"),
-              out.measured_ticks / 1000);
-    OBS_COUNT(obs.metrics().counter("db.place.pipeline.edges_priced",
-                                    "edges"),
-              plan.edges_priced);
-    OBS_COUNT(obs.metrics().counter(
-                  "db.place.pipeline.edge_predicted_us", "us"),
-              plan.edge_ticks / 1000);
-    if (out.measured_ticks > 0) {
-        const double err =
-            100.0 *
-            std::abs(static_cast<double>(plan.predicted) -
-                     static_cast<double>(out.measured_ticks)) /
-            static_cast<double>(out.measured_ticks);
-        OBS_HIST(obs.metrics().histogram(
-                     "db.place.abs_err_pct", "pct",
-                     {1, 2, 5, 10, 20, 35, 50, 75, 100}),
-                 static_cast<std::uint64_t>(err));
-    }
-    if (session_query >= 0 && db.place_session != nullptr)
-        db.place_session->release(session_query);
-    (void)graph;
+    notePlacement(db, plan, !d.graph.stages.empty(), out.measured_ticks);
+    if (in_session)
+        db.place_session->release(d.session_query);
     return out;
 }
 
@@ -1491,7 +1155,7 @@ ndpSamplePages(MiniDb &db, Table &table, const pm::KeySet &keys,
         sisc::SSDLet sampler(
             app, db.minidb_drive_modules[s], "idSample",
             std::make_tuple(slet::File(table.file()),
-                            keyStrings(keys),
+                            keys.keys(),
                             static_cast<std::uint64_t>(
                                 table.pageSize()),
                             local[s]));
@@ -1550,41 +1214,53 @@ PackedScan
 scanTablePacked(MiniDb &db, Table &table, const ExprPtr &pred,
                 EngineMode mode, DbStats &stats)
 {
-    if (mode == EngineMode::Biscuit) {
-        PlanDecision d = decideOffload(db, table, pred, stats);
+    if (mode != EngineMode::Biscuit) {
         PackedScan out =
-            d.plan.valid && !d.graph.stages.empty()
-                ? pipelinedScan(db, table, pred, d.keys, d.plan,
-                                d.graph, stats, d.session_query)
-                : d.plan.valid
-                ? placedScan(db, table, pred, d.keys, d.plan, stats)
-                : (d.offload
-                       ? ndpScan(db, table, pred, d.keys, stats)
-                       : convScan(db, table, pred, stats));
-        out.sampled_selectivity = d.sampled_selectivity;
-        out.est_selectivity = d.est_selectivity;
-        out.note = d.note;
-        if (d.plan.valid && out.measured_ticks > 0) {
-            const double err =
-                100.0 *
-                std::abs(static_cast<double>(d.plan.predicted) -
-                         static_cast<double>(out.measured_ticks)) /
-                static_cast<double>(out.measured_ticks);
-            char pbuf[96];
-            std::snprintf(pbuf, sizeof(pbuf),
-                          "; predicted %.3f ms, measured %.3f ms "
-                          "(err %.0f%%)",
-                          static_cast<double>(d.plan.predicted) / 1e6,
-                          static_cast<double>(out.measured_ticks) /
-                              1e6,
-                          err);
-            out.note += pbuf;
-        }
-        if (db.planner.use_stats)
-            noteSelectivity(db, out);
+            runScan(db, table, pred, PlanDecision{}, {}, "conv_scan",
+                    stats);
+        out.note = "conventional scan";
         return out;
     }
-    return convScan(db, table, pred, stats);
+
+    // The decision as stage sites, run under the op_ticks label its
+    // path reports: no offload streams every shard to the host, the
+    // threshold offload puts every matcher on its shard's drive, and
+    // a placer plan brings its own sites.
+    PlanDecision d = decideOffload(db, table, pred, stats);
+    std::vector<Site> sites;
+    const char *op = "conv_scan";
+    if (d.plan.valid) {
+        sites = d.plan.sites;
+        op = d.graph.stages.empty() ? "placed_scan" : "pipelined_scan";
+    } else if (d.offload) {
+        for (std::uint32_t s = 0; s < table.shardCount(); ++s)
+            sites.push_back(Site{false, s});
+        op = "ndp_scan";
+    }
+    PackedScan out =
+        runScan(db, table, pred, d, std::move(sites), op, stats);
+    out.sampled_selectivity = d.sampled_selectivity;
+    out.est_selectivity = d.est_selectivity;
+    out.note = d.note;
+    if (d.plan.valid && out.measured_ticks > 0) {
+        const double err =
+            100.0 *
+            std::abs(static_cast<double>(d.plan.predicted) -
+                     static_cast<double>(out.measured_ticks)) /
+            static_cast<double>(out.measured_ticks);
+        char pbuf[96];
+        std::snprintf(pbuf, sizeof(pbuf),
+                      "; predicted %.3f ms, measured %.3f ms "
+                      "(err %.0f%%)",
+                      static_cast<double>(d.plan.predicted) / 1e6,
+                      static_cast<double>(out.measured_ticks) /
+                          1e6,
+                      err);
+        out.note += pbuf;
+    }
+    if (db.planner.use_stats)
+        noteSelectivity(db, out);
+    return out;
 }
 
 ScanOutcome

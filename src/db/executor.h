@@ -1,7 +1,13 @@
 /**
  * @file
- * MiniDB execution primitives: conventional and NDP table scans, the
- * block-nested-loop join cost model, grouping, sorting.
+ * MiniDB execution primitives: the table scan, the block-nested-loop
+ * join cost model, grouping, sorting.
+ *
+ * One executor runs every table scan. The planner's decision reaches
+ * it as per-stage sites — each shard's matcher scan and exact
+ * re-check on the host or on the shard's drive — and each shard runs
+ * in the shape its sites give: a host stream, a device matcher with a
+ * host re-check, or matcher and re-check chained in-drive.
  *
  * The 22 TPC-H query drivers (src/tpch/queries.cc) compose these
  * primitives; each primitive charges its own simulated time so query
@@ -37,11 +43,11 @@ struct ScanInfo
     double est_selectivity = -1.0;
 
     /**
-     * Measured page selectivity of this scan: on the NDP path the
-     * fraction of pages the device shipped (key matches, what the
-     * offload threshold governs); on the conventional path the
-     * fraction of pages holding at least one predicate-satisfying
-     * row. -1 on an empty table.
+     * Measured page selectivity of this scan, as a fraction of the
+     * table's pages: a device shard counts the pages it shipped (key
+     * matches, what the offload threshold governs), a host shard the
+     * pages holding at least one predicate-satisfying row. -1 on an
+     * empty table.
      */
     double measured_selectivity = -1.0;
 
@@ -49,7 +55,7 @@ struct ScanInfo
      * Cost-model placement trace (PlannerConfig::use_cost_model):
      * the chosen per-shard sites ("d0,d1,host,d3"), the model's
      * predicted makespan and the measured scan ticks. Empty / zero
-     * when the scan ran the legacy boolean dispatch.
+     * when the decision carried no placer plan.
      */
     std::string placement;
     Tick predicted_ticks = 0;
@@ -72,9 +78,12 @@ struct ScanOutcome : ScanInfo
 
 /**
  * Scan @p table with predicate @p pred (may be null = full scan).
- * In Biscuit mode the planner heuristic decides between the offload
- * path and the conventional path; Conv mode always streams to the
- * host. Rows returned satisfy @p pred exactly, in global row order.
+ * Conv mode streams every shard to the host. In Biscuit mode the
+ * planner decides where each stage runs: nowhere on a drive, every
+ * matcher on its shard's drive (the threshold offload), or wherever
+ * a cost-model plan put it. op_ticks charges the scan as "conv_scan",
+ * "ndp_scan", "placed_scan" or "pipelined_scan" after that decision.
+ * Rows returned satisfy @p pred exactly, in global row order.
  */
 PackedScan scanTablePacked(MiniDb &db, Table &table, const ExprPtr &pred,
                            EngineMode mode, DbStats &stats);

@@ -3,14 +3,16 @@
  * MiniDB: the DB engine substrate standing in for MariaDB/XtraDB
  * (paper §V-C, "DB Scan and Filtering").
  *
- * MiniDB owns the catalog and the planner configuration. Its executor
- * (executor.h) implements both datapaths the paper compares: the
- * conventional scan (stream the table to the host, evaluate there)
- * and the Biscuit scan (offload a page filter to the SSD's pattern
- * matchers, ship only matching pages). The planner (planner.h) makes
- * the offload decision with the paper's heuristic: derive keys, check
- * the table size, sample pages to estimate selectivity, compare
- * against a threshold.
+ * MiniDB owns the catalog and the planner configuration. The planner
+ * (planner.h) is a policy: it decides where each stage of a scan
+ * runs, with the paper's heuristic (derive keys, check the table
+ * size, sample pages to estimate selectivity, compare against a
+ * threshold) or, when enabled, the cost model and placer. One
+ * executor (executor.h) then runs the scan as sited: the
+ * conventional scan (stream the table to the host, evaluate there),
+ * the Biscuit scan (offload a page filter to the SSD's pattern
+ * matchers, ship only matching pages) or any per-shard mix of the
+ * two, with the exact re-check optionally chained in-drive.
  */
 
 #ifndef BISCUIT_DB_MINIDB_H_
@@ -142,7 +144,8 @@ struct DbStats
 
     /**
      * Sim-time attributed to each relational operator ("conv_scan",
-     * "ndp_scan", "bnl_join", "group_by", "filter", "sample"), in ns.
+     * "ndp_scan", "placed_scan", "pipelined_scan", "bnl_join",
+     * "group_by", "filter", "sample"), in ns.
      * Operators that overlap (an NDP scan's device work under the
      * host-side drain) are charged wall-to-wall, so per-operator
      * ticks can exceed elapsed in aggregate.
@@ -357,7 +360,7 @@ class MiniDb
     /**
      * Measured matched-page fraction (pages holding at least one
      * exact match / table pages), keyed like selectivity_stats.
-     * Written only by the cost-model scan path, read only by the
+     * Written only by scans that carry a placer plan, read only by the
      * placer: feedback from a prior identical scan beats any a-priori
      * estimate for clustered data, where the histogram row estimate
      * wildly overstates how many pages actually ship. Placement-

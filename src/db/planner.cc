@@ -73,8 +73,7 @@ buildScanStages(Table &table, const ExprPtr &pred, double sel,
  */
 PipelineGraph
 buildPipelineGraph(MiniDb &db, Table &table,
-                   const std::vector<StageSpec> &scans, double sel,
-                   const CostCalibration &calib)
+                   const std::vector<StageSpec> &scans, double sel)
 {
     PipelineGraph g;
     const std::uint32_t n =
@@ -110,7 +109,6 @@ buildPipelineGraph(MiniDb &db, Table &table,
         std::max<double>(1.0, static_cast<double>(
                                   table.schema().rowWidth()));
     g.stages.push_back(std::move(merge));
-    (void)calib;
 
     const std::uint32_t merge_ix = 2 * n;
     for (std::uint32_t s = 0; s < n; ++s) {
@@ -178,7 +176,7 @@ placeWithCostModel(MiniDb &db, Table &table, const ExprPtr &pred,
     if (cfg.use_pipeline) {
         // Stage-DAG generalization: scan -> re-check -> merge, edges
         // priced by placement pair, searched with the same annealer.
-        d.graph = buildPipelineGraph(db, table, stages, sel, calib);
+        d.graph = buildPipelineGraph(db, table, stages, sel);
         if (cfg.use_unified_pipelines && db.place_session != nullptr) {
             // Multi-query planning: admit the DAG to the shared
             // session, which prices it against the co-admitted

@@ -34,10 +34,10 @@ struct PlanDecision
 
     /**
      * Per-shard placement (PlannerConfig::use_cost_model): valid=true
-     * routes the scan through the executor's placed fan-out, with
-     * offload generalized to "any stage on a drive". valid=false —
-     * always the case gate-closed — leaves the historical boolean
-     * dispatch untouched, tick for tick.
+     * hands the executor the plan's stage sites, with offload
+     * generalized to "any stage on a drive". valid=false — always the
+     * case gate-closed — leaves the boolean offload call in charge,
+     * tick for tick.
      */
     PlacementPlan plan;
 
