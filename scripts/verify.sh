@@ -6,7 +6,8 @@
 # must load, two runs must be byte-identical), a multi-drive pass
 # (fig10 at BISCUIT_DRIVES=4 against its own golden — same rows and
 # planner decisions, scale-out timing), a serve pass (fig_serve vs its
-# golden, two-run byte-identity, lane/drive env invariance), a prune
+# golden, two-run byte-identity, lane/drive env invariance; the same
+# for the unified and pipeline serving paths), a prune
 # pass (fig_prune vs its golden — statistics-driven scans must return
 # the baseline's rows byte-identically while reading fewer pages), a
 # placement pass (fig_place vs its golden — the cost-model placement
@@ -88,7 +89,25 @@ if [[ "$run_perf_smoke" == 1 ]]; then
     BISCUIT_LANES=2 BISCUIT_DRIVES=4 build/bench/fig_serve \
         > build/bench_out/fig_serve_env.txt
     cmp build/bench_out/fig_serve_a.txt build/bench_out/fig_serve_env.txt
+    # The unified and pipeline serving paths get the same three checks:
+    # the only end-to-end runs of session-admitted lookups, the
+    # session-planned q14 join prefilter and concurrent lazy module
+    # loads.
+    for mode in unified:BISCUIT_UNIFIED_PIPELINES \
+                pipeline:BISCUIT_PIPELINE_PLACE; do
+        name="${mode%%:*}"
+        gate="${mode#*:}"
+        out="build/bench_out/fig_serve_${name}"
+        env "$gate=1" build/bench/fig_serve > "${out}_a.txt"
+        diff -q "bench/golden/fig_serve_${name}.txt" "${out}_a.txt"
+        env "$gate=1" build/bench/fig_serve > "${out}_b.txt"
+        cmp "${out}_a.txt" "${out}_b.txt"
+        env "$gate=1" BISCUIT_LANES=2 BISCUIT_DRIVES=4 \
+            build/bench/fig_serve > "${out}_env.txt"
+        cmp "${out}_a.txt" "${out}_env.txt"
+    done
     echo "serve: golden match, two runs byte-identical, env-invariant"
+    echo "       (default, unified and pipeline serving paths)"
 
     echo
     echo "=== prune pass: statistics-driven scan pruning ==="

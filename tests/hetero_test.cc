@@ -48,6 +48,8 @@
 #include "sisc/device_image.h"
 #include "sisc/env.h"
 #include "ssd/config.h"
+#include "tpch/dbgen.h"
+#include "tpch/queries.h"
 #include "util/rng.h"
 
 namespace bisc::db {
@@ -229,6 +231,8 @@ struct ScanRecord
     std::vector<Row> rows;
     std::string note;
     Tick elapsed = 0;
+    std::uint32_t admitted = 0;  ///< session queries after the scan
+    std::uint32_t live = 0;      ///< of those, not yet released
 };
 
 /** Pipeline-placing system with the events table; gate per @p flag. */
@@ -271,6 +275,10 @@ struct GateSystem
             r.elapsed = env.kernel.now() - t0;
             r.rows = std::move(out.rows);
             r.note = out.note;
+            if (session) {
+                r.admitted = session->admitted();
+                r.live = session->live();
+            }
         });
         return r;
     }
@@ -299,6 +307,17 @@ TEST(HeteroGate, GateClosedSessionIsDeadCode)
     EXPECT_NE(ru.note.find("session pipeline placed"),
               std::string::npos)
         << ru.note;
+    // The scan was admitted and released when it drained.
+    EXPECT_EQ(ru.admitted, 1u);
+    EXPECT_EQ(ru.live, 0u);
+
+    // A forced plan goes through the session too, and is released.
+    GateSystem forced(true);
+    forced.db.planner.place_force = PlaceForce::AllDevice;
+    ScanRecord rf = forced.scan(true);
+    EXPECT_EQ(rf.rows, rp.rows);
+    EXPECT_EQ(rf.admitted, 1u);
+    EXPECT_EQ(rf.live, 0u);
 }
 
 // ----- session joint planning -----
@@ -333,6 +352,14 @@ jointScenario(HeteroSystem &s)
         r.admitted = session.admitted();
         for (int qid : qids)
             session.release(qid);
+
+        // Workloads run with the session attached — planned freely
+        // or forced — are admitted and released when they drain.
+        runWorkload(s.db, grepSpec(0, PlaceForce::Auto));
+        runWorkload(s.db, wcSpec(1, PlaceForce::Auto));
+        runWorkload(s.db, grepSpec(1, PlaceForce::AllDevice));
+        EXPECT_EQ(session.admitted(), r.admitted + 3);
+        EXPECT_EQ(session.live(), 0u);
     });
     return r;
 }
@@ -370,6 +397,31 @@ TEST(HeteroSession, OccupancyVisibleToOthersNotSelf)
         session.release(q0);
         const auto drained = session.effectiveLoads(-1);
         EXPECT_EQ(drained[d].active_apps, mine[d].active_apps);
+        EXPECT_EQ(session.live(), 0u);
+    });
+
+    // A TPC-H join query under all four gates admits its scans and
+    // its join prefilter to the session; every one is released by
+    // the time the query returns.
+    sisc::Env env(ssd::defaultConfig(), 2);
+    host::HostSystem host(env.array);
+    MiniDb db(env, host);
+    db.planner.min_table_bytes = 128_KiB;
+    db.planner.use_stats = true;
+    db.planner.use_cost_model = true;
+    db.planner.use_pipeline = true;
+    db.planner.use_unified_pipelines = true;
+    db.planner.place_seed = 0x4e7e5eedull;
+    tpch::TpchConfig cfg;
+    cfg.scale_factor = 0.005;
+    tpch::buildTpch(db, cfg);
+    env.run([&] {
+        PlacementSession session(db);
+        const tpch::QueryOutcome q14 =
+            tpch::runQuery(14, db, EngineMode::Biscuit);
+        EXPECT_FALSE(q14.rows.empty());
+        EXPECT_GE(session.admitted(), 2u);
+        EXPECT_EQ(session.live(), 0u);
     });
 }
 
