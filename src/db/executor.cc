@@ -12,7 +12,6 @@
 #include "db/planner.h"
 #include "db/session.h"
 #include "db/stats.h"
-#include "db/workloads.h"
 #include "runtime/module.h"
 #include "sim/fanout.h"
 #include "sisc/application.h"
@@ -465,69 +464,6 @@ RegisterSSDLet("minidb_prune", "idScanFilterRuns", ScanFilterRunsLet);
 RegisterSSDLet("minidb_pipe", "idRecheck", RecheckLet);
 
 /**
- * Install (when absent) and load registered module @p name on every
- * drive, in drive order, filling @p ids.
- */
-void
-loadEveryDrive(MiniDb &db, const std::string &name,
-               std::vector<std::uint64_t> &ids)
-{
-    const std::string path = "/var/isc/slets/" + name + ".slet";
-    const std::uint32_t drives = db.host().driveCount();
-    ids.clear();
-    ids.reserve(drives);
-    for (std::uint32_t d = 0; d < drives; ++d) {
-        sisc::SSD ssd(db.env().array.drive(d).runtime);
-        auto &fs = ssd.runtime().fs();
-        if (!fs.exists(path))
-            rt::ModuleRegistry::global().installModuleFile(fs, path,
-                                                           name);
-        ids.push_back(ssd.loadModule(sisc::File(ssd, path)));
-    }
-}
-
-/**
- * Lazily install and load the minidb module on every drive of the
- * array, keeping the per-drive module ids resident in the MiniDb
- * instance (dynamic loading once, many instantiations — exactly the
- * lifecycle the Biscuit runtime is built for). Any shard of a table
- * can then instantiate the scan/sample SSDlets on its own drive.
- */
-void
-loadMinidbModules(MiniDb &db)
-{
-    db.loadModulesOnce(db.minidb_load, [&] {
-        loadEveryDrive(db, "minidb", db.minidb_drive_modules);
-    });
-}
-
-/**
- * Lazily install and load the "minidb_prune" module (the run-list
- * scan SSDlet) on every drive; first pruned offload pays the load,
- * exactly like loadMinidbModules for the baseline module.
- */
-void
-loadPruneModules(MiniDb &db)
-{
-    db.loadModulesOnce(db.prune_load, [&] {
-        loadEveryDrive(db, "minidb_prune", db.prune_drive_modules);
-    });
-}
-
-/**
- * Lazily install and load the "minidb_pipe" module (the exact
- * re-check SSDlet) on every drive; the first pipelined offload pays
- * the load, exactly like the baseline and prune modules.
- */
-void
-loadPipeModules(MiniDb &db)
-{
-    db.loadModulesOnce(db.pipe_load, [&] {
-        loadEveryDrive(db, "minidb_pipe", db.pipe_drive_modules);
-    });
-}
-
-/**
  * One shard's matching rows as packed slots, each page's run of them
  * tagged with the page's global index so a multi-shard fan-out can
  * restore global row order with a single sort — making query results
@@ -685,6 +621,16 @@ notePrune(MiniDb &db, DbStats &stats, const PrunePlan &plan)
               plan.pages_total - plan.pages_selected);
 }
 
+/** |predicted - measured| as a percentage of @p measured (> 0). */
+double
+errPct(Tick predicted, Tick measured)
+{
+    return 100.0 *
+           std::abs(static_cast<double>(predicted) -
+                    static_cast<double>(measured)) /
+           static_cast<double>(measured);
+}
+
 /** db.place.* metrics of a planned scan (BISCUIT_OBS-gated; never
  *  read back into any timing or placement decision). */
 void
@@ -715,15 +661,11 @@ notePlacement(MiniDb &db, const PlacementPlan &plan, bool pipeline,
                   plan.edge_ticks / 1000);
     }
     if (measured > 0) {
-        const double err =
-            100.0 *
-            std::abs(static_cast<double>(plan.predicted) -
-                     static_cast<double>(measured)) /
-            static_cast<double>(measured);
         OBS_HIST(obs.metrics().histogram(
                      "db.place.abs_err_pct", "pct",
                      {1, 2, 5, 10, 20, 35, 50, 75, 100}),
-                 static_cast<std::uint64_t>(err));
+                 static_cast<std::uint64_t>(
+                     errPct(plan.predicted, measured)));
     }
 }
 
@@ -743,33 +685,18 @@ notePlacement(MiniDb &db, const PlacementPlan &plan, bool pipeline,
  *
  * Rows are merged to global page order, so results are byte-identical
  * across shapes and drive counts. A decision that carries a placer
- * plan (d.plan.valid) also gets the planned-scan extras: the session
- * launch checkpoint and release, the placement trace, matched-page
- * feedback for the next plan and the db.place.* metrics.
+ * plan (d.plan.valid, launched by the caller) also gets the
+ * planned-scan extras: the placement trace, matched-page feedback for
+ * the next plan and the db.place.* metrics.
  */
 PackedScan
 runScan(MiniDb &db, Table &table, const ExprPtr &pred,
-        const PlanDecision &d, std::vector<Site> sites, const char *op,
-        DbStats &stats)
+        const PlanDecision &d, const std::vector<Site> &sites,
+        const char *op, DbStats &stats)
 {
     OpTimer timer(db, stats, op);
     const Tick begin = db.env().kernel.now();
     PackedScan out;
-
-    // Launch checkpoint for session-planned scans: the co-tenant load
-    // may have drifted since the plan was admitted (the caller could
-    // have queued behind admission control); re-price the still-
-    // unlaunched stages against a fresh snapshot, then commit.
-    const bool planned = d.plan.valid;
-    const bool in_session =
-        d.session_query >= 0 && db.place_session != nullptr;
-    PlacementPlan plan = d.plan;
-    if (in_session) {
-        db.place_session->maybeReplan(d.session_query);
-        plan = db.place_session->plan(d.session_query);
-        db.place_session->markLaunched(d.session_query);
-        sites = plan.sites;
-    }
 
     auto &host = db.host();
     const Bytes page_size = table.pageSize();
@@ -794,11 +721,11 @@ runScan(MiniDb &db, Table &table, const ExprPtr &pred,
     }
     out.used_ndp = any_device;
     if (any_device) {
-        loadMinidbModules(db);
+        driveModules(db, "minidb");
         if (sp.pruned)
-            loadPruneModules(db);
+            driveModules(db, "minidb_prune");
         if (any_chained)
-            loadPipeModules(db);
+            driveModules(db, "minidb_pipe");
     }
 
     // The partial page (fewer than rowsPerPage rows) is always the
@@ -847,7 +774,7 @@ runScan(MiniDb &db, Table &table, const ExprPtr &pred,
     auto makeScanLet = [&](sisc::Application &app, std::uint32_t s) {
         if (!sp.pruned) {
             return sisc::SSDLet(
-                app, db.minidb_drive_modules[s], "idScanFilter",
+                app, driveModules(db, "minidb")[s], "idScanFilter",
                 std::make_tuple(
                     slet::File(table.file()), d.keys.keys(),
                     static_cast<std::uint64_t>(page_size),
@@ -859,7 +786,8 @@ runScan(MiniDb &db, Table &table, const ExprPtr &pred,
             runs.push_back(count);
         }
         return sisc::SSDLet(
-            app, db.prune_drive_modules[s], "idScanFilterRuns",
+            app, driveModules(db, "minidb_prune")[s],
+            "idScanFilterRuns",
             std::make_tuple(slet::File(table.file()), d.keys.keys(),
                             static_cast<std::uint64_t>(page_size),
                             runs));
@@ -920,7 +848,7 @@ runScan(MiniDb &db, Table &table, const ExprPtr &pred,
             host.config().db_scan_ns_per_byte *
             db.env().device.config().device_core_slowdown;
         sisc::SSDLet recheck(
-            app, db.pipe_drive_modules[s], "idRecheck",
+            app, driveModules(db, "minidb_pipe")[s], "idRecheck",
             std::make_tuple(encodePredBlob(table.schema(), pred),
                             static_cast<std::uint64_t>(
                                 table.rowsPerPage()),
@@ -978,7 +906,7 @@ runScan(MiniDb &db, Table &table, const ExprPtr &pred,
             static_cast<double>(selected_pages) /
             static_cast<double>(table.pageCount());
     }
-    if (!planned)
+    if (!d.plan.valid)
         return out;
 
     // Feedback for the next placement of this same scan: the exact
@@ -990,29 +918,49 @@ runScan(MiniDb &db, Table &table, const ExprPtr &pred,
             static_cast<double>(matched_pages) /
             static_cast<double>(table.pageCount());
     }
-    out.placement = plan.describe();
-    out.predicted_ticks = plan.predicted;
+    out.placement = d.plan.describe();
+    out.predicted_ticks = d.plan.predicted;
     out.measured_ticks = db.env().kernel.now() - begin;
-    notePlacement(db, plan, !d.graph.stages.empty(), out.measured_ticks);
-    if (in_session)
-        db.place_session->release(d.session_query);
+    notePlacement(db, d.plan, d.query.plan().valid, out.measured_ticks);
     return out;
 }
 
 }  // namespace
 
+const std::vector<std::uint64_t> &
+driveModules(MiniDb &db, const std::string &name)
+{
+    MiniDb::ModuleLoad &state = db.modules[name];
+    db.loadModulesOnce(state, [&] {
+        const std::string path = "/var/isc/slets/" + name + ".slet";
+        const std::uint32_t drives = db.host().driveCount();
+        state.drive_ids.clear();
+        state.drive_ids.reserve(drives);
+        for (std::uint32_t d = 0; d < drives; ++d) {
+            sisc::SSD ssd(db.env().array.drive(d).runtime);
+            auto &fs = ssd.runtime().fs();
+            if (!fs.exists(path))
+                rt::ModuleRegistry::global().installModuleFile(fs, path,
+                                                               name);
+            state.drive_ids.push_back(
+                ssd.loadModule(sisc::File(ssd, path)));
+        }
+    });
+    return state.drive_ids;
+}
+
 void
 warmMinidbModule(MiniDb &db)
 {
-    loadMinidbModules(db);
+    driveModules(db, "minidb");
     // Statistics mode also ships the run-list scan module; warm it in
     // the same breath so lane replays place the one-time load outside
     // their measurement windows just like the baseline module.
     if (db.planner.use_stats)
-        loadPruneModules(db);
+        driveModules(db, "minidb_prune");
     // Pipeline mode ships the in-drive re-check module too.
     if (db.planner.use_pipeline)
-        loadPipeModules(db);
+        driveModules(db, "minidb_pipe");
 }
 
 Row
@@ -1138,7 +1086,8 @@ ndpSamplePages(MiniDb &db, Table &table, const pm::KeySet &keys,
                const std::vector<std::uint64_t> &pages, DbStats &stats)
 {
     OpTimer timer(db, stats, "sample");
-    loadMinidbModules(db);
+    const std::vector<std::uint64_t> &minidb =
+        driveModules(db, "minidb");
 
     // Route each sampled global page to the shard that owns it; each
     // drive probes its own slice in parallel with the others.
@@ -1153,7 +1102,7 @@ ndpSamplePages(MiniDb &db, Table &table, const pm::KeySet &keys,
         sisc::SSD ssd(db.env().array.drive(s).runtime);
         sisc::Application app(ssd);
         sisc::SSDLet sampler(
-            app, db.minidb_drive_modules[s], "idSample",
+            app, minidb[s], "idSample",
             std::make_tuple(slet::File(table.file()),
                             keys.keys(),
                             static_cast<std::uint64_t>(
@@ -1230,24 +1179,21 @@ scanTablePacked(MiniDb &db, Table &table, const ExprPtr &pred,
     std::vector<Site> sites;
     const char *op = "conv_scan";
     if (d.plan.valid) {
+        const bool pipelined = d.query.plan().valid;
+        if (pipelined)
+            d.plan = d.query.launch();
         sites = d.plan.sites;
-        op = d.graph.stages.empty() ? "placed_scan" : "pipelined_scan";
+        op = pipelined ? "pipelined_scan" : "placed_scan";
     } else if (d.offload) {
         for (std::uint32_t s = 0; s < table.shardCount(); ++s)
             sites.push_back(Site{false, s});
         op = "ndp_scan";
     }
-    PackedScan out =
-        runScan(db, table, pred, d, std::move(sites), op, stats);
+    PackedScan out = runScan(db, table, pred, d, sites, op, stats);
     out.sampled_selectivity = d.sampled_selectivity;
     out.est_selectivity = d.est_selectivity;
     out.note = d.note;
     if (d.plan.valid && out.measured_ticks > 0) {
-        const double err =
-            100.0 *
-            std::abs(static_cast<double>(d.plan.predicted) -
-                     static_cast<double>(out.measured_ticks)) /
-            static_cast<double>(out.measured_ticks);
         char pbuf[96];
         std::snprintf(pbuf, sizeof(pbuf),
                       "; predicted %.3f ms, measured %.3f ms "
@@ -1255,7 +1201,7 @@ scanTablePacked(MiniDb &db, Table &table, const ExprPtr &pred,
                       static_cast<double>(d.plan.predicted) / 1e6,
                       static_cast<double>(out.measured_ticks) /
                           1e6,
-                      err);
+                      errPct(d.plan.predicted, out.measured_ticks));
         out.note += pbuf;
     }
     if (db.planner.use_stats)
@@ -1363,83 +1309,16 @@ placedJoinTiming(MiniDb &db, Table &inner, std::uint64_t blocks,
                                 static_cast<double>(inner_bytes));
 
     // Scan [0, n) -> prefilter Transform [n, 2n) -> probe Merge (2n),
-    // the shape buildPipelineGraph gives cost-model scans, with the
-    // prefilter's exact selectivity known up front.
-    PipelineGraph g;
-    const Bytes instance_dram =
-        db.env().device.config().instance_user_mem;
-    for (std::uint32_t s = 0; s < n; ++s) {
-        StageSpec scan;
-        scan.label =
-            "join.scan." + inner.name() + ".s" + std::to_string(s);
-        scan.shard = s;
-        scan.kind = StageKind::Scan;
-        scan.pages = inner.shardPageCount(s);
-        scan.page_bytes = page;
-        scan.selectivity = matched_frac;
-        scan.eligible_drives = {s};
-        scan.dram = instance_dram;
-        g.stages.push_back(std::move(scan));
-    }
-    for (std::uint32_t s = 0; s < n; ++s) {
-        StageSpec pre;
-        pre.label = "join.prefilter." + inner.name() + ".s" +
-                    std::to_string(s);
-        pre.shard = s;
-        pre.kind = StageKind::Transform;
-        pre.page_bytes = page;
-        pre.cpu_ns_per_byte = host.config().db_scan_ns_per_byte;
-        pre.colocate_with = static_cast<int>(s);
-        pre.eligible_drives = {s};
-        pre.dram = instance_dram;
-        g.stages.push_back(std::move(pre));
-    }
-    StageSpec probe;
-    probe.label = "join.probe." + inner.name();
-    probe.kind = StageKind::Merge;
-    probe.page_bytes = page;
-    probe.eligible_drives.clear();
-    probe.cpu_ns_per_byte =
-        static_cast<double>(db.planner.row_cpu) /
-        std::max<double>(1.0, static_cast<double>(row_width));
-    g.stages.push_back(std::move(probe));
-    for (std::uint32_t s = 0; s < n; ++s) {
-        const Bytes streamed = inner.shardPageCount(s) * page;
-        const Bytes selected = static_cast<Bytes>(
-            static_cast<double>(streamed) * matched_frac);
-        PipelineEdge to_pre;
-        to_pre.from = s;
-        to_pre.to = n + s;
-        to_pre.bytes = selected;
-        to_pre.bytes_host = streamed;
-        g.edges.push_back(to_pre);
-        PipelineEdge to_probe;
-        to_probe.from = n + s;
-        to_probe.to = 2 * n;
-        to_probe.bytes = selected;
-        to_probe.bytes_host = selected;
-        g.edges.push_back(to_probe);
-    }
-
-    PlacerConfig pc = workloadPlacerConfig(db);
-    int qid = -1;
-    PlacementPlan plan;
-    if (db.place_session != nullptr) {
-        qid = db.place_session->admit(g, pc,
-                                      db.planner.place_force);
-        db.place_session->maybeReplan(qid);
-        plan = db.place_session->plan(qid);
-        db.place_session->markLaunched(qid);
-    } else {
-        plan =
-            db.planner.place_force == PlaceForce::Auto
-                ? placePipeline(g, calibrateCostModel(db),
-                                snapshotDriveLoads(db), pc)
-                : forcedPipelinePlan(
-                      g, calibrateCostModel(db),
-                      snapshotDriveLoads(db),
-                      db.planner.place_force == PlaceForce::AllHost);
-    }
+    // the cost-model scan's DAG, with the prefilter's exact
+    // selectivity known up front.
+    PlannedQuery query(
+        db,
+        buildPipelineGraph(db, inner,
+                           buildScanStages(db, inner, nullptr,
+                                           matched_frac),
+                           matched_frac),
+        db.planner.place_force);
+    const PlacementPlan &plan = query.launch();
     auto siteOf = [&](std::uint32_t s) {
         return plan.valid && s < plan.sites.size() ? plan.sites[s]
                                                    : Site{true, 0};
@@ -1455,7 +1334,7 @@ placedJoinTiming(MiniDb &db, Table &inner, std::uint64_t blocks,
             matched_frac);
     }
     if (any_device)
-        warmHeteroModules(db);
+        driveModules(db, "hetero");
 
     const double semi_cpu =
         host.config().db_scan_ns_per_byte *
@@ -1466,7 +1345,7 @@ placedJoinTiming(MiniDb &db, Table &inner, std::uint64_t blocks,
             sisc::SSD ssd(db.env().array.drive(s).runtime);
             sisc::Application app(ssd);
             sisc::SSDLet semi(
-                app, db.hetero_drive_modules[s], "idSemiScan",
+                app, driveModules(db, "hetero")[s], "idSemiScan",
                 std::make_tuple(slet::File(inner.file()),
                                 semi_cpu));
             auto port = app.connectTo<std::uint64_t>(semi.out(0));
@@ -1497,8 +1376,6 @@ placedJoinTiming(MiniDb &db, Table &inner, std::uint64_t blocks,
                                host.config().db_scan_ns_per_byte);
     }
     stats.rows_examined += inner.rowCount() * blocks;
-    if (qid >= 0 && db.place_session != nullptr)
-        db.place_session->release(qid);
 }
 
 }  // namespace

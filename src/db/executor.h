@@ -93,6 +93,15 @@ ScanOutcome scanTable(MiniDb &db, Table &table, const ExprPtr &pred,
                       EngineMode mode, DbStats &stats);
 
 /**
+ * Per-drive ids (index = drive) of registered SSDlet module @p name,
+ * installing and loading it on every drive first (timed, in drive
+ * order) when it is not yet resident. Fibers that race to a module
+ * while it loads wait for that one load. The only module loader.
+ */
+const std::vector<std::uint64_t> &driveModules(MiniDb &db,
+                                               const std::string &name);
+
+/**
  * Load the "minidb" SSDlet module now (timed, from the host fiber) if
  * it is not already resident. The executor loads it lazily on the
  * first offload; a parallel lane that replays a mid-suite query warms

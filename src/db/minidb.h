@@ -13,6 +13,11 @@
  * the Biscuit scan (offload a page filter to the SSD's pattern
  * matchers, ship only matching pages) or any per-shard mix of the
  * two, with the exact re-check optionally chained in-drive.
+ *
+ * MiniDb also holds what every placed workload shares: the SSDlet
+ * modules, loaded once per drive by one loader (driveModules() in
+ * executor.h) and kept resident, and the attached placement session
+ * that the one plan lifecycle (PlannedQuery, session.h) admits to.
  */
 
 #ifndef BISCUIT_DB_MINIDB_H_
@@ -166,6 +171,10 @@ class MiniDb
         : env_(env), host_(host)
     {}
 
+    // Not copyable or movable: grep_drive_modules aliases modules.
+    MiniDb(const MiniDb &) = delete;
+    MiniDb &operator=(const MiniDb &) = delete;
+
     sisc::Env &env() { return env_; }
     host::HostSystem &host() { return host_; }
 
@@ -260,7 +269,8 @@ class MiniDb
     PlannerConfig planner;
 
     /**
-     * Lazy-load state of one per-drive SSDlet module. A module load
+     * Lazy-load state of one per-drive SSDlet module and, once
+     * loaded, its per-drive module ids (index = drive). A module load
      * takes simulated time, so fibers can race to the same loader;
      * loadModulesOnce() lets the first caller load and parks the rest
      * until the ids are published.
@@ -270,6 +280,7 @@ class MiniDb
         bool loaded = false;
         bool loading = false;
         std::unique_ptr<sim::Waiter> ready;  ///< made by the first waiter
+        std::vector<std::uint64_t> drive_ids;
     };
 
     /**
@@ -298,55 +309,28 @@ class MiniDb
     }
 
     /**
-     * Per-drive module ids of the "minidb" SSDlet module (scan/sample
-     * offload code; index = drive). Loaded lazily by the executor on
-     * the first offload and kept resident — like a production engine
-     * would keep its offload module loaded. Every drive carries the
-     * module so any shard can run the scan/sample SSDlets.
+     * Every SSDlet module this engine has loaded, keyed by registered
+     * module name, each loaded on every drive and kept resident —
+     * dynamic loading once, many instantiations (driveModules() loads
+     * them lazily). Separate images ("minidb", "minidb_prune",
+     * "minidb_pipe", "hetero", the resident "grep") because module
+     * bytes set the simulated load time in the golden transcripts.
      */
-    std::vector<std::uint64_t> minidb_drive_modules;
-    ModuleLoad minidb_load;
+    std::map<std::string, ModuleLoad> modules;
+
+    /** The resident grep module's per-drive ids, read directly by
+     *  drivers that instantiate grep co-tenants; empty until the
+     *  module is loaded. */
+    const std::vector<std::uint64_t> &grep_drive_modules =
+        modules["grep"].drive_ids;
 
     /**
-     * Per-drive module ids of the "minidb_prune" module, the run-list
-     * scan SSDlet used by statistics-pruned offloads. A separate
-     * module so the baseline "minidb" image stays byte-identical (its
-     * load time is part of the no-stats golden transcripts); loaded
-     * lazily on the first pruned offload.
-     */
-    std::vector<std::uint64_t> prune_drive_modules;
-    ModuleLoad prune_load;
-
-    /**
-     * Per-drive module ids of the "minidb_pipe" module, the exact
-     * re-check SSDlet that pipeline placement chains behind a matcher
-     * scan in-drive. A third module for the same reason as the prune
-     * module: the baseline images stay byte-identical, and the
-     * re-check image loads lazily on the first pipelined offload.
-     */
-    std::vector<std::uint64_t> pipe_drive_modules;
-    ModuleLoad pipe_load;
-
-    /**
-     * Per-drive module ids of the "hetero" module (device word-count
-     * and join-prefilter SSDlets) and of the resident "grep" module
-     * the unified grep runner instantiates against. Separate images
-     * for the same reason as above: every pre-unification module's
-     * bytes — and therefore its load time in the golden transcripts —
-     * stays identical. Loaded lazily on first unified use.
-     */
-    std::vector<std::uint64_t> hetero_drive_modules;
-    ModuleLoad hetero_load;
-    std::vector<std::uint64_t> grep_drive_modules;
-    ModuleLoad grep_load;
-
-    /**
-     * Multi-query placement session (db/session.h) the planner
-     * consults when use_unified_pipelines is on: concurrent queries'
+     * Multi-query placement session (db/session.h) every PlannedQuery
+     * admits to when use_unified_pipelines is on: concurrent queries'
      * plans are priced against each other's projected occupancy
-     * instead of a stale empty-array snapshot. Null — always the case
-     * gate-closed — keeps the planner on its single-query snapshot.
-     * Not owned.
+     * instead of a stale empty-array snapshot. Null, or the gate
+     * closed, keeps each plan on its single-query snapshot. Not
+     * owned.
      */
     class PlacementSession *place_session = nullptr;
 

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <utility>
 
@@ -295,6 +295,21 @@ PlacementPlan::describe() const
     return out;
 }
 
+std::string
+PlacementPlan::note(const char *how) const
+{
+    char buf[224];
+    std::snprintf(buf, sizeof(buf),
+                  "%s placed [%s]%s: predicted %.3f ms "
+                  "(all-host %.3f ms, all-device %.3f ms)",
+                  how, describe().c_str(),
+                  from_anneal ? " (annealed)" : "",
+                  static_cast<double>(predicted) / 1e6,
+                  static_cast<double>(predicted_all_host) / 1e6,
+                  static_cast<double>(predicted_all_device) / 1e6);
+    return buf;
+}
+
 PlacementPlan
 placeStages(const std::vector<StageSpec> &stages,
             const CostCalibration &calib,
@@ -509,37 +524,6 @@ replanPipeline(const PipelineGraph &graph,
     plan.predicted_all_host = current.predicted_all_host;
     plan.predicted_all_device = current.predicted_all_device;
     return plan;
-}
-
-namespace {
-
-/** Shared "0"/"false"/"off"-disable boolean env parse; never writes
- *  to stderr (callers sit inside golden-checked benches). */
-bool
-boolFromEnv(const char *name, bool fallback)
-{
-    const char *env = std::getenv(name);
-    if (env == nullptr || env[0] == '\0')
-        return fallback;
-    if (std::strcmp(env, "0") == 0 ||
-        std::strcmp(env, "false") == 0 ||
-        std::strcmp(env, "off") == 0)
-        return false;
-    return true;
-}
-
-}  // namespace
-
-bool
-unifiedFromEnv(bool fallback)
-{
-    return boolFromEnv("BISCUIT_UNIFIED_PIPELINES", fallback);
-}
-
-bool
-pipelineFromEnv(bool fallback)
-{
-    return boolFromEnv("BISCUIT_PIPELINE_PLACE", fallback);
 }
 
 std::uint64_t

@@ -55,6 +55,10 @@ struct PlacementPlan
 
     /** "d0,d1,host,d3" — sites in stage order. */
     std::string describe() const;
+
+    /** "<how> placed [sites] (annealed): predicted … ms (all-host …
+     *  ms, all-device … ms)" — the planner-note form of this plan. */
+    std::string note(const char *how) const;
 };
 
 struct PlacerConfig
@@ -136,20 +140,6 @@ PlacementPlan replanPipeline(
     const std::vector<DriveLoadSnapshot> &loads,
     const PlacerConfig &cfg, const std::vector<bool> &launched,
     const PlacementPlan &current);
-
-/**
- * `BISCUIT_UNIFIED_PIPELINES` when set ("0"/"false"/"off" disable,
- * anything else enables), @p fallback otherwise. Never writes to
- * stderr — read inside golden-checked benches and the serving tier.
- */
-bool unifiedFromEnv(bool fallback);
-
-/**
- * `BISCUIT_PIPELINE_PLACE` when set ("0"/"false"/"off" disable,
- * anything else enables), @p fallback otherwise. Never writes to
- * stderr — read inside golden-checked benches and the serving tier.
- */
-bool pipelineFromEnv(bool fallback);
 
 /**
  * `BISCUIT_PLACE_SEED` when set (decimal, or hex with 0x prefix),

@@ -4,25 +4,16 @@
 #include <cstdio>
 
 #include "db/executor.h"
-#include "db/session.h"
 #include "db/stats.h"
 
 namespace bisc::db {
 
-namespace {
-
-/**
- * One StageSpec per table shard: pages from the zone-map prune when
- * statistics exist (the executor streams exactly those runs), the
- * whole shard otherwise. Shard k's pages live on drive k, so that is
- * each stage's only device-eligible site.
- */
 std::vector<StageSpec>
-buildScanStages(Table &table, const ExprPtr &pred, double sel,
-                bool use_stats)
+buildScanStages(MiniDb &db, Table &table, const ExprPtr &pred,
+                double sel)
 {
     PrunePlan plan;
-    if (use_stats && table.stats())
+    if (db.planner.use_stats && pred && table.stats())
         plan = planPrune(table, *pred);
 
     // The planner's selectivity estimate is a fraction of the whole
@@ -55,33 +46,20 @@ buildScanStages(Table &table, const ExprPtr &pred, double sel,
         st.page_bytes = table.pageSize();
         st.selectivity = streamed_sel;
         st.eligible_drives = {s};
+        st.dram = db.env().device.config().instance_user_mem;
         stages.push_back(std::move(st));
     }
     return stages;
 }
 
-/**
- * The scan as a stage DAG: per-shard matcher scans (indices
- * [0, n)) feeding per-shard exact re-check transforms ([n, 2n),
- * each chained to its scan and colocatable in-drive) feeding one
- * host-side merge (2n). Edge bytes are placement-dependent at the
- * source: a device scan ships only matcher-selected pages, a host
- * scan streams the whole shard onward; the re-check emits matched
- * rows either way (approximated as one row per selected page's
- * worth — sel/rows_per_page of the streamed bytes — which is the
- * right order for the selective scans that reach the placer).
- */
 PipelineGraph
 buildPipelineGraph(MiniDb &db, Table &table,
-                   const std::vector<StageSpec> &scans, double sel)
+                   const std::vector<StageSpec> &scans, double out_frac)
 {
     PipelineGraph g;
     const std::uint32_t n =
         static_cast<std::uint32_t>(scans.size());
     g.stages = scans;
-    const double row_frac = std::min(
-        1.0, sel / std::max<double>(1.0, static_cast<double>(
-                                             table.rowsPerPage())));
     for (std::uint32_t s = 0; s < n; ++s) {
         const StageSpec &scan = g.stages[s];
         StageSpec re;
@@ -125,7 +103,7 @@ buildPipelineGraph(MiniDb &db, Table &table,
         g.edges.push_back(to_recheck);
 
         const Bytes matched = static_cast<Bytes>(
-            static_cast<double>(streamed) * row_frac);
+            static_cast<double>(streamed) * out_frac);
         PipelineEdge to_merge;
         to_merge.from = n + s;
         to_merge.to = merge_ix;
@@ -135,6 +113,8 @@ buildPipelineGraph(MiniDb &db, Table &table,
     }
     return g;
 }
+
+namespace {
 
 /**
  * Cost-model generalization of the boolean offload call: calibrate,
@@ -158,50 +138,31 @@ placeWithCostModel(MiniDb &db, Table &table, const ExprPtr &pred,
         db.matched_page_frac.find(scanStatKey(table, d.keys));
     if (measured != db.matched_page_frac.end())
         sel = measured->second;
-    std::vector<StageSpec> stages =
-        buildScanStages(table, pred, sel, cfg.use_stats);
-    for (StageSpec &st : stages)
-        st.dram = db.env().device.config().instance_user_mem;
-    const CostCalibration calib = calibrateCostModel(db);
+    const std::vector<StageSpec> stages =
+        buildScanStages(db, table, pred, sel);
     const std::vector<DriveLoadSnapshot> loads =
         snapshotDriveLoads(db);
-
-    PlacerConfig pc;
-    pc.seed = cfg.place_seed != 0 ? cfg.place_seed
-                                  : placeSeedFromEnv(pc.seed);
-    pc.core_budget = db.env().device.config().device_cores;
-    pc.dram_budget = db.env().device.config().user_mem_bytes;
 
     const char *how = "cost model";
     if (cfg.use_pipeline) {
         // Stage-DAG generalization: scan -> re-check -> merge, edges
-        // priced by placement pair, searched with the same annealer.
-        d.graph = buildPipelineGraph(db, table, stages, sel);
-        if (cfg.use_unified_pipelines && db.place_session != nullptr) {
-            // Multi-query planning: admit the DAG to the shared
-            // session, which prices it against the co-admitted
-            // queries' projected occupancy instead of this stale
-            // snapshot. The executor releases the id at drain.
-            d.session_query = db.place_session->admit(
-                d.graph, pc, cfg.place_force);
-            d.plan = db.place_session->plan(d.session_query);
-            how = "session pipeline";
-        } else {
-            d.plan =
-                cfg.place_force == PlaceForce::Auto
-                    ? placePipeline(d.graph, calib, loads, pc)
-                    : forcedPipelinePlan(
-                          d.graph, calib, loads,
-                          cfg.place_force == PlaceForce::AllHost);
-            how = "pipeline";
-        }
-        if (!d.plan.valid) {
-            d.graph = PipelineGraph{};
-            if (d.session_query >= 0) {
-                db.place_session->release(d.session_query);
-                d.session_query = -1;
-            }
-        }
+        // priced by placement pair, searched with the same annealer
+        // — through the shared session when one is attached, which
+        // prices the DAG against the co-admitted queries' projected
+        // occupancy instead of this snapshot. The re-check emits
+        // about one row per selected page (sel/rows_per_page of the
+        // streamed bytes), the right order for the selective scans
+        // that reach the placer.
+        const double row_frac = std::min(
+            1.0, sel / std::max<double>(1.0, static_cast<double>(
+                                                 table.rowsPerPage())));
+        PlannedQuery query(
+            db, buildPipelineGraph(db, table, stages, row_frac),
+            cfg.place_force);
+        how = query.inSession() ? "session pipeline" : "pipeline";
+        d.plan = query.plan();
+        if (d.plan.valid)
+            d.query = std::move(query);
         // Host-stream contention the prediction priced in, per drive
         // (x100: 100 = alone). BISCUIT_OBS-gated, never read back.
         auto &obs = db.env().kernel.obs();
@@ -213,28 +174,17 @@ placeWithCostModel(MiniDb &db, Table &table, const ExprPtr &pred,
                          streamContention(load) * 100.0));
         }
     } else {
+        const CostCalibration calib = calibrateCostModel(db);
         d.plan =
             cfg.place_force == PlaceForce::Auto
-                ? placeStages(stages, calib, loads, pc)
+                ? placeStages(stages, calib, loads, placerConfig(db))
                 : forcedPlan(stages, calib, loads,
                              cfg.place_force == PlaceForce::AllHost);
     }
     if (!d.plan.valid)
         return false;
     d.offload = d.plan.anyDevice();
-
-    char buf[224];
-    std::snprintf(buf, sizeof(buf),
-                  "%s placed [%s]%s: predicted %.3f ms "
-                  "(all-host %.3f ms, all-device %.3f ms)",
-                  how, d.plan.describe().c_str(),
-                  d.plan.from_anneal ? " (annealed)" : "",
-                  static_cast<double>(d.plan.predicted) / 1e6,
-                  static_cast<double>(d.plan.predicted_all_host) /
-                      1e6,
-                  static_cast<double>(d.plan.predicted_all_device) /
-                      1e6);
-    d.note = buf;
+    d.note = d.plan.note(how);
     if (d.offload) {
         OBS_INSTANT(db.env().kernel.obs(), "db", "offload",
                     static_cast<std::int64_t>(sel * 100.0));

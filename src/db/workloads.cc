@@ -1,8 +1,8 @@
 #include "db/workloads.h"
 
 #include <algorithm>
-#include <cstdio>
 
+#include "db/executor.h"
 #include "db/session.h"
 #include "runtime/module.h"
 #include "sisc/application.h"
@@ -118,55 +118,13 @@ class SemiScanLet
 RegisterSSDLet("hetero", "idWordCount", WordCountLet);
 RegisterSSDLet("hetero", "idSemiScan", SemiScanLet);
 
-/**
- * Lazily install and load the resident grep module on every drive —
- * the serving-tier lifecycle (load once, instantiate per request),
- * now shared by the unified grep runner. Same shape as the executor's
- * loadMinidbModules.
- */
-void
-loadGrepModules(MiniDb &db)
-{
-    db.loadModulesOnce(db.grep_load, [&] {
-        const std::uint32_t drives = db.host().driveCount();
-        db.grep_drive_modules.clear();
-        db.grep_drive_modules.reserve(drives);
-        for (std::uint32_t d = 0; d < drives; ++d) {
-            sisc::SSD ssd(db.env().array.drive(d).runtime);
-            host::installGrepModule(ssd.runtime().fs());
-            db.grep_drive_modules.push_back(ssd.loadModule(
-                sisc::File(ssd, "/var/isc/slets/grep.slet")));
-        }
-    });
-}
-
-/** Lazily install and load the "hetero" module on every drive. */
-void
-loadHeteroModules(MiniDb &db)
-{
-    db.loadModulesOnce(db.hetero_load, [&] {
-        const std::uint32_t drives = db.host().driveCount();
-        db.hetero_drive_modules.clear();
-        db.hetero_drive_modules.reserve(drives);
-        for (std::uint32_t d = 0; d < drives; ++d) {
-            sisc::SSD ssd(db.env().array.drive(d).runtime);
-            auto &fs = ssd.runtime().fs();
-            if (!fs.exists("/var/isc/slets/hetero.slet")) {
-                rt::ModuleRegistry::global().installModuleFile(
-                    fs, "/var/isc/slets/hetero.slet", "hetero");
-            }
-            db.hetero_drive_modules.push_back(ssd.loadModule(
-                sisc::File(ssd, "/var/isc/slets/hetero.slet")));
-        }
-    });
-}
-
 /** Run the device word-count SSDlet against @p drive's file. */
 host::WordCountResult
 deviceWordCount(MiniDb &db, std::uint32_t drive,
                 const std::string &path)
 {
-    loadHeteroModules(db);
+    const std::vector<std::uint64_t> &hetero =
+        driveModules(db, "hetero");
     auto &runtime = db.env().array.drive(drive).runtime;
     auto &kernel = runtime.kernel();
     host::WordCountResult result;
@@ -177,8 +135,7 @@ deviceWordCount(MiniDb &db, std::uint32_t drive,
     const double cpu =
         db.host().config().grep_ns_per_byte *
         db.env().device.config().device_core_slowdown;
-    sisc::SSDLet wc(app, db.hetero_drive_modules[drive],
-                    "idWordCount",
+    sisc::SSDLet wc(app, hetero[drive], "idWordCount",
                     std::make_tuple(slet::File(path), cpu));
     auto port = app.connectTo<std::uint64_t>(wc.out(0));
     app.start();
@@ -194,23 +151,6 @@ deviceWordCount(MiniDb &db, std::uint32_t drive,
     result.bytes_scanned = runtime.fs().size(path);
     result.elapsed = kernel.now() - t0;
     return result;
-}
-
-std::string
-placementNote(const PlacementPlan &plan, bool session)
-{
-    char buf[224];
-    std::snprintf(buf, sizeof(buf),
-                  "%s placed [%s]%s: predicted %.3f ms "
-                  "(all-host %.3f ms, all-device %.3f ms)",
-                  session ? "session workload" : "workload",
-                  plan.describe().c_str(),
-                  plan.from_anneal ? " (annealed)" : "",
-                  static_cast<double>(plan.predicted) / 1e6,
-                  static_cast<double>(plan.predicted_all_host) / 1e6,
-                  static_cast<double>(plan.predicted_all_device) /
-                      1e6);
-    return buf;
 }
 
 }  // namespace
@@ -269,26 +209,13 @@ buildWorkloadGraph(MiniDb &db, const WorkloadSpec &spec)
     return g;
 }
 
-PlacerConfig
-workloadPlacerConfig(MiniDb &db)
-{
-    PlacerConfig pc;
-    pc.seed = db.planner.place_seed != 0
-                  ? db.planner.place_seed
-                  : placeSeedFromEnv(pc.seed);
-    pc.core_budget = db.env().device.config().device_cores;
-    pc.dram_budget = db.env().device.config().user_mem_bytes;
-    return pc;
-}
-
 int
 admitWorkload(MiniDb &db, const WorkloadSpec &spec)
 {
     BISC_ASSERT(db.place_session != nullptr,
                 "admitWorkload without a placement session");
-    return db.place_session->admit(buildWorkloadGraph(db, spec),
-                                   workloadPlacerConfig(db),
-                                   spec.force);
+    return PlannedQuery(db, buildWorkloadGraph(db, spec), spec.force)
+        .detach();
 }
 
 WorkloadOutcome
@@ -298,29 +225,14 @@ runPlannedWorkload(MiniDb &db, const WorkloadSpec &spec,
     BISC_ASSERT(db.planner.use_unified_pipelines,
                 "unified workload run with the gate closed");
     auto &host = db.host();
-    PlacementSession *session = db.place_session;
+    PlannedQuery query =
+        session_query >= 0 && db.place_session != nullptr
+            ? PlannedQuery(*db.place_session, session_query)
+            : PlannedQuery(db, buildWorkloadGraph(db, spec),
+                           spec.force);
 
     WorkloadOutcome out;
-    if (session_query >= 0 && session != nullptr) {
-        // Launch checkpoint: re-price the (all still unlaunched)
-        // stages against a fresh snapshot, then commit them.
-        session->maybeReplan(session_query);
-        out.plan = session->plan(session_query);
-        session->markLaunched(session_query);
-    } else {
-        const PipelineGraph g = buildWorkloadGraph(db, spec);
-        const CostCalibration calib = calibrateCostModel(db);
-        const std::vector<DriveLoadSnapshot> loads =
-            snapshotDriveLoads(db);
-        const PlacerConfig pc = workloadPlacerConfig(db);
-        out.plan =
-            spec.force == PlaceForce::Auto
-                ? placePipeline(g, calib, loads, pc)
-                : forcedPipelinePlan(g, calib, loads,
-                                     spec.force ==
-                                         PlaceForce::AllHost);
-    }
-
+    out.plan = query.launch();
     const bool on_host = !out.plan.valid || out.plan.sites.empty() ||
                          out.plan.sites[0].on_host;
     if (spec.kind == WorkloadKind::Grep) {
@@ -328,10 +240,9 @@ runPlannedWorkload(MiniDb &db, const WorkloadSpec &spec,
             out.grep = host::grepConvOn(host, spec.drive, spec.path,
                                         spec.pattern);
         } else {
-            loadGrepModules(db);
             out.grep = host::grepBiscuitResident(
                 db.env().array.drive(spec.drive).runtime,
-                db.grep_drive_modules[spec.drive], spec.path,
+                driveModules(db, "grep")[spec.drive], spec.path,
                 spec.pattern);
         }
         // Matched-byte-fraction feedback for the device tally
@@ -347,31 +258,27 @@ runPlannedWorkload(MiniDb &db, const WorkloadSpec &spec,
                      ? host::wordCount(host, spec.drive, spec.path)
                      : deviceWordCount(db, spec.drive, spec.path);
     }
-    out.note =
-        placementNote(out.plan, session_query >= 0 && session);
-    if (session_query >= 0 && session != nullptr)
-        session->release(session_query);
+    out.note = out.plan.note(query.inSession() ? "session workload"
+                                               : "workload");
     return out;
 }
 
 WorkloadOutcome
 runWorkload(MiniDb &db, const WorkloadSpec &spec)
 {
-    if (db.place_session != nullptr)
-        return runPlannedWorkload(db, spec, admitWorkload(db, spec));
     return runPlannedWorkload(db, spec, -1);
 }
 
 void
 warmGrepModules(MiniDb &db)
 {
-    loadGrepModules(db);
+    driveModules(db, "grep");
 }
 
 void
 warmHeteroModules(MiniDb &db)
 {
-    loadHeteroModules(db);
+    driveModules(db, "hetero");
 }
 
 }  // namespace bisc::db

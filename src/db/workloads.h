@@ -16,11 +16,15 @@
  * identical to the legacy drivers by construction — both sites
  * delegate to the exact same leaf primitives.
  *
- * With a db::PlacementSession attached (MiniDb::place_session), a
- * workload is admitted to the session so concurrent queries price
- * each other's projected occupancy; admitWorkload() exposes the
- * admission step separately so a driver can admit K workloads, run
- * PlacementSession::planJointly(), and only then launch them.
+ * Planning goes through the shared plan lifecycle (db::PlannedQuery,
+ * db/session.h): with a db::PlacementSession attached
+ * (MiniDb::place_session) a workload is admitted to the session so
+ * concurrent queries price each other's projected occupancy, and
+ * released when it drains. admitWorkload() exposes the admission step
+ * separately so a driver can admit K workloads, run
+ * PlacementSession::planJointly(), and only then launch them. Device
+ * sites instantiate resident modules from the one module loader
+ * (db::driveModules).
  */
 
 #ifndef BISCUIT_DB_WORKLOADS_H_
@@ -51,7 +55,7 @@ struct WorkloadOutcome
     host::GrepResult grep;   ///< Grep workloads
     host::WordCountResult wc;  ///< WordCount workloads
     PlacementPlan plan;
-    std::string note;  ///< placement trace, placeWithCostModel shape
+    std::string note;  ///< placement trace, PlacementPlan::note() form
 };
 
 /**
@@ -61,10 +65,6 @@ struct WorkloadOutcome
  * Merge, joined by a counters-only edge.
  */
 PipelineGraph buildWorkloadGraph(MiniDb &db, const WorkloadSpec &spec);
-
-/** The PlacerConfig cost-model scans use: planner seed (env
- *  fallback), device core/DRAM budgets. */
-PlacerConfig workloadPlacerConfig(MiniDb &db);
 
 /**
  * Admit @p spec's graph to MiniDb::place_session (which must be
@@ -83,9 +83,10 @@ WorkloadOutcome runWorkload(MiniDb &db, const WorkloadSpec &spec);
 
 /**
  * Run a workload already admitted to the session as @p session_query
- * (-1: plan standalone, exactly runWorkload's sessionless path). The
- * launch checkpoint re-prices unlaunched stages via
- * PlacementSession::maybeReplan before committing them.
+ * (-1: plan it now, exactly as runWorkload does). The launch
+ * checkpoint re-prices unlaunched stages via
+ * PlacementSession::maybeReplan before committing them; the query is
+ * released when the workload drains.
  */
 WorkloadOutcome runPlannedWorkload(MiniDb &db,
                                    const WorkloadSpec &spec,
