@@ -51,22 +51,15 @@ Bytes
 HostSystem::pread(const std::string &path, Bytes offset, void *buf,
                   Bytes len)
 {
-    return preadImpl(dev_, fs_, path, offset, buf, len);
+    return preadOn(0, path, offset, buf, len);
 }
 
 Bytes
 HostSystem::preadOn(std::uint32_t drive, const std::string &path,
                     Bytes offset, void *buf, Bytes len)
 {
-    return preadImpl(deviceOf(drive), fsOf(drive), path, offset, buf,
-                     len);
-}
-
-Bytes
-HostSystem::preadImpl(ssd::SsdDevice &dev, fs::FileSystem &fs,
-                      const std::string &path, Bytes offset, void *buf,
-                      Bytes len)
-{
+    ssd::SsdDevice &dev = deviceOf(drive);
+    fs::FileSystem &fs = fsOf(drive);
     Bytes file_size = fs.size(path);
     if (offset >= file_size)
         return 0;
@@ -111,12 +104,7 @@ HostSystem::streamRead(
     const std::function<void(Bytes, const std::uint8_t *, Bytes)>
         &on_chunk)
 {
-    std::vector<std::uint8_t> chunk(window);
-    streamReadTimed(path, offset, len, window,
-                    [&](Bytes off, Bytes n) {
-                        fs_.peek(path, off, n, chunk.data());
-                        on_chunk(off, chunk.data(), n);
-                    });
+    streamReadOn(0, path, offset, len, window, on_chunk);
 }
 
 void
@@ -154,9 +142,7 @@ HostSystem::streamReadTimed(
     const std::string &path, Bytes offset, Bytes len, Bytes window,
     const std::function<void(Bytes, Bytes)> &on_window)
 {
-    StreamScope scope(*this, 0);
-    streamReadTimedImpl(dev_, fs_, path, offset, len, window,
-                        on_window);
+    streamReadTimedOn(0, path, offset, len, window, on_window);
 }
 
 void
@@ -166,16 +152,8 @@ HostSystem::streamReadTimedOn(
     const std::function<void(Bytes, Bytes)> &on_window)
 {
     StreamScope scope(*this, drive);
-    streamReadTimedImpl(deviceOf(drive), fsOf(drive), path, offset,
-                        len, window, on_window);
-}
-
-void
-HostSystem::streamReadTimedImpl(
-    ssd::SsdDevice &dev, fs::FileSystem &fs, const std::string &path,
-    Bytes offset, Bytes len, Bytes window,
-    const std::function<void(Bytes, Bytes)> &on_window)
-{
+    ssd::SsdDevice &dev = deviceOf(drive);
+    fs::FileSystem &fs = fsOf(drive);
     Bytes file_size = fs.size(path);
     if (offset >= file_size)
         return;

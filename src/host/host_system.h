@@ -214,18 +214,6 @@ class HostSystem
     }
 
   private:
-    /** pread() body against an explicit per-drive (device, fs). */
-    Bytes preadImpl(ssd::SsdDevice &dev, fs::FileSystem &fs,
-                    const std::string &path, Bytes offset, void *buf,
-                    Bytes len);
-
-    /** streamReadTimed() body against an explicit (device, fs). */
-    void streamReadTimedImpl(ssd::SsdDevice &dev, fs::FileSystem &fs,
-                             const std::string &path, Bytes offset,
-                             Bytes len, Bytes window,
-                             const std::function<void(Bytes, Bytes)>
-                                 &on_window);
-
     /** RAII depth guard for active_streams_[drive]. */
     class StreamScope
     {
