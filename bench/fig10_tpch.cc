@@ -123,7 +123,7 @@ printOpBreakdown(const std::vector<bisc::tpch::QueryRun> &runs)
                 std::fprintf(stderr, " %10.2f",
                              static_cast<double>(t) / 1e6);
             }
-            // Cost-model runs carry the per-shard plan string; the
+            // Cost-model runs carry the placer's site string; the
             // legacy boolean dispatch keeps the host/device labels.
             const char *where =
                 m == 0 ? "host"

@@ -3,11 +3,11 @@
  * Analytic cost model for SSDlet placement (ROADMAP: "cost-model-
  * driven SSDlet placement across the array").
  *
- * Predicts per-stage service ticks for the stages of a multi-stage
- * FBP offload graph — per-shard scan stages (PR 8) and, since the
- * pipeline generalization, full stage DAGs (scan -> re-check ->
- * merge, grep and wordcount pipelines) — on each candidate site: a
- * drive of the array or the host. Three deterministic inputs:
+ * Predicts the makespan of a multi-stage FBP offload graph — a
+ * stage DAG (scan -> re-check -> merge for table scans and join
+ * prefilters, grep and word-count pipelines) — with each stage on a
+ * candidate site: a drive of the array or the host. One model prices
+ * every placed workload. Three deterministic inputs:
  *
  *   1. Calibrated per-layer service rates. Priors come straight from
  *      the SsdConfig / HostConfig constants the simulator itself
@@ -114,10 +114,6 @@ struct CostCalibration
 
     // ----- host side -----
 
-    /** Host CPU ns per byte of page processing, including the
-     *  current memory-contention factor. */
-    double host_cpu_ns_per_byte = 0.0;
-
     /** Host per-I/O-request CPU ns (one streaming window). */
     double host_io_ns_per_window = 0.0;
 
@@ -126,20 +122,20 @@ struct CostCalibration
      * the host streaming tenants live anywhere on the array at
      * calibration time (a wordcount-style stream charges per-byte
      * host CPU continuously, so the query's host-side work runs at a
-     * 1/host_sharing slice). Folded into host_cpu_ns_per_byte and
+     * 1/host_sharing slice). Folded into host_cpu_factor and
      * host_io_ns_per_window by calibrateCostModel.
      */
     double host_sharing = 1.0;
 
     /** Host CPU busy-until horizon at calibration, relative to now:
      *  the queueing delay the query's first host-side charge sees.
-     *  Added once to the host finish by the makespan predictors. */
+     *  Added once to the host finish by predictPipeline. */
     Tick host_backlog = 0;
 
     /** Combined multiplier on stage-specific host compute rates
      *  (StageSpec::cpu_ns_per_byte of a host-placed Transform/Merge):
-     *  memory-contention factor times host_sharing. host_cpu_ns_per_
-     *  byte and host_io_ns_per_window already include it. */
+     *  memory-contention factor times host_sharing.
+     *  host_io_ns_per_window already includes it. */
     double host_cpu_factor = 1.0;
 
     /** Streaming readahead window the conventional path uses. */
@@ -292,42 +288,6 @@ struct EdgeCost
  */
 EdgeCost priceEdge(Bytes bytes, Bytes page_bytes, const Site &src,
                    const Site &dst, const CostCalibration &c);
-
-/**
- * Device-resident service demand of @p s: per-page control work
- * overlapped with channel streaming, the slower of the two ruling.
- * Excludes queueing (the makespan adds backlog and core sharing).
- */
-Tick deviceStageTicks(const StageSpec &s, const CostCalibration &c);
-
-/**
- * Host-side share of a device-placed stage: draining the shipped
- * pages (port amortization + DMA + exact re-check CPU).
- */
-Tick deviceDrainTicks(const StageSpec &s, const CostCalibration &c);
-
-/**
- * Service demand of @p s run conventionally: stream every page to
- * the host and filter there (window I/O CPU + per-byte scan CPU).
- * With @p load, the drive-side term — channel backlog plus the
- * stream's bytes at the contention-deflated channel/PCIe rate — is
- * priced too, the slower side ruling (readahead overlaps them).
- */
-Tick hostStageTicks(const StageSpec &s, const CostCalibration &c);
-Tick hostStageTicks(const StageSpec &s, const CostCalibration &c,
-                    const DriveLoadSnapshot *load);
-
-/**
- * Predicted makespan of assigning stages[i] to sites[i]: the busiest
- * resource's finish time. Each drive serves its backlog plus its
- * assigned stages' device work (control time-sliced across the
- * drive's active apps); the single host CPU serves every host-placed
- * stage plus every device stage's drain.
- */
-Tick predictMakespan(const std::vector<StageSpec> &stages,
-                     const std::vector<Site> &sites,
-                     const CostCalibration &c,
-                     const std::vector<DriveLoadSnapshot> &loads);
 
 /** Per-edge/diagnostic breakdown of one pipeline prediction. */
 struct PipelinePrediction

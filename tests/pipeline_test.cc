@@ -10,11 +10,13 @@
  *     budgets and colocation legality, and is never worse than its
  *     greedy seed or the all-host comparator. A mid-flight re-plan
  *     keeps launched stages in place and never prices worse than
- *     not moving. Every seed's plans are pinned in one digest.
- *  2. Gate closed (use_pipeline=false), the pipeline machinery is
- *     dead code: decisions, notes and simulated ticks are identical
- *     to the per-shard cost-model planner, and no stage graph is
- *     attached.
+ *     not moving. The same graphs with host-pinned re-checks (the
+ *     cost-model planner's shape) keep every Transform on the host
+ *     under the same bounds. Each family's plans are pinned in its
+ *     own digest.
+ *  2. Gate closed (use_pipeline=false), re-checks never chain
+ *     in-drive: decisions, notes and simulated ticks are identical
+ *     across annealer runs and the note is the cost-model planner's.
  *  3. Rows are byte-identical across forced all-host, all-device and
  *     searched placements, at 1, 2 and 4 drives.
  *  4. A lane forked from a frozen device image reproduces the
@@ -200,6 +202,51 @@ randomGraph(Rng &rng, std::uint32_t drives)
     return g;
 }
 
+/**
+ * Budgets and legality of @p plan over @p g: host sites only for
+ * host-eligible stages, Merge never on a drive, a device Transform
+ * chained in-drive only on its device-placed upstream's drive (the
+ * colocated pair consumes one core slot), and per-drive core and
+ * DRAM claims within the budgets.
+ */
+void
+expectWithinBudgets(const PipelineGraph &g, const PlacementPlan &plan,
+                    const std::vector<DriveLoadSnapshot> &loads,
+                    const PlacerConfig &pc, std::uint64_t seed)
+{
+    const std::size_t drives = loads.size();
+    ASSERT_EQ(plan.sites.size(), g.stages.size()) << "seed " << seed;
+    std::vector<std::uint32_t> cores(drives, 0);
+    std::vector<Bytes> dram(drives, 0);
+    for (std::size_t s = 0; s < plan.sites.size(); ++s) {
+        const Site &site = plan.sites[s];
+        const StageSpec &spec = g.stages[s];
+        if (site.on_host) {
+            EXPECT_TRUE(spec.host_eligible) << "seed " << seed;
+            continue;
+        }
+        ASSERT_LT(site.drive, drives) << "seed " << seed;
+        EXPECT_NE(spec.kind, StageKind::Merge) << "seed " << seed;
+        bool colocated = false;
+        if (spec.kind == StageKind::Transform &&
+            spec.colocate_with >= 0) {
+            const Site &up =
+                plan.sites[static_cast<std::size_t>(spec.colocate_with)];
+            EXPECT_FALSE(up.on_host) << "seed " << seed;
+            EXPECT_EQ(up.drive, site.drive) << "seed " << seed;
+            colocated = true;
+        }
+        if (!colocated)
+            ++cores[site.drive];
+        dram[site.drive] += spec.dram;
+    }
+    for (std::size_t d = 0; d < drives; ++d) {
+        EXPECT_LE(cores[d], pc.core_budget) << "seed " << seed;
+        EXPECT_LE(dram[d], pc.dram_budget) << "seed " << seed;
+        EXPECT_LE(dram[d], loads[d].user_mem_free) << "seed " << seed;
+    }
+}
+
 TEST(PipelineProperty, AnnealRespectsBudgetsAndComparators)
 {
     constexpr std::uint64_t kSeeds = 24;
@@ -216,7 +263,6 @@ TEST(PipelineProperty, AnnealRespectsBudgetsAndComparators)
     c.h2d_host_ns_per_page = 4375;
     c.h2d_dev_ns_per_page = 33325;
     c.hil_ns_per_byte = 0.3125;
-    c.host_cpu_ns_per_byte = 4.0;
     c.host_io_ns_per_window = 6300;
     c.stream_window = 1_MiB;
 
@@ -224,6 +270,8 @@ TEST(PipelineProperty, AnnealRespectsBudgetsAndComparators)
     // refactor of the search must keep the exact RNG draw order.
     std::uint64_t digest = 1469598103934665603ull;
     std::uint64_t replan_digest = 1469598103934665603ull;
+    std::uint64_t pinned_digest = 1469598103934665603ull;
+    std::uint32_t pinned_offloads = 0;
     for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
         Rng rng(0x91be11e0 + seed);
         const std::uint32_t drives = 1u << rng.below(3);  // 1, 2, 4
@@ -269,41 +317,7 @@ TEST(PipelineProperty, AnnealRespectsBudgetsAndComparators)
         EXPECT_LE(annealed.predicted, all_host.predicted)
             << "seed " << seed;
 
-        // Budgets hold on every drive; a colocated pair consumes one
-        // core slot.
-        std::vector<std::uint32_t> cores(drives, 0);
-        std::vector<Bytes> dram(drives, 0);
-        for (std::size_t s = 0; s < annealed.sites.size(); ++s) {
-            const Site &site = annealed.sites[s];
-            const StageSpec &spec = g.stages[s];
-            if (site.on_host) {
-                EXPECT_TRUE(spec.host_eligible) << "seed " << seed;
-                continue;
-            }
-            ASSERT_LT(site.drive, drives) << "seed " << seed;
-            EXPECT_NE(spec.kind, StageKind::Merge)
-                << "seed " << seed;
-            bool colocated = false;
-            if (spec.kind == StageKind::Transform &&
-                spec.colocate_with >= 0) {
-                // Device placement of a chained Transform is legal
-                // only on the upstream's drive, sharing its slot.
-                const Site &up = annealed.sites[static_cast<
-                    std::size_t>(spec.colocate_with)];
-                EXPECT_FALSE(up.on_host) << "seed " << seed;
-                EXPECT_EQ(up.drive, site.drive) << "seed " << seed;
-                colocated = true;
-            }
-            if (!colocated)
-                ++cores[site.drive];
-            dram[site.drive] += spec.dram;
-        }
-        for (std::uint32_t d = 0; d < drives; ++d) {
-            EXPECT_LE(cores[d], pc.core_budget) << "seed " << seed;
-            EXPECT_LE(dram[d], pc.dram_budget) << "seed " << seed;
-            EXPECT_LE(dram[d], loads[d].user_mem_free)
-                << "seed " << seed;
-        }
+        expectWithinBudgets(g, annealed, loads, pc, seed);
 
         // Mid-flight re-plan of the static all-device plan against
         // drifted loads: launched stages keep their sites, and a
@@ -338,9 +352,51 @@ TEST(PipelineProperty, AnnealRespectsBudgetsAndComparators)
                           .makespan)
                 << "seed " << seed;
         }
+
+        // The same graph as the cost-model planner builds it, every
+        // re-check pinned to the host: no RNG draws, so the digests
+        // above are untouched.
+        PipelineGraph pinned = g;
+        for (StageSpec &spec : pinned.stages) {
+            if (spec.kind != StageKind::Transform)
+                continue;
+            spec.colocate_with = -1;
+            spec.eligible_drives.clear();
+        }
+        PlacementPlan p_greedy =
+            placePipeline(pinned, c, loads, greedy_pc);
+        PlacementPlan p_annealed = placePipeline(pinned, c, loads, pc);
+        PlacementPlan p_all_host =
+            forcedPipelinePlan(pinned, c, loads, true);
+        PlacementPlan p_all_device =
+            forcedPipelinePlan(pinned, c, loads, false);
+        pinned_digest =
+            foldPlan(foldPlan(pinned_digest, p_greedy), p_annealed);
+
+        ASSERT_TRUE(p_greedy.valid) << "seed " << seed;
+        ASSERT_TRUE(p_annealed.valid) << "seed " << seed;
+        EXPECT_LE(p_annealed.predicted, p_greedy.predicted)
+            << "seed " << seed;
+        EXPECT_LE(p_annealed.predicted, p_all_host.predicted)
+            << "seed " << seed;
+        expectWithinBudgets(pinned, p_annealed, loads, pc, seed);
+        for (const PlacementPlan *plan :
+             {&p_greedy, &p_annealed, &p_all_device}) {
+            for (std::size_t s = 0; s < pinned.stages.size(); ++s) {
+                if (pinned.stages[s].kind != StageKind::Transform)
+                    continue;
+                EXPECT_TRUE(plan->sites[s].on_host)
+                    << "seed " << seed << " stage " << s;
+            }
+        }
+        if (p_annealed.anyDevice())
+            ++pinned_offloads;
     }
+    // The pinned family still offloads scans somewhere.
+    EXPECT_GT(pinned_offloads, 0u);
     EXPECT_EQ(digest, 0x72636993a420cf4full);
     EXPECT_EQ(replan_digest, 0x6168dda3e0e3627bull);
+    EXPECT_EQ(pinned_digest, 0xdbed8151b5cb9c0full);
 }
 
 TEST(PipelineGate, GateClosedLeavesTimingIdentical)
@@ -349,9 +405,9 @@ TEST(PipelineGate, GateClosedLeavesTimingIdentical)
                         std::string("1995-03-01"),
                         std::string("1995-04-15"));
 
-    // Gate closed, two different annealer seeds: the pipeline branch
-    // must never run, so decisions, notes and simulated ticks match
-    // the per-shard cost-model planner exactly.
+    // Gate closed: every re-check is pinned to the host, so three
+    // identical systems make identical cost-model decisions, notes
+    // and simulated ticks.
     PipeSystem a;
     a.db.planner.use_pipeline = false;
     a.db.planner.place_seed = 1;

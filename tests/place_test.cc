@@ -6,17 +6,16 @@
  *     identically-trafficked systems calibrate field-for-field equal
  *     models and make byte-identical placement decisions at a fixed
  *     seed.
- *  2. Property, >= 20 seeds of random stage graphs and drive loads:
- *     the annealed plan never violates the per-drive core/DRAM
- *     budgets and is never worse than the greedy seed it starts from.
- *     Every seed's plans are pinned in one digest.
- *  3. Gate closed (use_cost_model=false), the placement machinery is
+ *  2. Gate closed (use_cost_model=false), the placement machinery is
  *     dead code: the annealer seed is never read and simulated timing
  *     is tick-identical to the statistics-era planner; gate-on
  *     returns the same rows.
- *  4. A lane forked from a frozen device image reproduces the
+ *  3. A lane forked from a frozen device image reproduces the
  *     primary's placement decision exactly (same plan, same note,
  *     same simulated ticks) — including under LaneRunner threads.
+ *
+ * The annealer's budget and comparator properties, for cost-model
+ * graphs with host-pinned re-checks too, live in pipeline_test.cc.
  */
 
 #include <gtest/gtest.h>
@@ -66,23 +65,6 @@ eventRows(std::uint64_t seed, std::int64_t n)
              std::string(rng.below(3) == 0 ? "alpha" : "beta")});
     }
     return rows;
-}
-
-/** FNV-1a fold of one plan's (sites, predicted, from_anneal) into @p h. */
-std::uint64_t
-foldPlan(std::uint64_t h, const PlacementPlan &plan)
-{
-    auto mix = [&h](std::uint64_t v) {
-        for (int b = 0; b < 8; ++b) {
-            h ^= (v >> (8 * b)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    };
-    for (const Site &s : plan.sites)
-        mix(s.on_host ? ~0ull : s.drive);
-    mix(plan.predicted);
-    mix(plan.from_anneal ? 1 : 0);
-    return h;
 }
 
 /** What one placed scan decided and cost. */
@@ -143,7 +125,7 @@ TEST(PlaceCalib, CalibrationAndPlacementDeterministic)
     EXPECT_EQ(ca.describe(), cb.describe());
     EXPECT_GT(ca.dev_ctrl_ns_per_page, 0.0);
     EXPECT_GT(ca.stage_setup_ns, 0.0);
-    EXPECT_GT(ca.host_cpu_ns_per_byte, 0.0);
+    EXPECT_GT(ca.host_cpu_factor, 0.0);
 
     auto pred = between(eventsSchema(), "day",
                         std::string("1995-03-01"),
@@ -163,97 +145,6 @@ TEST(PlaceCalib, CalibrationAndPlacementDeterministic)
     // (the NAND-refined channel rate is part of the contract).
     EXPECT_EQ(calibrateCostModel(a.db).describe(),
               calibrateCostModel(b.db).describe());
-}
-
-TEST(PlaceProperty, AnnealRespectsBudgetsAndNeverWorseThanGreedy)
-{
-    constexpr std::uint64_t kSeeds = 24;
-    CostCalibration c;
-    c.dev_ctrl_ns_per_page = 5300;
-    c.stage_setup_ns = 160700;
-    c.ship_dev_ns_per_page = 7775;
-    c.chan_ns_per_byte = 1.667;
-    c.channels = 8;
-    c.device_cores = 2;
-    c.port_ns_per_page = 8488;
-    c.hil_ns_per_byte = 0.3125;
-    c.host_cpu_ns_per_byte = 4.0;
-    c.host_io_ns_per_window = 6300;
-    c.stream_window = 1_MiB;
-
-    // Every seed's greedy and annealed plan, pinned: a refactor of
-    // the search must keep the exact RNG draw order.
-    std::uint64_t digest = 1469598103934665603ull;
-    for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
-        Rng rng(0x91ace000 + seed);
-        const std::uint32_t drives = 1u << rng.below(3);  // 1, 2, 4
-
-        std::vector<DriveLoadSnapshot> loads(drives);
-        for (DriveLoadSnapshot &l : loads) {
-            l.active_apps = rng.below(20);
-            l.device_cores = 2;
-            l.min_core_backlog = rng.below(500) * 1000;
-            l.max_core_backlog =
-                l.min_core_backlog + rng.below(100) * 1000;
-            // Occasionally too little device DRAM for even one stage:
-            // those drives must stay empty.
-            l.user_mem_free =
-                rng.below(5) == 0 ? 64_KiB : Bytes{512_MiB};
-        }
-
-        const std::uint32_t nstages = 1 + rng.below(8);
-        std::vector<StageSpec> stages(nstages);
-        for (std::uint32_t s = 0; s < nstages; ++s) {
-            stages[s].shard = s;
-            stages[s].pages = 1 + rng.below(2000);
-            stages[s].page_bytes = 8192;
-            stages[s].selectivity = rng.below(101) / 100.0;
-            stages[s].eligible_drives = {s % drives};
-            stages[s].dram = 256_KiB;
-        }
-
-        PlacerConfig pc;
-        pc.seed = 0xb15c0000 + seed;
-        pc.core_budget = 2;
-        pc.dram_budget = 512_MiB;
-
-        PlacerConfig greedy_pc = pc;
-        greedy_pc.anneal = false;
-        PlacementPlan greedy =
-            placeStages(stages, c, loads, greedy_pc);
-        PlacementPlan annealed = placeStages(stages, c, loads, pc);
-        digest = foldPlan(foldPlan(digest, greedy), annealed);
-
-        ASSERT_TRUE(greedy.valid) << "seed " << seed;
-        ASSERT_TRUE(annealed.valid) << "seed " << seed;
-        ASSERT_EQ(annealed.sites.size(), stages.size());
-
-        // Never worse than the greedy seed it starts from.
-        EXPECT_LE(annealed.predicted, greedy.predicted)
-            << "seed " << seed;
-        // And never worse than either static plan it was compared to.
-        EXPECT_LE(annealed.predicted, annealed.predicted_all_host)
-            << "seed " << seed;
-
-        // Budgets hold on every drive.
-        std::vector<std::uint32_t> cores(drives, 0);
-        std::vector<Bytes> dram(drives, 0);
-        for (std::size_t s = 0; s < annealed.sites.size(); ++s) {
-            const Site &site = annealed.sites[s];
-            if (site.on_host)
-                continue;
-            ASSERT_LT(site.drive, drives) << "seed " << seed;
-            ++cores[site.drive];
-            dram[site.drive] += stages[s].dram;
-        }
-        for (std::uint32_t d = 0; d < drives; ++d) {
-            EXPECT_LE(cores[d], pc.core_budget) << "seed " << seed;
-            EXPECT_LE(dram[d], pc.dram_budget) << "seed " << seed;
-            EXPECT_LE(dram[d], loads[d].user_mem_free)
-                << "seed " << seed;
-        }
-    }
-    EXPECT_EQ(digest, 0xc65c6adbae6a224bull);
 }
 
 TEST(PlaceGate, GateClosedLeavesTimingIdentical)
