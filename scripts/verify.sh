@@ -45,7 +45,7 @@ if [[ "$run_perf_smoke" == 1 ]]; then
     echo "=== perf smoke: simulated outputs vs bench/golden ==="
     # bench.sh exits non-zero when any bench's simulated output
     # drifts from its golden transcript.
-    scripts/bench.sh --no-build --out BENCH_wallclock.json
+    scripts/bench.sh --no-build
 
     echo
     echo "=== trace pass: fig10 with BISCUIT_TRACE ==="
