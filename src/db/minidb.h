@@ -69,21 +69,20 @@ struct PlannerConfig
 
     /**
      * Cost-model-driven placement (db/costmodel.h + db/placer.h):
-     * the planner generalizes its boolean offload call to a per-shard
-     * stage->{drive, host} assignment searched over the analytic cost
-     * model under the current drive loads. Off by default — every
+     * the planner generalizes its boolean offload call to a placed
+     * stage DAG — per-shard matcher scans feeding exact re-checks
+     * feeding a host merge — searched over the analytic cost model
+     * under the current drive loads. Off by default — every
      * pre-placement golden stays tick-identical.
      */
     bool use_cost_model = false;
 
     /**
-     * Multi-stage pipeline placement (requires use_cost_model): the
-     * planner models the scan as a stage DAG — per-shard matcher
-     * scans feeding exact re-check transforms feeding a host merge —
-     * prices every inter-stage edge by its placement pair, and the
-     * annealer may chain scan + re-check in-drive through the typed
-     * FBP port. Off by default — the per-shard scan path and every
-     * pre-pipeline golden stay tick-identical.
+     * Re-checks may chain in-drive (requires use_cost_model): each
+     * exact re-check of the placed stage DAG may run on its shard's
+     * drive behind the scan, through the typed FBP port, instead of
+     * being pinned to the host. Off by default — cost-model scans
+     * keep their re-checks on the host.
      */
     bool use_pipeline = false;
 
