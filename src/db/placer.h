@@ -8,14 +8,15 @@
  * platform.
  *
  * The search space is a stage DAG (db::PipelineGraph), each stage
- * going to one of its data drives or the host. The objective is
- * predictPipeline(): stage service demands plus every inter-stage
- * edge priced by its placement pair. Feasibility honors the per-drive
- * budgets: at most device_cores applications per drive (one
+ * going to one of its data drives or the host. Each visited
+ * assignment is priced once (stageDemand); the objective is
+ * predictPipeline() over that demand, and feasibility checks its
+ * per-drive budgets: at most core_budget applications per drive (one
  * application pins one core) and the drives' free user DRAM covers
- * the placed stages' instance memory. It also enforces colocation
- * legality: a Transform chained in-drive must sit on its upstream's
- * drive, where the pair shares one application and one core slot.
+ * every device stage's instance memory. It also enforces legality:
+ * Merge stays on the host, and a Transform chained in-drive must sit
+ * on its upstream's drive (db::colocated), where the pair shares one
+ * application and one core slot.
  * The annealer starts from the greedy plan and tracks the best
  * feasible visit, so its result is never worse than greedy.
  */
@@ -102,6 +103,13 @@ PlacementPlan placePipeline(
 PlacementPlan forcedPipelinePlan(
     const PipelineGraph &graph, const CostCalibration &calib,
     const std::vector<DriveLoadSnapshot> &loads, bool on_host);
+
+/** The plan @p force asks for: placePipeline when Auto, otherwise
+ *  the all-host or all-device forcedPipelinePlan. */
+PlacementPlan planPipeline(
+    const PipelineGraph &graph, const CostCalibration &calib,
+    const std::vector<DriveLoadSnapshot> &loads,
+    const PlacerConfig &cfg, PlaceForce force);
 
 /**
  * Mid-flight re-placement of an in-flight pipeline plan: stages with

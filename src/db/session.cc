@@ -39,108 +39,13 @@ PlacementSession::~PlacementSession()
         db_.place_session = nullptr;
 }
 
-PlanOccupancy
-PlacementSession::occupancyOf(const Query &q) const
+StageDemand
+PlacementSession::demandOf(const Query &q) const
 {
-    PlanOccupancy occ;
-    const std::size_t drives = base_.size();
-    occ.apps.assign(drives, 0);
-    occ.core_ticks.assign(drives, 0);
-    occ.streams.assign(drives, 0);
-    occ.dram.assign(drives, 0);
-    if (!q.plan.valid)
-        return occ;
-    const PipelineGraph &g = q.graph;
-    const std::vector<Site> &sites = q.plan.sites;
-    const CostCalibration &c = calib_;
-
-    auto colocated = [&](std::size_t i) {
-        const StageSpec &s = g.stages[i];
-        if (s.kind != StageKind::Transform || s.colocate_with < 0 ||
-            sites[i].on_host)
-            return false;
-        const Site &up =
-            sites[static_cast<std::size_t>(s.colocate_with)];
-        return !up.on_host && up.drive == sites[i].drive;
-    };
-
-    // Mirror predictPipeline's per-stage service demands: what this
-    // plan will pin (app slots, DRAM), burn (core ticks, host CPU)
-    // and open (host streams) is what a co-admitted query should see.
-    for (std::size_t i = 0; i < g.stages.size(); ++i) {
-        const StageSpec &s = g.stages[i];
-        const Site &site = sites[i];
-        const Bytes in = stageInBytes(
-            g, sites, static_cast<std::uint32_t>(i));
-        if (site.on_host) {
-            switch (s.kind) {
-              case StageKind::Scan: {
-                const Bytes bytes = s.pages * s.page_bytes;
-                const std::uint64_t windows =
-                    c.stream_window == 0
-                        ? 0
-                        : divCeil<Bytes>(bytes, c.stream_window);
-                occ.host_ticks += static_cast<Tick>(
-                    static_cast<double>(windows) *
-                        c.host_io_ns_per_window +
-                    static_cast<double>(bytes) * s.cpu_ns_per_byte *
-                        c.host_cpu_factor);
-                if (!s.eligible_drives.empty() &&
-                    s.eligible_drives.front() < drives)
-                    ++occ.streams[s.eligible_drives.front()];
-                break;
-              }
-              case StageKind::Transform:
-              case StageKind::Merge:
-                occ.host_ticks += static_cast<Tick>(
-                    static_cast<double>(in) * s.cpu_ns_per_byte *
-                    c.host_cpu_factor);
-                break;
-            }
-            continue;
-        }
-        const std::uint32_t d = site.drive;
-        if (d >= drives)
-            continue;
-        if (!colocated(i)) {
-            ++occ.apps[d];
-            occ.dram[d] += s.dram;
-        }
-        if (s.kind == StageKind::Scan) {
-            const double ctrl = c.dev_ctrl_ns_per_page;
-            const double stream =
-                static_cast<double>(s.page_bytes) *
-                c.chan_ns_per_byte /
-                std::max<std::uint32_t>(1, c.channels);
-            const double selected =
-                static_cast<double>(s.pages * s.page_bytes) *
-                std::min(1.0, std::max(0.0, s.selectivity));
-            occ.core_ticks[d] += static_cast<Tick>(
-                c.stage_setup_ns +
-                static_cast<double>(s.pages) *
-                    std::max(ctrl, stream) +
-                selected * s.cpu_ns_per_byte * c.dev_cpu_slowdown);
-        } else {
-            const double setup =
-                colocated(i) ? 0.0 : c.stage_setup_ns;
-            occ.core_ticks[d] += static_cast<Tick>(
-                setup + static_cast<double>(in) * s.cpu_ns_per_byte *
-                            c.dev_cpu_slowdown);
-        }
-    }
-    for (const PipelineEdge &e : g.edges) {
-        const Site &src = sites.at(e.from);
-        const Site &dst = sites.at(e.to);
-        const Bytes flow = src.on_host ? e.bytes_host : e.bytes;
-        const EdgeCost ec = priceEdge(
-            flow, g.stages[e.from].page_bytes, src, dst, c);
-        if (ec.src_core > 0 && src.drive < drives)
-            occ.core_ticks[src.drive] += ec.src_core;
-        if (ec.dst_core > 0 && dst.drive < drives)
-            occ.core_ticks[dst.drive] += ec.dst_core;
-        occ.host_ticks += ec.host;
-    }
-    return occ;
+    StageDemand demand;
+    if (q.plan.valid)
+        stageDemand(q.graph, q.plan.sites, calib_, base_.size(), demand);
+    return demand;
 }
 
 std::vector<DriveLoadSnapshot>
@@ -152,17 +57,18 @@ PlacementSession::effectiveLoads(int excluding) const
         if (!q.live || static_cast<int>(qid) == excluding)
             continue;
         for (std::size_t d = 0;
-             d < loads.size() && d < q.occ.apps.size(); ++d) {
+             d < loads.size() && d < q.demand.drives.size(); ++d) {
             DriveLoadSnapshot &l = loads[d];
-            l.active_apps += q.occ.apps[d];
-            l.host_streams += q.occ.streams[d];
+            const DriveDemand &claim = q.demand.drives[d];
+            l.active_apps += claim.apps;
+            l.host_streams += claim.host_streams;
             const Tick horizon =
-                q.occ.core_ticks[d] /
+                claim.core_ticks /
                 std::max<std::uint32_t>(1, l.device_cores);
             l.min_core_backlog += horizon;
             l.max_core_backlog += horizon;
             l.user_mem_free -=
-                std::min<Bytes>(l.user_mem_free, q.occ.dram[d]);
+                std::min<Bytes>(l.user_mem_free, claim.dram);
         }
     }
     return loads;
@@ -176,7 +82,12 @@ PlacementSession::effectiveCalib(int excluding) const
         const Query &q = queries_[qid];
         if (!q.live || static_cast<int>(qid) == excluding)
             continue;
-        c.host_backlog += q.occ.host_ticks;
+        // A host Scan's window issue and per-byte CPU are rounded
+        // together here, where predictPipeline rounds them apart.
+        c.host_backlog += q.demand.host_ticks;
+        for (const HostScanDemand &scan : q.demand.host_scans)
+            c.host_backlog +=
+                static_cast<Tick>(scan.issue_ns + scan.cpu_ns);
     }
     return c;
 }
@@ -187,11 +98,8 @@ PlacementSession::planOne(Query &q, int qid)
     const std::vector<DriveLoadSnapshot> loads =
         effectiveLoads(qid);
     const CostCalibration calib = effectiveCalib(qid);
-    q.plan = q.force == PlaceForce::Auto
-                 ? placePipeline(q.graph, calib, loads, q.cfg)
-                 : forcedPipelinePlan(q.graph, calib, loads,
-                                      q.force == PlaceForce::AllHost);
-    q.occ = occupancyOf(q);
+    q.plan = planPipeline(q.graph, calib, loads, q.cfg, q.force);
+    q.demand = demandOf(q);
     q.planned_loads = loads;
 }
 
@@ -244,7 +152,7 @@ PlacementSession::planJointly(std::uint32_t rounds)
                     q.launched, q.plan);
                 if (np.valid) {
                     q.plan = np;
-                    q.occ = occupancyOf(q);
+                    q.demand = demandOf(q);
                     q.planned_loads =
                         effectiveLoads(static_cast<int>(qid));
                 }
@@ -359,7 +267,7 @@ PlacementSession::maybeReplan(int qid)
         return false;
     const bool moved = !sitesEqual(np.sites, q.plan.sites);
     q.plan = np;
-    q.occ = occupancyOf(q);
+    q.demand = demandOf(q);
     q.planned_loads = fresh;
     if (moved) {
         ++replans_;
@@ -384,7 +292,7 @@ PlacementSession::release(int qid)
 {
     Query &q = queries_.at(static_cast<std::size_t>(qid));
     q.live = false;
-    q.occ = PlanOccupancy{};
+    q.demand = StageDemand{};
 }
 
 PlacerConfig
@@ -409,12 +317,8 @@ PlannedQuery::PlannedQuery(MiniDb &db, const PipelineGraph &graph,
         plan_ = session_->plan(qid_);
         return;
     }
-    const CostCalibration calib = calibrateCostModel(db);
-    const std::vector<DriveLoadSnapshot> loads = snapshotDriveLoads(db);
-    plan_ = force == PlaceForce::Auto
-                ? placePipeline(graph, calib, loads, placerConfig(db))
-                : forcedPipelinePlan(graph, calib, loads,
-                                     force == PlaceForce::AllHost);
+    plan_ = planPipeline(graph, calibrateCostModel(db),
+                         snapshotDriveLoads(db), placerConfig(db), force);
 }
 
 PlannedQuery::PlannedQuery(PlacementSession &session, int qid)

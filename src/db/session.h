@@ -9,9 +9,10 @@
  * snapshot stampede (every plan dodges the same busy drive onto the
  * same idle one). A PlacementSession shares ONE base snapshot across
  * the admitted queries and charges each plan the *projected
- * occupancy* of the others: their device app slots, core work, DRAM
- * claims and host streams folded into per-drive load copies, their
- * host CPU work folded into the calibration's host backlog. A
+ * occupancy* of the others: each plan's StageDemand (the one
+ * predictPipeline folds), its device app slots, core work, DRAM
+ * claims and host streams folded into per-drive load copies and its
+ * host CPU work into the calibration's host backlog. A
  * block-coordinate refinement (planJointly) then re-anneals each
  * query against the others until no plan moves — deterministic,
  * since queries are visited in admission order with seeded walks.
@@ -45,16 +46,6 @@
 #include "db/placer.h"
 
 namespace bisc::db {
-
-/** Projected resource claims of one admitted query's current plan. */
-struct PlanOccupancy
-{
-    std::vector<std::uint32_t> apps;   ///< per drive: app slots
-    std::vector<Tick> core_ticks;      ///< per drive: device work
-    std::vector<std::uint32_t> streams;  ///< per drive: host streams
-    std::vector<Bytes> dram;           ///< per drive: instance DRAM
-    Tick host_ticks = 0;               ///< host CPU work
-};
 
 class PlacementSession
 {
@@ -132,13 +123,13 @@ class PlacementSession
         PlaceForce force = PlaceForce::Auto;
         PlacementPlan plan;
         std::vector<bool> launched;
-        PlanOccupancy occ;
+        StageDemand demand;  ///< what the current plan claims
         /** Loads the current plan was priced against (drift ref). */
         std::vector<DriveLoadSnapshot> planned_loads;
         std::uint32_t replan_ordinal = 0;
     };
 
-    PlanOccupancy occupancyOf(const Query &q) const;
+    StageDemand demandOf(const Query &q) const;
     void planOne(Query &q, int qid);
 
     MiniDb &db_;
@@ -160,9 +151,8 @@ PlacerConfig placerConfig(MiniDb &db);
  * One placed query's plan, from planning to drain. With
  * MiniDb::place_session attached (and use_unified_pipelines on) the
  * graph is admitted there and priced against the other live queries;
- * otherwise it is placed
- * alone (placePipeline, or forcedPipelinePlan when forced) against a
- * fresh snapshot. launch() is the launch checkpoint, and the session
+ * otherwise it is placed alone (planPipeline) against a fresh
+ * snapshot. launch() is the launch checkpoint, and the session
  * query is released when the PlannedQuery goes away — on every exit
  * path.
  */
