@@ -53,8 +53,9 @@ boolFromEnv(const char *name, bool fallback)
 /**
  * Map serve-tier feature flags onto the embedded engine's planner.
  * pipelined_scans implies the statistics and cost-model layers the
- * pipeline gate requires. Idempotent — the forked replica re-applies
- * it on top of the catalog's frozen planner config.
+ * pipeline gate requires. Applied once, when the data is populated;
+ * the catalog carries the result to forked replicas, and the serving
+ * run reads the planner, not the flags.
  */
 void
 applyPlannerFlags(db::MiniDb &db, const ServeConfig &cfg)
@@ -162,8 +163,8 @@ struct ServeState
     std::vector<PerTenant> per_tenant;
     std::vector<rt::ModuleId> grep_modules;  ///< resident, per drive
 
-    /** Shared multi-query planning session (unified_pipelines only);
-     *  attaches itself as db.place_session while alive. */
+    /** Shared multi-query planning session (use_unified_pipelines
+     *  only); attaches itself as db.place_session while alive. */
     std::unique_ptr<db::PlacementSession> session;
     std::uint64_t jobs_finished = 0;
     std::uint64_t jobs_total = 0;
@@ -230,7 +231,7 @@ runJob(ServeState &st, const JobSpec &job)
         // lookup's host work into the shared session so co-tenant
         // plans see it.
         std::optional<db::PlannedQuery> planned;
-        if (st.cfg.unified_pipelines &&
+        if (st.db.planner.use_unified_pipelines &&
             st.db.place_session != nullptr) {
             db::PipelineGraph g;
             db::StageSpec s;
@@ -288,7 +289,7 @@ runJob(ServeState &st, const JobSpec &job)
         }
         st.logEvent(job, "admit", jobLabel(job));
         std::uint64_t matches = 0;
-        if (st.cfg.unified_pipelines) {
+        if (st.db.planner.use_unified_pipelines) {
             // Unified path: the grep runs as a placeable stage DAG —
             // the session's annealer picks its site; both sites
             // delegate to the legacy leaf scanners.
@@ -312,7 +313,7 @@ runJob(ServeState &st, const JobSpec &job)
       }
       case JobKind::WordCount: {
         host::WordCountResult wc;
-        if (st.cfg.unified_pipelines) {
+        if (st.db.planner.use_unified_pipelines) {
             db::WorkloadSpec spec;
             spec.kind = db::WorkloadKind::WordCount;
             spec.drive = job.drive;
@@ -443,6 +444,7 @@ ServeCatalog
 populateServeData(host::HostSystem &host, db::MiniDb &db,
                   const ServeConfig &cfg)
 {
+    applyPlannerFlags(db, cfg);
     tpch::TpchConfig tcfg;
     tcfg.scale_factor = cfg.tpch_scale;
     tpch::buildTpch(db, tcfg);
@@ -483,7 +485,7 @@ serveMain(db::MiniDb &db, const ServeConfig &cfg,
     // resident grep module per drive (a served drive keeps offload
     // modules hot instead of paying load/relocate per request).
     db::warmMinidbModule(db);
-    if (cfg.unified_pipelines) {
+    if (db.planner.use_unified_pipelines) {
         // All four job kinds plan through one shared session; it
         // attaches itself as db.place_session and detaches when the
         // run tears down ServeState. Unified greps instantiate the
@@ -552,7 +554,6 @@ runServe(sisc::Env &env, const ServeConfig &cfg)
 {
     host::HostSystem host(env.array);
     db::MiniDb db(env, host);
-    applyPlannerFlags(db, cfg);
     ServeCatalog cat = populateServeData(host, db, cfg);
     ServeReport rep;
     env.run([&] { rep = serveMain(db, cfg, cat); });
@@ -567,7 +568,6 @@ runServeForked(const sim::DeviceImage &image, const ServeCatalog &cat,
     host::HostSystem host(env.array, cat.host);
     db::MiniDb db(env, host);
     db.planner = cat.planner;
-    applyPlannerFlags(db, cfg);
     for (const auto &t : cat.tables)
         db.attachShardedTable(t.name, t.schema, t.rows, t.shards);
     // Frozen table statistics ride the image; keyed lookups and

@@ -201,7 +201,8 @@ struct ServeReport
 
 /**
  * Lay the served dataset out at simulated tick zero (offline, like
- * every other population step): TPC-H tables at cfg.tpch_scale
+ * every other population step): first map @p cfg's planner flags onto
+ * db.planner, then TPC-H tables at cfg.tpch_scale
  * (sharded across the array), one identical web-log corpus per drive
  * (same generation seed, so grep/wordcount results are
  * drive-placement-invariant) and the grep .slet file. Returns the
@@ -214,7 +215,8 @@ ServeCatalog populateServeData(host::HostSystem &host, db::MiniDb &db,
  * The serving run proper; call from the host fiber of a populated
  * system. Warms the offload modules (minidb + per-drive grep), spawns
  * the client fibers and blocks until every job completed or was
- * rejected.
+ * rejected. Which paths the jobs take follows db.planner, as
+ * populateServeData (or the catalog of a fork) left it.
  */
 ServeReport serveMain(db::MiniDb &db, const ServeConfig &cfg,
                       const ServeCatalog &cat);

@@ -15,6 +15,8 @@
  *     4-drive array (per-job latencies legitimately differ).
  *  4. Saturation never crashes: a burst far beyond the admission
  *     budgets completes with typed rejects only.
+ *  5. Populating the data and calling serveMain with unified
+ *     pipelines on reproduces runServe's report.
  */
 
 #include <gtest/gtest.h>
@@ -207,6 +209,30 @@ TEST(ServeSoak, ConcurrentLazyModuleLoadsComplete)
                   cfg.jobs_per_client);
     EXPECT_EQ(rep.completed + rep.rejected, rep.submitted);
     EXPECT_GT(rep.completed, 0u);
+}
+
+TEST(ServeSoak, PopulatedUnifiedRunMatchesRunServe)
+{
+    // The populate-then-serveMain shape of the forked-lane test and
+    // the benchmark harness, with unified pipelines on: population
+    // maps the flags onto the planner once, so this run takes the
+    // same paths as runServe.
+    serve::ServeConfig cfg = soakConfig();
+    cfg.unified_pipelines = true;
+
+    sisc::Env env(ssd::defaultConfig(), 4);
+    host::HostSystem host(env.array);
+    db::MiniDb db(env, host);
+    const serve::ServeCatalog cat =
+        serve::populateServeData(host, db, cfg);
+    serve::ServeReport populated;
+    env.run([&] { populated = serve::serveMain(db, cfg, cat); });
+
+    sisc::Env fresh(ssd::defaultConfig(), 4);
+    const serve::ServeReport reference = serve::runServe(fresh, cfg);
+
+    EXPECT_GT(populated.completed, 0u);
+    expectSameReport(populated, reference);
 }
 
 TEST(ServeSoak, ConfigFromEnvironment)
