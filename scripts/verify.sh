@@ -109,71 +109,38 @@ if [[ "$run_perf_smoke" == 1 ]]; then
     echo "serve: golden match, two runs byte-identical, env-invariant"
     echo "       (default, unified and pipeline serving paths)"
 
-    echo
-    echo "=== prune pass: statistics-driven scan pruning ==="
-    # fig_prune exits non-zero unless rows stay byte-identical across
-    # planner modes and drive counts; its transcript must match the
-    # golden, repeat byte-for-byte, and ignore the lane/obs/drive env
-    # (the bench fixes its own drive counts).
-    build/bench/fig_prune > build/bench_out/fig_prune_a.txt
-    diff -q bench/golden/fig_prune.txt build/bench_out/fig_prune_a.txt
-    build/bench/fig_prune > build/bench_out/fig_prune_b.txt
-    cmp build/bench_out/fig_prune_a.txt build/bench_out/fig_prune_b.txt
-    BISCUIT_OBS=0 BISCUIT_LANES=2 BISCUIT_DRIVES=4 build/bench/fig_prune \
-        > build/bench_out/fig_prune_env.txt
-    cmp build/bench_out/fig_prune_a.txt build/bench_out/fig_prune_env.txt
-    echo "prune: golden match, two runs byte-identical, env-invariant"
-
-    echo
-    echo "=== placement pass: cost-model SSDlet placement ==="
-    # fig_place exits non-zero unless the cost-model placement beats
-    # both static plans with rows byte-identical across placements and
-    # drive counts; the transcript must match its golden, repeat
-    # byte-for-byte, and ignore the lane/drive env (drive counts and
-    # the annealer seed are fixed in the bench).
-    build/bench/fig_place > build/bench_out/fig_place_a.txt
-    diff -q bench/golden/fig_place.txt build/bench_out/fig_place_a.txt
-    build/bench/fig_place > build/bench_out/fig_place_b.txt
-    cmp build/bench_out/fig_place_a.txt build/bench_out/fig_place_b.txt
-    BISCUIT_LANES=2 BISCUIT_DRIVES=4 build/bench/fig_place \
-        > build/bench_out/fig_place_env.txt
-    cmp build/bench_out/fig_place_a.txt build/bench_out/fig_place_env.txt
-    echo "place: golden match, two runs byte-identical, env-invariant"
-
-    echo
-    echo "=== pipeline pass: multi-stage FBP pipeline placement ==="
-    # fig_pipeline exits non-zero unless the searched stage->site
-    # assignment beats both static plans with rows byte-identical
-    # across placements and drive counts; the transcript must match
-    # its golden, repeat byte-for-byte, and ignore the lane/drive/
-    # pipeline env (drive counts, the gate, and the annealer seed are
-    # fixed in the bench).
-    build/bench/fig_pipeline > build/bench_out/fig_pipeline_a.txt
-    diff -q bench/golden/fig_pipeline.txt build/bench_out/fig_pipeline_a.txt
-    build/bench/fig_pipeline > build/bench_out/fig_pipeline_b.txt
-    cmp build/bench_out/fig_pipeline_a.txt build/bench_out/fig_pipeline_b.txt
-    BISCUIT_LANES=2 BISCUIT_DRIVES=4 BISCUIT_PIPELINE_PLACE=0 \
-        build/bench/fig_pipeline > build/bench_out/fig_pipeline_env.txt
-    cmp build/bench_out/fig_pipeline_a.txt build/bench_out/fig_pipeline_env.txt
-    echo "pipeline: golden match, two runs byte-identical, env-invariant"
-
-    echo
-    echo "=== hetero pass: jointly planned mixed workloads ==="
-    # fig_hetero exits non-zero unless the session-planned mixed batch
-    # (greps + word counts + a TPC-H scan sharing one
-    # db::PlacementSession) strictly beats both static plans with scan
-    # rows and word counts byte-identical across modes; the transcript
-    # must match its golden, repeat byte-for-byte, and ignore the
-    # lane/drive/gate env (drive counts, the gate, and the annealer
-    # seed are fixed in the bench).
-    build/bench/fig_hetero > build/bench_out/fig_hetero_a.txt
-    diff -q bench/golden/fig_hetero.txt build/bench_out/fig_hetero_a.txt
-    build/bench/fig_hetero > build/bench_out/fig_hetero_b.txt
-    cmp build/bench_out/fig_hetero_a.txt build/bench_out/fig_hetero_b.txt
-    BISCUIT_LANES=2 BISCUIT_DRIVES=4 BISCUIT_UNIFIED_PIPELINES=0 \
-        build/bench/fig_hetero > build/bench_out/fig_hetero_env.txt
-    cmp build/bench_out/fig_hetero_a.txt build/bench_out/fig_hetero_env.txt
-    echo "hetero: golden match, two runs byte-identical, env-invariant"
+    # The placement-family benches fix their own drive counts, gates
+    # and annealer seed, and each exits non-zero when its claim fails:
+    #   fig_prune     statistics-driven scans return the baseline's rows
+    #                 byte-identically while reading fewer pages;
+    #   fig_place     cost-model placement beats both static plans with
+    #                 rows byte-identical across placements and drives;
+    #   fig_pipeline  the searched multi-stage plan beats both static
+    #                 plans with byte-identical rows;
+    #   fig_hetero    the jointly planned mixed batch (greps, word counts
+    #                 and a TPC-H scan in one db::PlacementSession)
+    #                 strictly beats both static plans with identical
+    #                 scan rows and word counts.
+    # Each transcript must match its golden, repeat byte-for-byte, and
+    # ignore the environment listed after its name.
+    for entry in \
+        "fig_prune|BISCUIT_OBS=0 BISCUIT_LANES=2 BISCUIT_DRIVES=4" \
+        "fig_place|BISCUIT_LANES=2 BISCUIT_DRIVES=4" \
+        "fig_pipeline|BISCUIT_LANES=2 BISCUIT_DRIVES=4 BISCUIT_PIPELINE_PLACE=0" \
+        "fig_hetero|BISCUIT_LANES=2 BISCUIT_DRIVES=4 BISCUIT_UNIFIED_PIPELINES=0"; do
+        bench="${entry%%|*}"
+        read -r -a bench_env <<< "${entry#*|}"
+        out="build/bench_out/${bench}"
+        echo
+        echo "=== ${bench} pass ==="
+        "build/bench/${bench}" > "${out}_a.txt"
+        diff -q "bench/golden/${bench}.txt" "${out}_a.txt"
+        "build/bench/${bench}" > "${out}_b.txt"
+        cmp "${out}_a.txt" "${out}_b.txt"
+        env "${bench_env[@]}" "build/bench/${bench}" > "${out}_env.txt"
+        cmp "${out}_a.txt" "${out}_env.txt"
+        echo "${bench}: golden match, two runs byte-identical, env-invariant"
+    done
 fi
 
 if [[ "$run_sanitized" == 1 ]]; then
