@@ -40,6 +40,7 @@
 #include "sisc/device_image.h"
 #include "sisc/env.h"
 #include "ssd/config.h"
+#include "tpch/dbgen.h"
 #include "util/rng.h"
 
 namespace bisc::db {
@@ -196,6 +197,86 @@ TEST_F(PruneStatsTest, PrunePlanSoundness)
     ASSERT_TRUE(full.usable);
     EXPECT_EQ(full.pages_selected, full.pages_total);
     EXPECT_EQ(full.chunks_skipped, 0u);
+}
+
+/** FNV-1a fold of every TableStats field into @p h. */
+std::uint64_t
+foldStats(std::uint64_t h, const TableStats &st)
+{
+    auto bytes = [&h](const void *p, std::size_t n) {
+        const auto *b = static_cast<const std::uint8_t *>(p);
+        for (std::size_t i = 0; i < n; ++i) {
+            h ^= b[i];
+            h *= 1099511628211ull;
+        }
+    };
+    auto u64 = [&](std::uint64_t v) { bytes(&v, 8); };
+    auto f64 = [&](double v) { bytes(&v, 8); };
+    auto str = [&](const std::string &s) {
+        u64(s.size());
+        bytes(s.data(), s.size());
+    };
+    u64(st.pages_per_chunk);
+    u64(st.row_count);
+    u64(st.page_count);
+    u64(st.chunks.size());
+    for (const ChunkStats &c : st.chunks) {
+        u64(c.first_page);
+        u64(c.page_count);
+        u64(c.row_count);
+        u64(c.cols.size());
+        for (const ColumnZone &z : c.cols) {
+            f64(z.num_min);
+            f64(z.num_max);
+            str(z.str_min);
+            str(z.str_max);
+            u64(z.null_count);
+        }
+    }
+    u64(st.hists.size());
+    for (const EqualWidthHistogram &hist : st.hists) {
+        f64(hist.lo);
+        f64(hist.hi);
+        u64(hist.buckets.size());
+        for (std::uint64_t b : hist.buckets)
+            u64(b);
+        u64(hist.total);
+    }
+    return h;
+}
+
+/** Digest of every TPC-H table's statistics at SF 0.01. */
+std::uint64_t
+tpchStatsDigest(std::uint32_t drives)
+{
+    sisc::Env env(ssd::defaultConfig(), drives);
+    host::HostSystem host(env.array);
+    MiniDb db(env, host);
+    tpch::TpchConfig cfg;
+    cfg.scale_factor = 0.01;
+    tpch::buildTpch(db, cfg);
+    std::uint64_t h = 1469598103934665603ull;
+    for (const std::string &name : db.tableNames())
+        h = foldStats(h, *db.table(name).stats());
+    return h;
+}
+
+TEST(PruneStats, StatsDigestIsPinned)
+{
+    // Pins every statistics field the builder produces. Chunks are
+    // runs of global pages, so the drive count must not move it.
+    const std::uint64_t tpch = tpchStatsDigest(1);
+    EXPECT_EQ(tpch, tpchStatsDigest(4));
+    EXPECT_EQ(tpch, 0x94a03830e024c13bull) << std::hex << tpch;
+
+    sisc::Env env(ssd::testConfig());
+    host::HostSystem host(env.kernel, env.device, env.fs);
+    MiniDb db(env, host);
+    Table &t = db.createTable("events", eventsSchema());
+    t.loadRows(eventRows(1, 20000));
+    const std::uint64_t events =
+        foldStats(1469598103934665603ull, *t.stats());
+    EXPECT_EQ(events, 0xd43dfcb33b3d870full) << std::hex << events;
 }
 
 TEST(PruneShard, ShardRunsPartitionGlobalPlan)
