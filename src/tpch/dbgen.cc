@@ -75,27 +75,40 @@ const char *const kCommentWords[12] = {
     "accounts",  "pending", "requests",  "ideas",    "foxes",
     "theodolites", "platelets"};
 
-std::string
-randomComment(Rng &rng, int words)
+/**
+ * The string in a reused Row cell: generators assign into it, so a
+ * cell's capacity carries over from row to row.
+ */
+std::string &
+textCell(Value &cell)
 {
-    std::string s;
-    for (int i = 0; i < words; ++i) {
-        if (i)
-            s += ' ';
-        s += kCommentWords[rng.below(12)];
-    }
-    return s;
+    if (auto *s = std::get_if<std::string>(&cell))
+        return *s;
+    return cell.emplace<std::string>();
 }
 
-std::string
-phoneFor(Rng &rng, std::int64_t nation)
+/** Write @p words random comment words into @p out. */
+void
+randomComment(Rng &rng, int words, std::string &out)
+{
+    out.clear();
+    for (int i = 0; i < words; ++i) {
+        if (i)
+            out += ' ';
+        out += kCommentWords[rng.below(12)];
+    }
+}
+
+/** Write a phone number with @p nation's country code into @p out. */
+void
+phoneFor(Rng &rng, std::int64_t nation, std::string &out)
 {
     char buf[16];
     std::snprintf(buf, sizeof(buf), "%02d-%03d-%04d",
                   static_cast<int>(10 + nation),
                   static_cast<int>(100 + rng.below(900)),
                   static_cast<int>(1000 + rng.below(9000)));
-    return buf;
+    out.assign(buf);
 }
 
 double
@@ -103,6 +116,34 @@ money(Rng &rng, double lo, double hi)
 {
     return lo + (hi - lo) * rng.uniform();
 }
+
+/**
+ * "YYYY-MM-DD" text of every day in [first, last], formatted once per
+ * build: rows copy a date instead of formatting it.
+ */
+class DateText
+{
+  public:
+    DateText(std::int64_t first, std::int64_t last) : first_(first)
+    {
+        text_.reserve(static_cast<std::size_t>(last - first + 1) * 10);
+        for (std::int64_t d = first; d <= last; ++d)
+            text_ += db::daysToDate(d);
+    }
+
+    std::string_view
+    operator()(std::int64_t day) const
+    {
+        const auto at = static_cast<std::size_t>(day - first_) * 10;
+        BISC_ASSERT(day >= first_ && at < text_.size(), "day ", day,
+                    " outside the generated date range");
+        return {text_.data() + at, 10};
+    }
+
+  private:
+    std::int64_t first_;
+    std::string text_;
+};
 
 }  // namespace
 
@@ -128,17 +169,28 @@ buildTpch(db::MiniDb &db, const TpchConfig &cfg)
     TpchSizes n = TpchSizes::of(cfg.scale_factor);
     Rng rng(cfg.seed);
 
+    // Every generator below fills the one Row that Table::load hands
+    // it, cell by cell. The order of its RNG draws is part of the
+    // generated data (DbgenTest pins the page bytes): it is not
+    // always column order.
+
     // ----- region -----
     auto &region = db.createTable(
         "region", Schema({col("r_regionkey", Type::Int64),
                           col("r_name", Type::String, 12),
                           col("r_comment", Type::String, 24)}));
     {
-        std::vector<Row> rows;
-        for (std::int64_t i = 0; i < 5; ++i)
-            rows.push_back({i, std::string(kRegions[i]),
-                            randomComment(rng, 3)});
-        region.loadRows(rows);
+        std::int64_t i = 0;
+        region.load([&](Row &row) {
+            if (i >= 5)
+                return false;
+            row.resize(3);
+            row[0] = i;
+            textCell(row[1]).assign(kRegions[i]);
+            randomComment(rng, 3, textCell(row[2]));
+            ++i;
+            return true;
+        });
     }
 
     // ----- nation -----
@@ -147,12 +199,17 @@ buildTpch(db::MiniDb &db, const TpchConfig &cfg)
                           col("n_name", Type::String, 16),
                           col("n_regionkey", Type::Int64)}));
     {
-        std::vector<Row> rows;
-        for (std::int64_t i = 0; i < 25; ++i)
-            rows.push_back({i, std::string(kNations[i].name),
-                            static_cast<std::int64_t>(
-                                kNations[i].region)});
-        nation.loadRows(rows);
+        std::int64_t i = 0;
+        nation.load([&](Row &row) {
+            if (i >= 25)
+                return false;
+            row.resize(3);
+            row[0] = i;
+            textCell(row[1]).assign(kNations[i].name);
+            row[2] = static_cast<std::int64_t>(kNations[i].region);
+            ++i;
+            return true;
+        });
     }
 
     // ----- supplier -----
@@ -168,18 +225,22 @@ buildTpch(db::MiniDb &db, const TpchConfig &cfg)
         supplier.load([&](Row &row) {
             if (i >= n.suppliers)
                 return false;
+            row.resize(6);
             std::int64_t key = static_cast<std::int64_t>(++i);
+            row[0] = key;
             char name[20];
             std::snprintf(name, sizeof(name), "Supplier#%09lld",
                           static_cast<long long>(key));
+            textCell(row[1]).assign(name);
             std::int64_t nat =
                 static_cast<std::int64_t>(rng.below(25));
-            std::string comment = randomComment(rng, 3);
+            row[2] = nat;
+            std::string &comment = textCell(row[5]);
+            randomComment(rng, 3, comment);
             if (rng.below(100) < 2)  // Q16's complaints filter
                 comment = "Customer stuff Complaints";
-            row = {key, std::string(name), nat,
-                   money(rng, -999.0, 9999.0), phoneFor(rng, nat),
-                   comment};
+            row[3] = money(rng, -999.0, 9999.0);
+            phoneFor(rng, nat, textCell(row[4]));
             return true;
         });
     }
@@ -199,26 +260,33 @@ buildTpch(db::MiniDb &db, const TpchConfig &cfg)
         part.load([&](Row &row) {
             if (i >= n.parts)
                 return false;
-            std::int64_t key = static_cast<std::int64_t>(++i);
-            std::string name = std::string(kColors[rng.below(17)]) +
-                               ' ' + kColors[rng.below(17)];
+            row.resize(8);
+            row[0] = static_cast<std::int64_t>(++i);
+            // Multi-word names draw their words last to first.
+            const char *color2 = kColors[rng.below(17)];
+            std::string &name = textCell(row[1]);
+            name.assign(kColors[rng.below(17)]);
+            name += ' ';
+            name += color2;
             int mfgr = 1 + static_cast<int>(rng.below(5));
             char mfgr_s[18], brand_s[12];
             std::snprintf(mfgr_s, sizeof(mfgr_s), "Manufacturer#%d",
                           mfgr);
             std::snprintf(brand_s, sizeof(brand_s), "Brand#%d%d",
                           mfgr, static_cast<int>(1 + rng.below(5)));
-            std::string type = std::string(kTypes1[rng.below(6)]) +
-                               ' ' + kTypes2[rng.below(5)] + ' ' +
-                               kTypes3[rng.below(5)];
-            row = {key,
-                   name,
-                   std::string(mfgr_s),
-                   std::string(brand_s),
-                   type,
-                   static_cast<std::int64_t>(1 + rng.below(50)),
-                   std::string(kContainers[rng.below(8)]),
-                   money(rng, 900.0, 2000.0)};
+            textCell(row[2]).assign(mfgr_s);
+            textCell(row[3]).assign(brand_s);
+            const char *type3 = kTypes3[rng.below(5)];
+            const char *type2 = kTypes2[rng.below(5)];
+            std::string &type = textCell(row[4]);
+            type.assign(kTypes1[rng.below(6)]);
+            type += ' ';
+            type += type2;
+            type += ' ';
+            type += type3;
+            row[5] = static_cast<std::int64_t>(1 + rng.below(50));
+            textCell(row[6]).assign(kContainers[rng.below(8)]);
+            row[7] = money(rng, 900.0, 2000.0);
             return true;
         });
     }
@@ -234,15 +302,14 @@ buildTpch(db::MiniDb &db, const TpchConfig &cfg)
         partsupp.load([&](Row &row) {
             if (i >= n.partsupps)
                 return false;
-            std::int64_t pkey =
-                static_cast<std::int64_t>(i / 4 + 1);
-            std::int64_t skey = static_cast<std::int64_t>(
+            row.resize(4);
+            row[0] = static_cast<std::int64_t>(i / 4 + 1);
+            row[1] = static_cast<std::int64_t>(
                 (i % 4) * (n.suppliers / 4) + rng.below(
                     std::max<std::uint64_t>(1, n.suppliers / 4)) + 1);
             ++i;
-            row = {pkey, skey,
-                   static_cast<std::int64_t>(1 + rng.below(9999)),
-                   money(rng, 1.0, 1000.0)};
+            row[2] = static_cast<std::int64_t>(1 + rng.below(9999));
+            row[3] = money(rng, 1.0, 1000.0);
             return true;
         });
     }
@@ -261,19 +328,20 @@ buildTpch(db::MiniDb &db, const TpchConfig &cfg)
         customer.load([&](Row &row) {
             if (i >= n.customers)
                 return false;
+            row.resize(7);
             std::int64_t key = static_cast<std::int64_t>(++i);
+            row[0] = key;
             char name[22];
             std::snprintf(name, sizeof(name), "Customer#%09lld",
                           static_cast<long long>(key));
+            textCell(row[1]).assign(name);
             std::int64_t nat =
                 static_cast<std::int64_t>(rng.below(25));
-            row = {key,
-                   std::string(name),
-                   nat,
-                   std::string(kSegments[rng.below(5)]),
-                   money(rng, -999.0, 9999.0),
-                   phoneFor(rng, nat),
-                   randomComment(rng, 3)};
+            row[2] = nat;
+            textCell(row[3]).assign(kSegments[rng.below(5)]);
+            row[4] = money(rng, -999.0, 9999.0);
+            phoneFor(rng, nat, textCell(row[5]));
+            randomComment(rng, 3, textCell(row[6]));
             return true;
         });
     }
@@ -294,35 +362,36 @@ buildTpch(db::MiniDb &db, const TpchConfig &cfg)
                           col("o_comment", Type::String, 30)}));
     const std::int64_t start_day = db::dateToDays(kStartDate);
     const std::int64_t end_day = db::dateToDays(kEndDate);
+    // Receipt dates run latest: at most 121 + 30 days past an order
+    // placed on or before end_day.
+    const DateText dates(start_day, end_day + 151);
     {
         std::uint64_t i = 0;
         orders.load([&](Row &row) {
             if (i >= n.orders)
                 return false;
+            row.resize(8);
             std::int64_t key = static_cast<std::int64_t>(++i);
+            row[0] = key;
             std::int64_t day =
                 start_day +
                 static_cast<std::int64_t>(
                     (end_day - start_day) *
                     (static_cast<double>(i - 1) /
                      static_cast<double>(n.orders)));
-            std::string date = db::daysToDate(day);
-            std::string status =
-                day + 121 < end_day
-                    ? (rng.below(20) == 0 ? "P" : "F")
-                    : "O";
-            std::string comment = randomComment(rng, 3);
+            textCell(row[2]).assign(
+                day + 121 < end_day ? (rng.below(20) == 0 ? "P" : "F")
+                                    : "O");
+            std::string &comment = textCell(row[7]);
+            randomComment(rng, 3, comment);
             if (rng.below(100) < 2)
                 comment = "dogged special requests wake";
-            row = {key,
-                   static_cast<std::int64_t>(1 +
-                                             rng.below(n.customers)),
-                   status,
-                   money(rng, 1000.0, 400000.0),
-                   date,
-                   std::string(kPriorities[rng.below(5)]),
-                   std::int64_t{0},
-                   comment};
+            row[1] = static_cast<std::int64_t>(1 +
+                                               rng.below(n.customers));
+            row[3] = money(rng, 1000.0, 400000.0);
+            textCell(row[4]).assign(dates(day));
+            textCell(row[5]).assign(kPriorities[rng.below(5)]);
+            row[6] = std::int64_t{0};
             return true;
         });
     }
@@ -365,6 +434,7 @@ buildTpch(db::MiniDb &db, const TpchConfig &cfg)
                          static_cast<double>(n.orders)));
             }
             ++line;
+            row.resize(16);
             std::int64_t ship =
                 order_day + 1 +
                 static_cast<std::int64_t>(rng.below(121));
@@ -376,25 +446,25 @@ buildTpch(db::MiniDb &db, const TpchConfig &cfg)
             double qty = 1.0 + static_cast<double>(rng.below(50));
             double price = qty * money(rng, 900.0, 2000.0) / 10.0;
             bool shipped = ship <= end_day;
-            row = {static_cast<std::int64_t>(order),
-                   static_cast<std::int64_t>(1 + rng.below(n.parts)),
-                   static_cast<std::int64_t>(1 +
-                                             rng.below(n.suppliers)),
-                   static_cast<std::int64_t>(line),
-                   qty,
-                   price,
-                   0.01 * static_cast<double>(rng.below(11)),
-                   0.01 * static_cast<double>(rng.below(9)),
-                   std::string(shipped && rng.below(4) == 0 ? "R"
-                               : shipped                    ? "A"
-                                                            : "N"),
-                   std::string(shipped ? "F" : "O"),
-                   db::daysToDate(ship),
-                   db::daysToDate(commit),
-                   db::daysToDate(receipt),
-                   std::string(kInstructs[rng.below(4)]),
-                   std::string(kShipModes[rng.below(7)]),
-                   randomComment(rng, 2)};
+            row[0] = static_cast<std::int64_t>(order);
+            row[1] = static_cast<std::int64_t>(1 + rng.below(n.parts));
+            row[2] =
+                static_cast<std::int64_t>(1 + rng.below(n.suppliers));
+            row[3] = static_cast<std::int64_t>(line);
+            row[4] = qty;
+            row[5] = price;
+            row[6] = 0.01 * static_cast<double>(rng.below(11));
+            row[7] = 0.01 * static_cast<double>(rng.below(9));
+            textCell(row[8]).assign(shipped && rng.below(4) == 0 ? "R"
+                                    : shipped                    ? "A"
+                                                                 : "N");
+            textCell(row[9]).assign(shipped ? "F" : "O");
+            textCell(row[10]).assign(dates(ship));
+            textCell(row[11]).assign(dates(commit));
+            textCell(row[12]).assign(dates(receipt));
+            textCell(row[13]).assign(kInstructs[rng.below(4)]);
+            textCell(row[14]).assign(kShipModes[rng.below(7)]);
+            randomComment(rng, 2, textCell(row[15]));
             return true;
         });
     }
