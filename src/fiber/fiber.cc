@@ -28,13 +28,14 @@ thread_local Fiber *g_starting = nullptr;
 }  // namespace
 
 Fiber::Fiber(std::string name, Entry entry, std::size_t stack_size)
-    : name_(std::move(name)), entry_(std::move(entry)), stack_(stack_size)
+    : name_(std::move(name)), entry_(std::move(entry)),
+      stack_(new std::uint8_t[stack_size]), stack_size_(stack_size)
 {
     BISC_ASSERT(entry_, "fiber '", name_, "' needs an entry function");
     if (getcontext(&ctx_) != 0)
         BISC_PANIC("getcontext failed for fiber '", name_, "'");
-    ctx_.uc_stack.ss_sp = stack_.data();
-    ctx_.uc_stack.ss_size = stack_.size();
+    ctx_.uc_stack.ss_sp = stack_.get();
+    ctx_.uc_stack.ss_size = stack_size_;
     ctx_.uc_link = &ret_;
     makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::trampoline),
                 0);
