@@ -34,6 +34,7 @@
 #include "host/grep.h"
 #include "host/host_system.h"
 #include "host/load_gen.h"
+#include "pm/pattern_matcher.h"
 #include "runtime/module.h"
 #include "sisc/application.h"
 #include "sisc/env.h"
@@ -51,9 +52,9 @@ using namespace bisc;
 using db::CmpOp;
 
 /**
- * Software-scan grep SSDlet: reads every page and scans it with
- * Boyer-Moore on the device core — what pre-pattern-matcher "smart
- * SSD" prototypes did.
+ * Software-scan grep SSDlet: reads every page and searches it in
+ * software on the device core — what pre-pattern-matcher "smart SSD"
+ * prototypes did.
  */
 class SoftGrepLet
     : public slet::SSDLet<slet::In<>, slet::Out<std::uint64_t>,
@@ -64,7 +65,7 @@ class SoftGrepLet
     run() override
     {
         auto &file = arg<0>();
-        host::BoyerMoore bm(arg<1>());
+        const std::string &pattern = arg<1>();
         const auto &cfg = context().runtime->config();
         // The device core scans bytes ~device_core_slowdown x slower
         // than the host's tuned Boyer-Moore.
@@ -77,7 +78,7 @@ class SoftGrepLet
             Bytes n = file.read(off, buf.data(), buf.size());
             consumeCpu(static_cast<Tick>(
                 ns_per_byte * static_cast<double>(n)));
-            total += bm.count(buf.data(), n);
+            total += pm::count(buf.data(), n, pattern);
         }
         out<0>().put(total);
     }

@@ -3,7 +3,7 @@
  * Google-benchmark microbenchmarks of the framework's hot primitives
  * (real wall-clock time, unlike the simulated-time table/figure
  * benches): event queue churn, fiber switches, bounded queues, packet
- * serialization, the Boyer-Moore and pattern-matcher scanners, and
+ * serialization, the substring search kernel, the pattern matcher and
  * the runtime allocator.
  */
 
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "fiber/fiber.h"
-#include "host/grep.h"
 #include "pm/pattern_matcher.h"
 #include "runtime/allocator.h"
 #include "sim/event_queue.h"
@@ -112,18 +111,18 @@ BM_PacketSerializePairVector(benchmark::State &state)
 BENCHMARK(BM_PacketSerializePairVector);
 
 void
-BM_BoyerMooreScan(benchmark::State &state)
+BM_SearchKernelScan(benchmark::State &state)
 {
     Rng rng(seedFromEnv(5));
     std::vector<std::uint8_t> hay(1 << 20);
     for (auto &b : hay)
         b = static_cast<std::uint8_t>('a' + rng.below(26));
-    host::BoyerMoore bm("needlepattern");
     for (auto _ : state)
-        benchmark::DoNotOptimize(bm.count(hay.data(), hay.size()));
+        benchmark::DoNotOptimize(
+            pm::count(hay.data(), hay.size(), "needlepattern"));
     state.SetBytesProcessed(state.iterations() * hay.size());
 }
-BENCHMARK(BM_BoyerMooreScan);
+BENCHMARK(BM_SearchKernelScan);
 
 void
 BM_PatternMatcherScan(benchmark::State &state)
