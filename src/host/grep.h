@@ -1,15 +1,15 @@
 /**
  * @file
- * Simple string search (paper §V-C, Table V): Linux grep with
- * Boyer-Moore on the host versus an NDP grep SSDlet that leans on the
- * per-channel hardware pattern matcher.
+ * Simple string search (paper §V-C, Table V): Linux grep on the host
+ * versus an NDP grep SSDlet that leans on the per-channel hardware
+ * pattern matcher. Both count with pm::find, the simulator's one
+ * substring kernel; the host's CPU charge models grep's Boyer-Moore.
  */
 
 #ifndef BISCUIT_HOST_GREP_H_
 #define BISCUIT_HOST_GREP_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,32 +18,6 @@
 #include "util/common.h"
 
 namespace bisc::host {
-
-/**
- * Boyer-Moore exact string search (bad-character + good-suffix
- * rules), the algorithm Linux grep uses (paper ref [33]).
- */
-class BoyerMoore
-{
-  public:
-    explicit BoyerMoore(std::string pattern);
-
-    const std::string &pattern() const { return pattern_; }
-
-    /** First occurrence at/after @p start; nullopt when absent. */
-    std::optional<std::size_t> find(const std::uint8_t *data,
-                                    std::size_t len,
-                                    std::size_t start = 0) const;
-
-    /** Number of (possibly overlapping) occurrences. */
-    std::uint64_t count(const std::uint8_t *data,
-                        std::size_t len) const;
-
-  private:
-    std::string pattern_;
-    std::vector<std::ptrdiff_t> bad_char_;
-    std::vector<std::size_t> good_suffix_;
-};
 
 struct GrepResult
 {
@@ -54,8 +28,8 @@ struct GrepResult
 
 /**
  * Conventional grep: stream the file to the host with OS readahead
- * and scan it with Boyer-Moore on a host core. Degrades under
- * background memory load.
+ * and scan it on a host core at grep's Boyer-Moore rate. Degrades
+ * under background memory load.
  */
 GrepResult grepConv(HostSystem &host, const std::string &path,
                     const std::string &pattern);
@@ -95,6 +69,22 @@ struct WordCountResult
     std::uint64_t lines = 0;
     Bytes bytes_scanned = 0;
     Tick elapsed = 0;
+};
+
+/**
+ * Running word and line tallies of a byte stream scanned in chunks: a
+ * word starts at each non-space byte that follows a space (' ', '\n',
+ * '\t', '\r') or the start of the stream, and every '\n' ends a line.
+ * @p in_word carries the word state across chunk seams.
+ */
+struct WordTally
+{
+    std::uint64_t words = 0;
+    std::uint64_t lines = 0;
+    bool in_word = false;
+
+    /** Add the next @p len bytes of the stream (16 bytes a step). */
+    void scan(const std::uint8_t *data, std::size_t len);
 };
 
 /**

@@ -99,27 +99,26 @@ HostSystem::preadOn(std::uint32_t drive, const std::string &path,
 }
 
 void
-HostSystem::streamRead(
-    const std::string &path, Bytes offset, Bytes len, Bytes window,
-    const std::function<void(Bytes, const std::uint8_t *, Bytes)>
-        &on_chunk)
+HostSystem::streamRead(const std::string &path, Bytes offset, Bytes len,
+                       Bytes window, const StreamFn &on_window)
 {
-    streamReadOn(0, path, offset, len, window, on_chunk);
+    streamReadOn(0, path, offset, len, window, on_window);
 }
 
 void
-HostSystem::streamReadOn(
-    std::uint32_t drive, const std::string &path, Bytes offset,
-    Bytes len, Bytes window,
-    const std::function<void(Bytes, const std::uint8_t *, Bytes)>
-        &on_chunk)
+HostSystem::streamReadOn(std::uint32_t drive, const std::string &path,
+                         Bytes offset, Bytes len, Bytes window,
+                         const StreamFn &on_window)
 {
+    ssd::SsdDevice &dev = deviceOf(drive);
     fs::FileSystem &fs = fsOf(drive);
-    std::vector<std::uint8_t> chunk(window);
+    const auto &table = fs.pagesOf(path);
     streamReadTimedOn(drive, path, offset, len, window,
                       [&](Bytes off, Bytes n) {
-                          fs.peek(path, off, n, chunk.data());
-                          on_chunk(off, chunk.data(), n);
+                          on_window(off, n,
+                                    StreamPages(dev, table,
+                                                fs.pageSize(), off,
+                                                off + n));
                       });
 }
 

@@ -54,7 +54,7 @@ class InputPort
             return false;
         const auto &cfg = ssd_->config();
         k.sleep(cfg.host_cm_recv + cfg.sched_latency);
-        v = deserialize<T>(p);
+        PortWire<T>::unpack(p, v);
         OBS_HIST(*recv_wait_, k.now() - t0);
         return true;
     }
@@ -70,7 +70,9 @@ class InputPort
         const auto &cfg = ssd_->config();
         ssd_->runtime().kernel().sleep(cfg.host_cm_recv +
                                        cfg.sched_latency);
-        return deserialize<T>(p);
+        T v;
+        PortWire<T>::unpack(p, v);
+        return v;
     }
 
   private:
@@ -127,8 +129,8 @@ class OutputPort
         conn_->packets->acquireSlot();
         const auto &cfg = ssd_->config();
         k.sleep(cfg.host_cm_send);
-        Packet p = serialize(v);
-        Bytes bytes = p.size();
+        Packet p = PortWire<T>::pack(v);
+        Bytes bytes = PortWire<T>::bytes(p);
         Tick arrive = ssd_->runtime().device().hil().messageToDevice(
             bytes, k.now());
         conn_->packets->deliverAt(arrive, std::move(p));

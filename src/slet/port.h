@@ -120,7 +120,7 @@ class InputPort
                     : cfg.sched_latency;
             ctx.core->compute(charge);
             if constexpr (IsSerializable<T>::value) {
-                v = deserialize<T>(p);
+                PortWire<T>::unpack(p, v);
                 rt::ContextBinder<T>::bind(v, ctx);
                 return true;
             } else {
@@ -161,7 +161,8 @@ class InputPort
                           : cfg.sched_latency;
         ctx.core->compute(charge);
         if constexpr (IsSerializable<T>::value) {
-            T v = deserialize<T>(p);
+            T v;
+            PortWire<T>::unpack(p, v);
             rt::ContextBinder<T>::bind(v, ctx);
             return v;
         } else {
@@ -228,8 +229,8 @@ class OutputPort
                 // Channel-manager sender work on the device core,
                 // then the PCIe hop.
                 ctx.core->compute(cfg.dev_cm_send);
-                Packet p = serialize(v);
-                Bytes bytes = p.size();
+                Packet p = PortWire<T>::pack(v);
+                Bytes bytes = PortWire<T>::bytes(p);
                 Tick arrive =
                     ctx.runtime->device().hil().messageToHost(
                         bytes, ctx.runtime->kernel().now());
@@ -242,7 +243,7 @@ class OutputPort
           case rt::Flavor::kInterApp: {
             if constexpr (IsSerializable<T>::value) {
                 conn_->packets->acquireSlot();
-                conn_->packets->deliverNow(serialize(v));
+                conn_->packets->deliverNow(PortWire<T>::pack(v));
                 return;
             } else {
                 BISC_PANIC("non-serializable type on a packet port");

@@ -66,9 +66,7 @@ struct Wire<Packet>
     get(Packet &p, Packet &v)
     {
         auto n = p.get<std::uint32_t>();
-        std::vector<std::uint8_t> tmp(n);
-        p.getBytes(tmp.data(), n);
-        v = Packet(tmp.data(), tmp.size());
+        v.assign(p.take(n), n);
     }
 };
 
@@ -154,6 +152,44 @@ deserialize(Packet &p)
     Wire<T>::get(p, v);
     return v;
 }
+
+/**
+ * How a value crosses a packet port (host-to-device, device-to-host,
+ * inter-application): serialized into a fresh Packet, which the link
+ * charges at its size.
+ */
+template <typename T>
+struct PortWire
+{
+    static Packet pack(T &v) { return serialize(v); }
+    static std::size_t bytes(const Packet &p) { return p.size(); }
+    static void unpack(Packet &p, T &v) { v = deserialize<T>(p); }
+};
+
+/**
+ * A Packet crosses as itself: moved, not nested into a second Packet,
+ * so its bytes are never copied on the way. The link still charges
+ * the 4-byte length prefix the nested form would carry, and the
+ * receiver reads it from the start, as it would a nested copy.
+ */
+template <>
+struct PortWire<Packet>
+{
+    static Packet pack(Packet &v) { return std::move(v); }
+
+    static std::size_t
+    bytes(const Packet &p)
+    {
+        return p.size() + sizeof(std::uint32_t);
+    }
+
+    static void
+    unpack(Packet &p, Packet &v)
+    {
+        v = std::move(p);
+        v.rewind();
+    }
+};
 
 }  // namespace bisc
 
