@@ -1,36 +1,159 @@
 #!/usr/bin/env bash
-# Flat gprof profile of one perfbench workload.
+# Profile one perfbench workload, one pass.
 #
-# Builds the benchmark harness from perfbench/CMakeLists.txt (read,
-# never changed) into its own build directory with -pg and a static
-# link, runs it once with --seconds 0 (one pass plus the set-up samples
-# the workload tops up to) and prints gprof's flat profile.
+#   scripts/profile.sh <workload> [build-dir]
+#     Flat gprof profile. Builds the benchmark harness from
+#     perfbench/CMakeLists.txt (read, never changed) into its own build
+#     directory with -pg and a static link, runs it once with
+#     --seconds 0 (one pass plus the set-up samples the workload tops
+#     up to) and prints gprof's flat profile.
 #
-# The static link matters: a dynamically linked -pg binary gets no
-# samples inside libc, so memmove, memset and memmem time vanishes
-# from the profile instead of showing up under its own name.
+#     The static link matters: a dynamically linked -pg binary gets no
+#     samples inside libc, so memmove and memset time vanishes
+#     from the profile instead of showing up under its own name.
 #
-# Usage: scripts/profile.sh <tpch_suite|placed_batch|serve_mix> [build-dir]
-#   build-dir defaults to .profile_build (gitignored); it is reused,
-#   so later runs rebuild only what changed.
+#   scripts/profile.sh --copies <workload> [build-dir]
+#     Bytes copied and filled per call site. gprof shows memmove under
+#     its own name but cannot say who called it; this mode links the
+#     harness (dynamic, -no-pie, so return addresses are link-time
+#     addresses) against scripts/copy_tally.cc through
+#     -Wl,--wrap=memcpy,--wrap=memmove,--wrap=memset, runs one pass
+#     and prints the per-kind totals and the top sites of calls of at
+#     least 256 bytes. A site is the call and the two frames above it,
+#     symbolized with addr2line; the report names its innermost frames
+#     in the simulator's own sources.
+#
+# Workloads: tpch_suite, placed_batch, serve_mix. build-dir defaults
+# to .profile_build (gprof) or .copies_build (--copies); both are
+# gitignored and reused, so later runs rebuild only what changed.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-workload=${1:?usage: scripts/profile.sh <workload> [build-dir]}
-build=${2:-.profile_build}
+usage="usage: scripts/profile.sh [--copies] <workload> [build-dir]"
+copies=0
+if [[ "${1:-}" == "--copies" ]]; then
+    copies=1
+    shift
+fi
+workload=${1:?$usage}
 
+run_dir=$(mktemp -d)
+trap 'rm -rf "$run_dir"' EXIT
+
+if [[ "$copies" == 0 ]]; then
+    build=${2:-.profile_build}
+    cmake -S perfbench -B "$build" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DCMAKE_CXX_FLAGS=-pg "-DCMAKE_EXE_LINKER_FLAGS=-pg -static" \
+        >/dev/null
+    cmake --build "$build" -j "$(nproc)" --target perfbench_harness \
+        >/dev/null
+
+    # gmon.out lands in the working directory of the profiled process.
+    harness=$(cd "$build" && pwd)/perfbench_harness
+    (cd "$run_dir" &&
+        "$harness" --workload "$workload" --seed 1 --seconds 0 \
+            --trace 0 >/dev/null)
+    gprof -b -p "$harness" "$run_dir/gmon.out"
+    exit 0
+fi
+
+build=${2:-.copies_build}
+mkdir -p "$build"
+build=$(cd "$build" && pwd)
+# The shim is compiled before configuring: CMake's own link checks
+# run with the same linker flags.
+c++ -O2 -fno-builtin -c scripts/copy_tally.cc -o "$build/copy_tally.o"
 cmake -S perfbench -B "$build" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS=-pg "-DCMAKE_EXE_LINKER_FLAGS=-pg -static" \
+    "-DCMAKE_EXE_LINKER_FLAGS=-no-pie $build/copy_tally.o -Wl,--wrap=memcpy,--wrap=memmove,--wrap=memset" \
     >/dev/null
+# CMake does not track the shim object; relink against the fresh one.
+rm -f "$build/perfbench_harness"
 cmake --build "$build" -j "$(nproc)" --target perfbench_harness \
     >/dev/null
 
-# gmon.out lands in the working directory of the profiled process.
-harness=$(cd "$build" && pwd)/perfbench_harness
-run_dir=$(mktemp -d)
-trap 'rm -rf "$run_dir"' EXIT
-(cd "$run_dir" &&
+harness=$build/perfbench_harness
+BISCUIT_COPIES_OUT="$run_dir/copies.txt" \
     "$harness" --workload "$workload" --seed 1 --seconds 0 --trace 0 \
-        >/dev/null)
-gprof -b -p "$harness" "$run_dir/gmon.out"
+    >/dev/null
+
+python3 - "$harness" "$run_dir/copies.txt" "$workload" <<'REPORT'
+import subprocess
+import sys
+
+harness, tally, workload = sys.argv[1:4]
+TOP = 15
+
+sites = []
+totals = {}
+dropped = 0
+with open(tally) as f:
+    for line in f:
+        kind, calls, nbytes, *stack = line.split()
+        if kind == "dropped":
+            dropped = int(calls)
+            continue
+        sites.append((int(nbytes), int(calls), kind,
+                      [int(a, 16) for a in stack if a != "(nil)"]))
+        totals[kind] = totals.get(kind, 0) + int(nbytes)
+sites.sort(key=lambda s: s[:3], reverse=True)
+top = sites[:TOP]
+
+# A return address points past its call; look up the call itself. -a
+# prints each queried address, then a (function, file:line) pair per
+# frame inlined at it, innermost first.
+addrs = sorted({a for s in top for a in s[3]})
+out = subprocess.run(
+    ["addr2line", "-a", "-f", "-C", "-i", "-e", harness]
+    + [hex(a - 1) for a in addrs],
+    capture_output=True, text=True, check=True).stdout.splitlines()
+frames = {}
+for line in out:
+    if line.startswith("0x"):
+        key = int(line, 16) + 1
+        frames[key] = []
+    else:
+        frames[key].append(line)
+
+
+def brief(func):
+    """A C++ name without template arguments or parameters."""
+    func = func.replace("(anonymous namespace)", "{anon}")
+    kept, depth = [], 0
+    for ch in func:
+        if ch == "<":
+            depth += 1
+        elif ch == ">" and depth:
+            depth -= 1
+        elif depth == 0:
+            kept.append(ch)
+    name = "".join(kept)
+    cut = name.find("(")
+    if name[:cut].endswith("operator"):  # operator()(...)
+        cut = name.find("(", cut + 2)
+    return name[:cut] if cut > 0 else name
+
+
+def where(path):
+    for root in ("/src/", "/perfbench/", "/scripts/"):
+        if root in path:
+            return path[path.index(root) + 1:]
+    return None
+
+
+print(f"copies and fills of at least 256 bytes, {workload}, one pass:")
+for kind in ("memcpy", "memmove", "memset"):
+    print(f"  {kind:8s} {totals.get(kind, 0) / 1e9:8.3f} GB")
+print(f"  {'total':8s} {sum(totals.values()) / 1e9:8.3f} GB")
+if dropped:
+    print(f"  ({dropped} calls not tallied: site table full)")
+print()
+print(f"top {len(top)} sites (innermost project frames first):")
+for nbytes, calls, kind, stack in top:
+    chain = [(f, l) for a in stack for f, l in
+             zip(frames[a][0::2], frames[a][1::2])]
+    ours = [(brief(f), where(l)) for f, l in chain if where(l)]
+    shown = ours[:3] or [(brief(chain[0][0]), chain[0][1])]
+    print(f"{nbytes / 1e9:8.3f} GB {calls:9d} calls  {kind:7s}  "
+          + "  <-  ".join(f"{f} ({l})" for f, l in shown))
+REPORT
