@@ -146,6 +146,27 @@ TEST(Serialize, NestedPacket)
     EXPECT_EQ(out, inner);
 }
 
+TEST(Serialize, PacketCrossesPortsAsItself)
+{
+    Packet sent;
+    sent.putString("page bytes");
+    (void)sent.get<std::uint32_t>();  // the sender read part of it
+    Packet nested = serialize(sent);
+
+    // Moved, charged as the nested form, read from the start.
+    Packet wire = PortWire<Packet>::pack(sent);
+    EXPECT_EQ(PortWire<Packet>::bytes(wire), nested.size());
+    Packet got;
+    PortWire<Packet>::unpack(wire, got);
+    EXPECT_EQ(got, deserialize<Packet>(nested));
+    EXPECT_EQ(got.getString(), "page bytes");
+
+    // Inside a pair it still nests, copied once into its slot.
+    auto pair = std::make_pair(got, std::uint32_t{7});
+    Packet p = serialize(pair);
+    EXPECT_EQ((deserialize<std::pair<Packet, std::uint32_t>>(p)), pair);
+}
+
 TEST(Serialize, TraitDetection)
 {
     static_assert(IsSerializable<int>::value);
