@@ -84,6 +84,7 @@ class SoftGrepLet
     }
 };
 
+DeclareModule("ablation", 73'912);
 RegisterSSDLet("ablation", "idSoftGrep", SoftGrepLet);
 
 std::uint64_t

@@ -91,6 +91,7 @@ class BwLet : public slet::SSDLet<
     }
 };
 
+DeclareModule("bench_bw", 73'928);
 RegisterSSDLet("bench_bw", "idBw", BwLet);
 
 double

@@ -63,6 +63,7 @@ class PongLet
 
 std::vector<Tick> PongLet::deltas;
 
+DeclareModule("bench_ports", 82'144);
 RegisterSSDLet("bench_ports", "idPing", PingLet);
 RegisterSSDLet("bench_ports", "idPong", PongLet);
 

@@ -49,6 +49,7 @@ class ReadProbeLet
     }
 };
 
+DeclareModule("bench_read", 73'888);
 RegisterSSDLet("bench_read", "idReadProbe", ReadProbeLet);
 
 }  // namespace

@@ -104,6 +104,7 @@ class Reducer
     }
 };
 
+DeclareModule("wordcount", 90'520);
 RegisterSSDLet("wordcount", "idMapper", Mapper);
 RegisterSSDLet("wordcount", "idShuffler", Shuffler);
 RegisterSSDLet("wordcount", "idReducer", Reducer);

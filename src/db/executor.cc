@@ -149,54 +149,13 @@ class PageBatcher
 };
 
 /**
- * The generic scan/filter SSDlet of the "minidb" module: streams its
- * table file through the channel matchers and ships only matching
- * pages to the host, batched into Packets framed as
- * [u32 n]{u64 page, u32 len, bytes}*.
- */
-class ScanFilterLet
-    : public slet::SSDLet<
-          slet::In<>, slet::Out<Packet>,
-          slet::Arg<slet::File, std::vector<std::string>,
-                    std::uint64_t, std::uint64_t>>
-{
-  public:
-    void
-    run() override
-    {
-        auto &file = arg<0>();
-        const auto &key_strings = arg<1>();
-        std::uint64_t page_size = arg<2>();
-        std::uint64_t n_pages = arg<3>();
-
-        pm::KeySet keys;
-        for (const auto &k : key_strings) {
-            bool ok = keys.addKey(k);
-            BISC_ASSERT(ok, "scan key rejected by matcher: ", k);
-        }
-
-        PageBatcher batcher(out<0>(), page_size);
-        auto token = file.scanMatched(
-            0, n_pages * page_size, keys,
-            [&](Bytes off, const std::uint8_t *data, Bytes len) {
-                batcher.add(off, data, len);
-            });
-        token.wait();
-        batcher.flush();
-    }
-};
-
-/**
- * Run-list scan/filter SSDlet of the "minidb_prune" module: like
- * ScanFilterLet, but streams only the requested page runs — flattened
- * (first, count) local-page pairs, the host planner's zone-map prune.
- * Excluded runs are never touched: no IP control time, no channel
- * stream-through, no flash reads.
- *
- * A separate SSDlet (and module) rather than a new argument on
- * ScanFilterLet because a module's image size — and therefore its
- * timed load — tracks its SSDlets' footprints; growing the baseline
- * scan SSDlet would shift every pre-statistics transcript.
+ * The scan/filter SSDlet of the "minidb" module: streams the requested
+ * page runs of its table file — flattened (first, count) local-page
+ * pairs; a full-shard scan is the one run (0, shardPageCount) and a
+ * zone-map prune keeps fewer — through the channel matchers and ships
+ * only matching pages to the host, batched into Packets framed as
+ * [u32 n]{u64 page, u32 len, bytes}*. Excluded runs are never touched:
+ * no IP control time, no channel stream-through, no flash reads.
  */
 class ScanFilterRunsLet
     : public slet::SSDLet<
@@ -375,7 +334,7 @@ encodePredBlob(const Schema &schema, const ExprPtr &pred)
 }
 
 /**
- * Exact re-check SSDlet of the "minidb_pipe" module: the second stage
+ * Exact re-check SSDlet of the "minidb" module: the second stage
  * of a device-chained scan pipeline. Receives the matcher stage's
  * shipped-page frames over the in-drive typed port, replays the
  * host's exact predicate on every row slot (device cores are slower
@@ -460,10 +419,13 @@ class RecheckLet
     }
 };
 
-RegisterSSDLet("minidb", "idScanFilter", ScanFilterLet);
+// The MiniDB device module: every DB SSDlet (these three and
+// workloads.cc's word count and join semi-scan) in one image, loaded
+// once per drive and instantiated per scan.
+DeclareModule("minidb", 82'320);
+RegisterSSDLet("minidb", "idScanFilter", ScanFilterRunsLet);
 RegisterSSDLet("minidb", "idSample", SampleLet);
-RegisterSSDLet("minidb_prune", "idScanFilterRuns", ScanFilterRunsLet);
-RegisterSSDLet("minidb_pipe", "idRecheck", RecheckLet);
+RegisterSSDLet("minidb", "idRecheck", RecheckLet);
 
 /**
  * One shard's matching rows as packed slots, each page's run of them
@@ -575,7 +537,7 @@ forEachShard(MiniDb &db, Table &table, const char *what,
 /**
  * Zone-map prune of @p table for this scan, when the statistics
  * layer is enabled and applicable. pruned=false streams every shard
- * whole on the historical full-table code, tick for tick.
+ * whole, as the one run (0, shardPageCount).
  */
 struct ScanPrune
 {
@@ -713,19 +675,11 @@ runScan(MiniDb &db, Table &table, const ExprPtr &pred,
                scan.drive == re.drive;
     };
     bool any_device = false;
-    bool any_chained = false;
-    for (std::uint32_t s = 0; s < nshards; ++s) {
+    for (std::uint32_t s = 0; s < nshards; ++s)
         any_device = any_device || !siteOf(s).on_host;
-        any_chained = any_chained || chained(s);
-    }
     out.used_ndp = any_device;
-    if (any_device) {
+    if (any_device)
         driveModules(db, "minidb");
-        if (sp.pruned)
-            driveModules(db, "minidb_prune");
-        if (any_chained)
-            driveModules(db, "minidb_pipe");
-    }
 
     // The partial page (fewer than rowsPerPage rows) is always the
     // table's last global page; the in-drive re-check needs its local
@@ -768,25 +722,15 @@ runScan(MiniDb &db, Table &table, const ExprPtr &pred,
         }
     };
 
-    // The shard's matcher SSDlet: the historical full-shard scan, or
-    // the run-list scan over the pages the zone maps kept.
+    // The shard's matcher SSDlet over the page runs it streams.
     auto makeScanLet = [&](sisc::Application &app, std::uint32_t s) {
-        if (!sp.pruned) {
-            return sisc::SSDLet(
-                app, driveModules(db, "minidb")[s], "idScanFilter",
-                std::make_tuple(
-                    slet::File(table.file()), d.keys.keys(),
-                    static_cast<std::uint64_t>(page_size),
-                    table.shardPageCount(s)));
-        }
         std::vector<std::uint64_t> runs;
         for (const auto &[first, count] : sp.runs(table, s)) {
             runs.push_back(first);
             runs.push_back(count);
         }
         return sisc::SSDLet(
-            app, driveModules(db, "minidb_prune")[s],
-            "idScanFilterRuns",
+            app, driveModules(db, "minidb")[s], "idScanFilter",
             std::make_tuple(slet::File(table.file()), d.keys.keys(),
                             static_cast<std::uint64_t>(page_size),
                             runs));
@@ -845,7 +789,7 @@ runScan(MiniDb &db, Table &table, const ExprPtr &pred,
             host.config().db_scan_ns_per_byte *
             db.env().device.config().device_core_slowdown;
         sisc::SSDLet recheck(
-            app, driveModules(db, "minidb_pipe")[s], "idRecheck",
+            app, driveModules(db, "minidb")[s], "idRecheck",
             std::make_tuple(encodePredBlob(table.schema(), pred),
                             static_cast<std::uint64_t>(
                                 table.rowsPerPage()),
@@ -951,14 +895,6 @@ void
 warmMinidbModule(MiniDb &db)
 {
     driveModules(db, "minidb");
-    // Statistics mode also ships the run-list scan module; warm it in
-    // the same breath so lane replays place the one-time load outside
-    // their measurement windows just like the baseline module.
-    if (db.planner.use_stats)
-        driveModules(db, "minidb_prune");
-    // Pipeline mode ships the in-drive re-check module too.
-    if (db.planner.use_pipeline)
-        driveModules(db, "minidb_pipe");
 }
 
 Row
@@ -1329,7 +1265,7 @@ placedJoinTiming(MiniDb &db, Table &inner, std::uint64_t blocks,
             matched_frac);
     }
     if (any_device)
-        driveModules(db, "hetero");
+        driveModules(db, "minidb");
 
     const double semi_cpu =
         host.config().db_scan_ns_per_byte *
@@ -1340,7 +1276,7 @@ placedJoinTiming(MiniDb &db, Table &inner, std::uint64_t blocks,
             sisc::SSD ssd(db.env().array.drive(s).runtime);
             sisc::Application app(ssd);
             sisc::SSDLet semi(
-                app, driveModules(db, "hetero")[s], "idSemiScan",
+                app, driveModules(db, "minidb")[s], "idSemiScan",
                 std::make_tuple(slet::File(inner.file()),
                                 semi_cpu));
             auto port = app.connectTo<std::uint64_t>(semi.out(0));

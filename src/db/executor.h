@@ -107,11 +107,12 @@ const std::vector<std::uint64_t> &driveModules(MiniDb &db,
                                                const std::string &name);
 
 /**
- * Load the "minidb" SSDlet module now (timed, from the host fiber) if
- * it is not already resident. The executor loads it lazily on the
- * first offload; a parallel lane that replays a mid-suite query warms
- * it explicitly so the lane charges (or skips) the one-time load cost
- * exactly where the serial run did.
+ * Load the "minidb" SSDlet module — every DB SSDlet: scan, sample,
+ * in-drive re-check, word count, join semi-scan — now (timed, from
+ * the host fiber) if it is not already resident. The executor loads
+ * it lazily on the first offload of any kind; a parallel lane that
+ * replays a mid-suite query warms it explicitly so the lane charges
+ * (or skips) the one-time load cost exactly where the serial run did.
  */
 void warmMinidbModule(MiniDb &db);
 

@@ -308,12 +308,11 @@ class MiniDb
     }
 
     /**
-     * Every SSDlet module this engine has loaded, keyed by registered
+     * Every SSDlet module this engine has loaded ("minidb", which holds
+     * every DB SSDlet, and the resident "grep"), keyed by registered
      * module name, each loaded on every drive and kept resident —
      * dynamic loading once, many instantiations (driveModules() loads
-     * them lazily). Separate images ("minidb", "minidb_prune",
-     * "minidb_pipe", "hetero", the resident "grep") because module
-     * bytes set the simulated load time in the golden transcripts.
+     * them lazily).
      */
     std::map<std::string, ModuleLoad> modules;
 

@@ -235,6 +235,7 @@ class ChaseLet
     }
 };
 
+DeclareModule("pchase", 73'920);
 RegisterSSDLet("pchase", "idChase", ChaseLet);
 
 }  // namespace

@@ -134,6 +134,7 @@ class GrepLet
     }
 };
 
+DeclareModule("grep", 73'912);
 RegisterSSDLet("grep", "idGrep", GrepLet);
 
 }  // namespace

@@ -103,6 +103,7 @@ class Reducer
     }
 };
 
+DeclareModule("wordcount_t", 90'520);
 RegisterSSDLet("wordcount_t", "idMapper", Mapper);
 RegisterSSDLet("wordcount_t", "idShuffler", Shuffler);
 RegisterSSDLet("wordcount_t", "idReducer", Reducer);
@@ -206,6 +207,7 @@ class TickSink
 
 std::vector<Tick> TickSink::deltas;
 
+DeclareModule("latency_t", 98'696);
 RegisterSSDLet("latency_t", "idTickSource", TickSource);
 RegisterSSDLet("latency_t", "idTickSink", TickSink);
 
@@ -387,6 +389,7 @@ class SeqSink : public slet::SSDLet<slet::In<std::uint32_t>,
 
 std::vector<std::pair<std::uint32_t, std::uint32_t>> SeqSink::seen;
 
+DeclareModule("seq_t", 82'088);
 RegisterSSDLet("seq_t", "idSeqSource", SeqSource);
 RegisterSSDLet("seq_t", "idSeqSink", SeqSink);
 

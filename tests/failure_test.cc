@@ -61,6 +61,7 @@ class ChurnLet
     void run() override { out<0>().put(arg<0>()); }
 };
 
+DeclareModule("failures", 90'368);
 RegisterSSDLet("failures", "idThrowing", ThrowingLet);
 RegisterSSDLet("failures", "idBadFile", BadFileLet);
 RegisterSSDLet("failures", "idChurn", ChurnLet);

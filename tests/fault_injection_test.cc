@@ -576,6 +576,7 @@ class LegacyLet
     }
 };
 
+DeclareModule("faultver", 90'560);
 RegisterSSDLet("faultver", "idVerify", VerifyLet);
 RegisterSSDLet("faultver", "idScan", ScanLet);
 RegisterSSDLet("faultver", "idLegacy", LegacyLet);

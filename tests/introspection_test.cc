@@ -47,6 +47,7 @@ class SeqRelay
     }
 };
 
+DeclareModule("introspect", 82'120);
 RegisterSSDLet("introspect", "idSeqProducer", SeqProducer);
 RegisterSSDLet("introspect", "idSeqRelay", SeqRelay);
 

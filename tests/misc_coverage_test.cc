@@ -80,6 +80,7 @@ class Poller
     }
 };
 
+DeclareModule("misc_cov", 90'440);
 RegisterSSDLet("misc_cov", "idFileSender", FileSender);
 RegisterSSDLet("misc_cov", "idFileReceiver", FileReceiver);
 RegisterSSDLet("misc_cov", "idPoller", Poller);

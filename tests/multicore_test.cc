@@ -40,6 +40,7 @@ class BurnLet
     }
 };
 
+DeclareModule("multicore", 73'816);
 RegisterSSDLet("multicore", "idBurn", BurnLet);
 
 class MulticoreTest : public ::testing::Test

@@ -87,6 +87,7 @@ class ChunkConsumer
     }
 };
 
+DeclareModule("chunkpipe", 82'120);
 RegisterSSDLet("chunkpipe", "idChunkProducer", ChunkProducer);
 RegisterSSDLet("chunkpipe", "idChunkConsumer", ChunkConsumer);
 

@@ -132,6 +132,7 @@ class IntSink : public slet::SSDLet<slet::In<std::uint32_t>,
     }
 };
 
+DeclareModule("port_edge", 82'088);
 RegisterSSDLet("port_edge", "idIntSource", IntSource);
 RegisterSSDLet("port_edge", "idIntSink", IntSink);
 

@@ -94,6 +94,7 @@ class FileExerciser
     }
 };
 
+DeclareModule("file_edge", 73'888);
 RegisterSSDLet("file_edge", "idFileExerciser", FileExerciser);
 
 class SletFileTest : public ::testing::Test
