@@ -219,20 +219,20 @@ paper_reject d1 #0 rows=757/0dc3fd930dae71e3 elapsed=4798506 ndp=0 sel=0.1250/-1
 paper_reject d1 #1 rows=757/0dc3fd930dae71e3 elapsed=2632355 ndp=0 sel=0.1250/-1.0000/0.0748 predicted=0 placement=[] stats=107,0,0,12000,0,1,0,0,0 ops=conv_scan:2632355, note=sampling advises against offload (page selectivity 0.12 > -1.00)
 stats_conv d1 #0 rows=757/0dc3fd930dae71e3 elapsed=1578150 ndp=0 sel=-1.0000/0.5981/0.0748 predicted=0 placement=[] stats=64,0,0,7232,0,1,4,2,43 ops=conv_scan:1578150, note=stats advise against offload (est page selectivity 0.60 > -1.00, row selectivity 0.0636)
 stats_conv d1 #1 rows=757/0dc3fd930dae71e3 elapsed=1578150 ndp=0 sel=-1.0000/0.5981/0.0748 predicted=0 placement=[] stats=64,0,0,7232,0,1,4,2,43 ops=conv_scan:1578150, note=stats advise against offload (est page selectivity 0.60 > -1.00, row selectivity 0.0636)
-stats_ndp d1 #0 rows=757/0dc3fd930dae71e3 elapsed=3785060 ndp=1 sel=-1.0000/0.5981/0.0935 predicted=0 placement=[] stats=10,64,0,1130,1,0,4,2,43 ops=ndp_scan:3785060, note=offloaded (histogram est page selectivity 0.60, row selectivity 0.0636, zones keep 2/4 chunks)
+stats_ndp d1 #0 rows=757/0dc3fd930dae71e3 elapsed=2527886 ndp=1 sel=-1.0000/0.5981/0.0935 predicted=0 placement=[] stats=10,64,0,1130,1,0,4,2,43 ops=ndp_scan:2527886, note=offloaded (histogram est page selectivity 0.60, row selectivity 0.0636, zones keep 2/4 chunks)
 stats_ndp d1 #1 rows=757/0dc3fd930dae71e3 elapsed=1226125 ndp=1 sel=-1.0000/0.5981/0.0935 predicted=0 placement=[] stats=10,64,0,1130,1,0,4,2,43 ops=ndp_scan:1226125, note=offloaded (histogram est page selectivity 0.60, row selectivity 0.0636, zones keep 2/4 chunks)
 cost_all_host d1 #0 rows=757/0dc3fd930dae71e3 elapsed=1578150 ndp=0 sel=-1.0000/0.5981/0.0748 predicted=1243587 placement=[host,host,host] stats=64,0,0,7232,0,1,4,2,43 ops=placed_scan:1578150, note=cost model placed [host,host,host]: predicted 1.244 ms (all-host 1.244 ms, all-device 1.244 ms); predicted 1.244 ms, measured 1.578 ms (err 21%)
 cost_all_host d1 #1 rows=757/0dc3fd930dae71e3 elapsed=1578150 ndp=0 sel=-1.0000/0.5981/0.0748 predicted=1272016 placement=[host,host,host] stats=64,0,0,7232,0,1,4,2,43 ops=placed_scan:1578150, note=cost model placed [host,host,host]: predicted 1.272 ms (all-host 1.272 ms, all-device 1.272 ms); predicted 1.272 ms, measured 1.578 ms (err 19%)
-cost_all_device d1 #0 rows=757/0dc3fd930dae71e3 elapsed=3785060 ndp=1 sel=-1.0000/0.5981/0.0935 predicted=1677561 placement=[d0,host,host] stats=10,64,0,1130,1,0,4,2,43 ops=placed_scan:3785060, note=cost model placed [d0,host,host]: predicted 1.678 ms (all-host 1.678 ms, all-device 1.678 ms); predicted 1.678 ms, measured 3.785 ms (err 56%)
+cost_all_device d1 #0 rows=757/0dc3fd930dae71e3 elapsed=2527886 ndp=1 sel=-1.0000/0.5981/0.0935 predicted=1677561 placement=[d0,host,host] stats=10,64,0,1130,1,0,4,2,43 ops=placed_scan:2527886, note=cost model placed [d0,host,host]: predicted 1.678 ms (all-host 1.678 ms, all-device 1.678 ms); predicted 1.678 ms, measured 2.528 ms (err 34%)
 cost_all_device d1 #1 rows=757/0dc3fd930dae71e3 elapsed=1226125 ndp=1 sel=-1.0000/0.5981/0.0935 predicted=562100 placement=[d0,host,host] stats=10,64,0,1130,1,0,4,2,43 ops=placed_scan:1226125, note=cost model placed [d0,host,host]: predicted 0.562 ms (all-host 0.562 ms, all-device 0.562 ms); predicted 0.562 ms, measured 1.226 ms (err 54%)
 cost_auto d1 #0 rows=757/0dc3fd930dae71e3 elapsed=1578150 ndp=0 sel=-1.0000/0.5981/0.0748 predicted=1243587 placement=[host,host,host] stats=64,0,0,7232,0,1,4,2,43 ops=placed_scan:1578150, note=cost model placed [host,host,host]: predicted 1.244 ms (all-host 1.244 ms, all-device 1.678 ms); predicted 1.244 ms, measured 1.578 ms (err 21%)
-cost_auto d1 #1 rows=757/0dc3fd930dae71e3 elapsed=3785060 ndp=1 sel=-1.0000/0.5981/0.0935 predicted=562100 placement=[d0,host,host] stats=10,64,0,1130,1,0,4,2,43 ops=placed_scan:3785060, note=cost model placed [d0,host,host]: predicted 0.562 ms (all-host 1.272 ms, all-device 0.562 ms); predicted 0.562 ms, measured 3.785 ms (err 85%)
-pipe_all_device d1 #0 rows=757/0dc3fd930dae71e3 elapsed=6317269 ndp=1 sel=-1.0000/0.5981/0.0748 predicted=9144283 placement=[d0,d0,host] stats=8,64,0,757,1,0,4,2,43 ops=pipelined_scan:6317269, note=pipeline placed [d0,d0,host]: predicted 9.144 ms (all-host 9.144 ms, all-device 9.144 ms); predicted 9.144 ms, measured 6.317 ms (err 45%)
+cost_auto d1 #1 rows=757/0dc3fd930dae71e3 elapsed=2527886 ndp=1 sel=-1.0000/0.5981/0.0935 predicted=562100 placement=[d0,host,host] stats=10,64,0,1130,1,0,4,2,43 ops=placed_scan:2527886, note=cost model placed [d0,host,host]: predicted 0.562 ms (all-host 1.272 ms, all-device 0.562 ms); predicted 0.562 ms, measured 2.528 ms (err 78%)
+pipe_all_device d1 #0 rows=757/0dc3fd930dae71e3 elapsed=3803121 ndp=1 sel=-1.0000/0.5981/0.0748 predicted=9144283 placement=[d0,d0,host] stats=8,64,0,757,1,0,4,2,43 ops=pipelined_scan:3803121, note=pipeline placed [d0,d0,host]: predicted 9.144 ms (all-host 9.144 ms, all-device 9.144 ms); predicted 9.144 ms, measured 3.803 ms (err 140%)
 pipe_all_device d1 #1 rows=757/0dc3fd930dae71e3 elapsed=2501360 ndp=1 sel=-1.0000/0.5981/0.0748 predicted=1587219 placement=[d0,d0,host] stats=8,64,0,757,1,0,4,2,43 ops=pipelined_scan:2501360, note=pipeline placed [d0,d0,host]: predicted 1.587 ms (all-host 1.587 ms, all-device 1.587 ms); predicted 1.587 ms, measured 2.501 ms (err 37%)
 pipe_auto d1 #0 rows=757/0dc3fd930dae71e3 elapsed=1578150 ndp=0 sel=-1.0000/0.5981/0.0748 predicted=1243587 placement=[host,host,host] stats=64,0,0,7232,0,1,4,2,43 ops=pipelined_scan:1578150, note=pipeline placed [host,host,host]: predicted 1.244 ms (all-host 1.244 ms, all-device 9.144 ms); predicted 1.244 ms, measured 1.578 ms (err 21%)
-pipe_auto d1 #1 rows=757/0dc3fd930dae71e3 elapsed=3785060 ndp=1 sel=-1.0000/0.5981/0.0935 predicted=562100 placement=[d0,host,host] stats=10,64,0,1130,1,0,4,2,43 ops=pipelined_scan:3785060, note=pipeline placed [d0,host,host]: predicted 0.562 ms (all-host 1.272 ms, all-device 1.587 ms); predicted 0.562 ms, measured 3.785 ms (err 85%)
+pipe_auto d1 #1 rows=757/0dc3fd930dae71e3 elapsed=2527886 ndp=1 sel=-1.0000/0.5981/0.0935 predicted=562100 placement=[d0,host,host] stats=10,64,0,1130,1,0,4,2,43 ops=pipelined_scan:2527886, note=pipeline placed [d0,host,host]: predicted 0.562 ms (all-host 1.272 ms, all-device 1.587 ms); predicted 0.562 ms, measured 2.528 ms (err 78%)
 session d1 #0 rows=757/0dc3fd930dae71e3 elapsed=1578150 ndp=0 sel=-1.0000/0.5981/0.0748 predicted=1243587 placement=[host,host,host] stats=64,0,0,7232,0,1,4,2,43 ops=pipelined_scan:1578150, note=session pipeline placed [host,host,host]: predicted 1.244 ms (all-host 1.244 ms, all-device 9.144 ms); predicted 1.244 ms, measured 1.578 ms (err 21%)
-session d1 #1 rows=757/0dc3fd930dae71e3 elapsed=3785060 ndp=1 sel=-1.0000/0.5981/0.0935 predicted=562100 placement=[d0,host,host] stats=10,64,0,1130,1,0,4,2,43 ops=pipelined_scan:3785060, note=session pipeline placed [d0,host,host]: predicted 0.562 ms (all-host 1.272 ms, all-device 1.587 ms); predicted 0.562 ms, measured 3.785 ms (err 85%)
+session d1 #1 rows=757/0dc3fd930dae71e3 elapsed=2527886 ndp=1 sel=-1.0000/0.5981/0.0935 predicted=562100 placement=[d0,host,host] stats=10,64,0,1130,1,0,4,2,43 ops=pipelined_scan:2527886, note=session pipeline placed [d0,host,host]: predicted 0.562 ms (all-host 1.272 ms, all-device 1.587 ms); predicted 0.562 ms, measured 2.528 ms (err 78%)
 conv d4 #0 rows=757/0dc3fd930dae71e3 elapsed=2032355 ndp=0 sel=-1.0000/-1.0000/0.0748 predicted=0 placement=[] stats=107,0,0,12000,0,1,0,0,0 ops=conv_scan:2032355, note=conventional scan
 conv d4 #1 rows=757/0dc3fd930dae71e3 elapsed=2032355 ndp=0 sel=-1.0000/-1.0000/0.0748 predicted=0 placement=[] stats=107,0,0,12000,0,1,0,0,0 ops=conv_scan:2032355, note=conventional scan
 paper_offload d4 #0 rows=757/0dc3fd930dae71e3 elapsed=7046658 ndp=1 sel=0.1250/-1.0000/0.0935 predicted=0 placement=[] stats=10,107,8,1130,1,0,0,0,0 ops=ndp_scan:1090797,sample:5955861, note=offloaded (sampled page selectivity 0.12)
@@ -241,20 +241,20 @@ paper_reject d4 #0 rows=757/0dc3fd930dae71e3 elapsed=7988216 ndp=0 sel=0.1250/-1
 paper_reject d4 #1 rows=757/0dc3fd930dae71e3 elapsed=2032355 ndp=0 sel=0.1250/-1.0000/0.0748 predicted=0 placement=[] stats=107,0,0,12000,0,1,0,0,0 ops=conv_scan:2032355, note=sampling advises against offload (page selectivity 0.12 > -1.00)
 stats_conv d4 #0 rows=757/0dc3fd930dae71e3 elapsed=1218150 ndp=0 sel=-1.0000/0.5981/0.0748 predicted=0 placement=[] stats=64,0,0,7232,0,1,4,2,43 ops=conv_scan:1218150, note=stats advise against offload (est page selectivity 0.60 > -1.00, row selectivity 0.0636)
 stats_conv d4 #1 rows=757/0dc3fd930dae71e3 elapsed=1218150 ndp=0 sel=-1.0000/0.5981/0.0748 predicted=0 placement=[] stats=64,0,0,7232,0,1,4,2,43 ops=conv_scan:1218150, note=stats advise against offload (est page selectivity 0.60 > -1.00, row selectivity 0.0636)
-stats_ndp d4 #0 rows=757/0dc3fd930dae71e3 elapsed=11232937 ndp=1 sel=-1.0000/0.5981/0.0935 predicted=0 placement=[] stats=10,64,0,1130,1,0,4,2,43 ops=ndp_scan:11232937, note=offloaded (histogram est page selectivity 0.60, row selectivity 0.0636, zones keep 2/4 chunks)
+stats_ndp d4 #0 rows=757/0dc3fd930dae71e3 elapsed=6204241 ndp=1 sel=-1.0000/0.5981/0.0935 predicted=0 placement=[] stats=10,64,0,1130,1,0,4,2,43 ops=ndp_scan:6204241, note=offloaded (histogram est page selectivity 0.60, row selectivity 0.0636, zones keep 2/4 chunks)
 stats_ndp d4 #1 rows=757/0dc3fd930dae71e3 elapsed=997197 ndp=1 sel=-1.0000/0.5981/0.0935 predicted=0 placement=[] stats=10,64,0,1130,1,0,4,2,43 ops=ndp_scan:997197, note=offloaded (histogram est page selectivity 0.60, row selectivity 0.0636, zones keep 2/4 chunks)
 cost_all_host d4 #0 rows=757/0dc3fd930dae71e3 elapsed=1218150 ndp=0 sel=-1.0000/0.5981/0.0748 predicted=1243580 placement=[host,host,host,host,host,host,host,host,host] stats=64,0,0,7232,0,1,4,2,43 ops=placed_scan:1218150, note=cost model placed [host,host,host,host,host,host,host,host,host]: predicted 1.244 ms (all-host 1.244 ms, all-device 1.244 ms); predicted 1.244 ms, measured 1.218 ms (err 2%)
 cost_all_host d4 #1 rows=757/0dc3fd930dae71e3 elapsed=1218150 ndp=0 sel=-1.0000/0.5981/0.0748 predicted=1240006 placement=[host,host,host,host,host,host,host,host,host] stats=64,0,0,7232,0,1,4,2,43 ops=placed_scan:1218150, note=cost model placed [host,host,host,host,host,host,host,host,host]: predicted 1.240 ms (all-host 1.240 ms, all-device 1.240 ms); predicted 1.240 ms, measured 1.218 ms (err 2%)
-cost_all_device d4 #0 rows=757/0dc3fd930dae71e3 elapsed=11232937 ndp=1 sel=-1.0000/0.5981/0.0935 predicted=1677556 placement=[d0,d1,d2,d3,host,host,host,host,host] stats=10,64,0,1130,1,0,4,2,43 ops=placed_scan:11232937, note=cost model placed [d0,d1,d2,d3,host,host,host,host,host]: predicted 1.678 ms (all-host 1.678 ms, all-device 1.678 ms); predicted 1.678 ms, measured 11.233 ms (err 85%)
+cost_all_device d4 #0 rows=757/0dc3fd930dae71e3 elapsed=6204241 ndp=1 sel=-1.0000/0.5981/0.0935 predicted=1677556 placement=[d0,d1,d2,d3,host,host,host,host,host] stats=10,64,0,1130,1,0,4,2,43 ops=placed_scan:6204241, note=cost model placed [d0,d1,d2,d3,host,host,host,host,host]: predicted 1.678 ms (all-host 1.678 ms, all-device 1.678 ms); predicted 1.678 ms, measured 6.204 ms (err 73%)
 cost_all_device d4 #1 rows=757/0dc3fd930dae71e3 elapsed=997197 ndp=1 sel=-1.0000/0.5981/0.0935 predicted=261050 placement=[d0,d1,d2,d3,host,host,host,host,host] stats=10,64,0,1130,1,0,4,2,43 ops=placed_scan:997197, note=cost model placed [d0,d1,d2,d3,host,host,host,host,host]: predicted 0.261 ms (all-host 0.261 ms, all-device 0.261 ms); predicted 0.261 ms, measured 0.997 ms (err 74%)
 cost_auto d4 #0 rows=757/0dc3fd930dae71e3 elapsed=1218150 ndp=0 sel=-1.0000/0.5981/0.0748 predicted=1243580 placement=[host,host,host,host,host,host,host,host,host] stats=64,0,0,7232,0,1,4,2,43 ops=placed_scan:1218150, note=cost model placed [host,host,host,host,host,host,host,host,host]: predicted 1.244 ms (all-host 1.244 ms, all-device 1.678 ms); predicted 1.244 ms, measured 1.218 ms (err 2%)
-cost_auto d4 #1 rows=757/0dc3fd930dae71e3 elapsed=11232937 ndp=1 sel=-1.0000/0.5981/0.0935 predicted=261050 placement=[d0,d1,d2,d3,host,host,host,host,host] stats=10,64,0,1130,1,0,4,2,43 ops=placed_scan:11232937, note=cost model placed [d0,d1,d2,d3,host,host,host,host,host]: predicted 0.261 ms (all-host 1.240 ms, all-device 0.261 ms); predicted 0.261 ms, measured 11.233 ms (err 98%)
-pipe_all_device d4 #0 rows=757/0dc3fd930dae71e3 elapsed=16829505 ndp=1 sel=-1.0000/0.5981/0.0748 predicted=2412427 placement=[d0,d1,d2,d3,d0,d1,d2,d3,host] stats=8,64,0,757,1,0,4,2,43 ops=pipelined_scan:16829505, note=pipeline placed [d0,d1,d2,d3,d0,d1,d2,d3,host]: predicted 2.412 ms (all-host 2.412 ms, all-device 2.412 ms); predicted 2.412 ms, measured 16.830 ms (err 86%)
+cost_auto d4 #1 rows=757/0dc3fd930dae71e3 elapsed=6204241 ndp=1 sel=-1.0000/0.5981/0.0935 predicted=261050 placement=[d0,d1,d2,d3,host,host,host,host,host] stats=10,64,0,1130,1,0,4,2,43 ops=placed_scan:6204241, note=cost model placed [d0,d1,d2,d3,host,host,host,host,host]: predicted 0.261 ms (all-host 1.240 ms, all-device 0.261 ms); predicted 0.261 ms, measured 6.204 ms (err 96%)
+pipe_all_device d4 #0 rows=757/0dc3fd930dae71e3 elapsed=6772913 ndp=1 sel=-1.0000/0.5981/0.0748 predicted=2412427 placement=[d0,d1,d2,d3,d0,d1,d2,d3,host] stats=8,64,0,757,1,0,4,2,43 ops=pipelined_scan:6772913, note=pipeline placed [d0,d1,d2,d3,d0,d1,d2,d3,host]: predicted 2.412 ms (all-host 2.412 ms, all-device 2.412 ms); predicted 2.412 ms, measured 6.773 ms (err 64%)
 pipe_all_device d4 #1 rows=757/0dc3fd930dae71e3 elapsed=1565869 ndp=1 sel=-1.0000/0.5981/0.0748 predicted=523137 placement=[d0,d1,d2,d3,d0,d1,d2,d3,host] stats=8,64,0,757,1,0,4,2,43 ops=pipelined_scan:1565869, note=pipeline placed [d0,d1,d2,d3,d0,d1,d2,d3,host]: predicted 0.523 ms (all-host 0.523 ms, all-device 0.523 ms); predicted 0.523 ms, measured 1.566 ms (err 67%)
 pipe_auto d4 #0 rows=757/0dc3fd930dae71e3 elapsed=1218150 ndp=0 sel=-1.0000/0.5981/0.0748 predicted=1243580 placement=[host,host,host,host,host,host,host,host,host] stats=64,0,0,7232,0,1,4,2,43 ops=pipelined_scan:1218150, note=pipeline placed [host,host,host,host,host,host,host,host,host]: predicted 1.244 ms (all-host 1.244 ms, all-device 2.412 ms); predicted 1.244 ms, measured 1.218 ms (err 2%)
-pipe_auto d4 #1 rows=757/0dc3fd930dae71e3 elapsed=11232937 ndp=1 sel=-1.0000/0.5981/0.0935 predicted=261050 placement=[d0,d1,d2,d3,host,host,host,host,host] stats=10,64,0,1130,1,0,4,2,43 ops=pipelined_scan:11232937, note=pipeline placed [d0,d1,d2,d3,host,host,host,host,host]: predicted 0.261 ms (all-host 1.240 ms, all-device 0.523 ms); predicted 0.261 ms, measured 11.233 ms (err 98%)
+pipe_auto d4 #1 rows=757/0dc3fd930dae71e3 elapsed=6204241 ndp=1 sel=-1.0000/0.5981/0.0935 predicted=261050 placement=[d0,d1,d2,d3,host,host,host,host,host] stats=10,64,0,1130,1,0,4,2,43 ops=pipelined_scan:6204241, note=pipeline placed [d0,d1,d2,d3,host,host,host,host,host]: predicted 0.261 ms (all-host 1.240 ms, all-device 0.523 ms); predicted 0.261 ms, measured 6.204 ms (err 96%)
 session d4 #0 rows=757/0dc3fd930dae71e3 elapsed=1218150 ndp=0 sel=-1.0000/0.5981/0.0748 predicted=1243580 placement=[host,host,host,host,host,host,host,host,host] stats=64,0,0,7232,0,1,4,2,43 ops=pipelined_scan:1218150, note=session pipeline placed [host,host,host,host,host,host,host,host,host]: predicted 1.244 ms (all-host 1.244 ms, all-device 2.412 ms); predicted 1.244 ms, measured 1.218 ms (err 2%)
-session d4 #1 rows=757/0dc3fd930dae71e3 elapsed=11232937 ndp=1 sel=-1.0000/0.5981/0.0935 predicted=261050 placement=[d0,d1,d2,d3,host,host,host,host,host] stats=10,64,0,1130,1,0,4,2,43 ops=pipelined_scan:11232937, note=session pipeline placed [d0,d1,d2,d3,host,host,host,host,host]: predicted 0.261 ms (all-host 1.240 ms, all-device 0.523 ms); predicted 0.261 ms, measured 11.233 ms (err 98%)
+session d4 #1 rows=757/0dc3fd930dae71e3 elapsed=6204241 ndp=1 sel=-1.0000/0.5981/0.0935 predicted=261050 placement=[d0,d1,d2,d3,host,host,host,host,host] stats=10,64,0,1130,1,0,4,2,43 ops=pipelined_scan:6204241, note=session pipeline placed [d0,d1,d2,d3,host,host,host,host,host]: predicted 0.261 ms (all-host 1.240 ms, all-device 0.523 ms); predicted 0.261 ms, measured 6.204 ms (err 96%)
 )";
 // clang-format on
 
