@@ -367,6 +367,27 @@ TEST_F(MiniDbTest, NdpScanMatchesConvResults)
     EXPECT_LT(ndp_stats.pages_to_host, conv_stats.pages_to_host / 4);
 }
 
+// Fibers that reach a module while its first load is in flight wait
+// for that load instead of loading (and publishing) a second copy.
+TEST_F(MiniDbTest, ConcurrentFirstModuleUsersShareOneLoad)
+{
+    std::vector<std::vector<std::uint64_t>> ids(3);
+    env_.run([&] {
+        std::vector<sim::FiberId> users;
+        for (auto &mine : ids) {
+            users.push_back(env_.kernel.spawn("module.user", [&] {
+                mine = driveModules(db_, "minidb");
+            }));
+        }
+        for (sim::FiberId f : users)
+            env_.kernel.join(f);
+    });
+    EXPECT_EQ(env_.runtime.loadedModules(), 1u);
+    ASSERT_EQ(ids[0].size(), 1u);
+    EXPECT_EQ(ids[1], ids[0]);
+    EXPECT_EQ(ids[2], ids[0]);
+}
+
 TEST_F(MiniDbTest, SamplingRejectsUnselectivePredicate)
 {
     auto &t = db_.table("events");
