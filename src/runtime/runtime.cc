@@ -66,11 +66,11 @@ Runtime::loadModule(const std::string &slet_path)
                    slet_path, ": ", body.status.toString());
     }
     Tick reloc = config().module_load_fixed +
-                 transferTicks(image->imageBytes(),
+                 transferTicks(image->image_bytes,
                                config().module_load_bw);
     device_.core(0).compute(reloc);
 
-    auto mem = system_alloc_.allocate(image->imageBytes());
+    auto mem = system_alloc_.allocate(image->image_bytes);
     if (!mem)
         BISC_FATAL("out of system memory loading module '", name, "'");
 
@@ -442,7 +442,7 @@ Runtime::describe() const
     os << "  modules (" << modules_.size() << "):\n";
     for (const auto &[mid, mod] : modules_) {
         os << "    #" << mid << " '" << mod.image->name << "' "
-           << (mod.image->imageBytes() >> 10) << " KiB, "
+           << (mod.image->image_bytes >> 10) << " KiB, "
            << mod.live_instances << " live instance(s)\n";
     }
     os << "  applications (" << apps_.size() << "):\n";
