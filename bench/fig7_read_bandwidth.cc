@@ -76,7 +76,7 @@ class BwLet : public slet::SSDLet<
             for (Bytes off = 0; off < total; off += req) {
                 inflight.push_back(file.scanMatched(
                     off % kFileSize, req, keys,
-                    [](Bytes, const std::uint8_t *, Bytes) {}));
+                    [](Bytes, const std::uint8_t *, Bytes, std::size_t) {}));
                 if (inflight.size() >= 8) {
                     inflight.front().wait();
                     inflight.pop_front();

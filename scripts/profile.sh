@@ -6,7 +6,10 @@
 #     perfbench/CMakeLists.txt (read, never changed) into its own build
 #     directory with -pg and a static link, runs it once with
 #     --seconds 0 (one pass plus the set-up samples the workload tops
-#     up to) and prints gprof's flat profile.
+#     up to) and prints the run's user and system CPU seconds and minor
+#     page faults (getrusage of the child process), then gprof's flat
+#     profile. gprof cannot see system time: first-touch page faults
+#     on fresh multi-MB buffers show up only in the rusage line.
 #
 #     The static link matters: a dynamically linked -pg binary gets no
 #     samples inside libc, so memmove and memset time vanishes
@@ -19,9 +22,12 @@
 #     addresses) against scripts/copy_tally.cc through
 #     -Wl,--wrap=memcpy,--wrap=memmove,--wrap=memset, runs one pass
 #     and prints the per-kind totals and the top sites of calls of at
-#     least 256 bytes. A site is the call and the two frames above it,
-#     symbolized with addr2line; the report names its innermost frames
-#     in the simulator's own sources.
+#     least 256 bytes, then the total over calls of every size and the
+#     top sites of calls under 256 bytes (row- and field-sized copies,
+#     which the first total cannot see). A site of a large call is the
+#     call and the two frames above it, of a small call the calling
+#     address alone; both are symbolized with addr2line, and the report
+#     names the innermost frames in the simulator's own sources.
 #
 # Workloads: tpch_suite, placed_batch, serve_mix. build-dir defaults
 # to .profile_build (gprof) or .copies_build (--copies); both are
@@ -51,9 +57,20 @@ if [[ "$copies" == 0 ]]; then
 
     # gmon.out lands in the working directory of the profiled process.
     harness=$(cd "$build" && pwd)/perfbench_harness
-    (cd "$run_dir" &&
-        "$harness" --workload "$workload" --seed 1 --seconds 0 \
-            --trace 0 >/dev/null)
+    python3 - "$harness" "$run_dir" "$workload" <<'RUSAGE'
+import resource
+import subprocess
+import sys
+
+harness, run_dir, workload = sys.argv[1:4]
+subprocess.run([harness, "--workload", workload, "--seed", "1",
+                "--seconds", "0", "--trace", "0"],
+               cwd=run_dir, stdout=subprocess.DEVNULL, check=True)
+ru = resource.getrusage(resource.RUSAGE_CHILDREN)
+print(f"{workload}, one profiled run (-pg): user {ru.ru_utime:.2f} s, "
+      f"system {ru.ru_stime:.2f} s, {ru.ru_minflt} minor page faults")
+print()
+RUSAGE
     gprof -b -p "$harness" "$run_dir/gmon.out"
     exit 0
 fi
@@ -83,26 +100,36 @@ import sys
 
 harness, tally, workload = sys.argv[1:4]
 TOP = 15
+TOP_SMALL = 10
 
 sites = []
+small = []
 totals = {}
+small_totals = {}
 dropped = 0
 with open(tally) as f:
     for line in f:
-        kind, calls, nbytes, *stack = line.split()
+        fields = line.split()
+        into, sums = sites, totals
+        if fields[0] == "small":
+            into, sums = small, small_totals
+            fields = fields[1:]
+        kind, calls, nbytes, *stack = fields
         if kind == "dropped":
             dropped = int(calls)
             continue
-        sites.append((int(nbytes), int(calls), kind,
-                      [int(a, 16) for a in stack if a != "(nil)"]))
-        totals[kind] = totals.get(kind, 0) + int(nbytes)
+        into.append((int(nbytes), int(calls), kind,
+                     [int(a, 16) for a in stack if a != "(nil)"]))
+        sums[kind] = sums.get(kind, 0) + int(nbytes)
 sites.sort(key=lambda s: s[:3], reverse=True)
+small.sort(key=lambda s: s[:3], reverse=True)
 top = sites[:TOP]
+top_small = small[:TOP_SMALL]
 
 # A return address points past its call; look up the call itself. -a
 # prints each queried address, then a (function, file:line) pair per
 # frame inlined at it, innermost first.
-addrs = sorted({a for s in top for a in s[3]})
+addrs = sorted({a for s in top + top_small for a in s[3]})
 out = subprocess.run(
     ["addr2line", "-a", "-f", "-C", "-i", "-e", harness]
     + [hex(a - 1) for a in addrs],
@@ -141,19 +168,34 @@ def where(path):
     return None
 
 
+def show(rows):
+    for nbytes, calls, kind, stack in rows:
+        chain = [(f, l) for a in stack for f, l in
+                 zip(frames[a][0::2], frames[a][1::2])]
+        ours = [(brief(f), where(l)) for f, l in chain if where(l)]
+        shown = ours[:3] or [(brief(chain[0][0]), chain[0][1])]
+        print(f"{nbytes / 1e9:8.3f} GB {calls:9d} calls  {kind:7s}  "
+              + "  <-  ".join(f"{f} ({l})" for f, l in shown))
+
+
+def gb(sums):
+    return sum(sums.values()) / 1e9
+
+
 print(f"copies and fills of at least 256 bytes, {workload}, one pass:")
 for kind in ("memcpy", "memmove", "memset"):
     print(f"  {kind:8s} {totals.get(kind, 0) / 1e9:8.3f} GB")
-print(f"  {'total':8s} {sum(totals.values()) / 1e9:8.3f} GB")
+print(f"  {'total':8s} {gb(totals):8.3f} GB")
+print(f"copies and fills of every size: {gb(totals) + gb(small_totals):.3f}"
+      f" GB ({gb(small_totals):.3f} GB in "
+      f"{sum(s[1] for s in small)} calls under 256 bytes)")
 if dropped:
     print(f"  ({dropped} calls not tallied: site table full)")
 print()
-print(f"top {len(top)} sites (innermost project frames first):")
-for nbytes, calls, kind, stack in top:
-    chain = [(f, l) for a in stack for f, l in
-             zip(frames[a][0::2], frames[a][1::2])]
-    ours = [(brief(f), where(l)) for f, l in chain if where(l)]
-    shown = ours[:3] or [(brief(chain[0][0]), chain[0][1])]
-    print(f"{nbytes / 1e9:8.3f} GB {calls:9d} calls  {kind:7s}  "
-          + "  <-  ".join(f"{f} ({l})" for f, l in shown))
+print(f"top {len(top)} sites of at least 256 bytes "
+      "(innermost project frames first):")
+show(top)
+print()
+print(f"top {len(top_small)} call sites under 256 bytes:")
+show(top_small)
 REPORT

@@ -120,12 +120,14 @@ class GrepLet
         std::uint64_t total = 0;
         auto token = file.scanMatched(
             0, file.size(), keys,
-            [&](Bytes off, const std::uint8_t *data, Bytes n) {
-                (void)off;
+            [&](Bytes, const std::uint8_t *data, Bytes n,
+                std::size_t first_hit) {
                 // The matcher IP reports hit positions; device
                 // software only tallies them (a couple of
-                // microseconds per hit on the R7 core).
-                std::uint64_t hits = pm::count(data, n, pattern);
+                // microseconds per hit on the R7 core), counting from
+                // the first hit, before which the key does not occur.
+                std::uint64_t hits =
+                    pm::count(data, n, pattern, first_hit);
                 consumeCpu(kUsec + 2 * kUsec * hits);
                 total += hits;
             });

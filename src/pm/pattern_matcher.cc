@@ -93,10 +93,11 @@ find(const std::uint8_t *data, std::size_t len, std::string_view key,
 }
 
 std::uint64_t
-count(const std::uint8_t *data, std::size_t len, std::string_view key)
+count(const std::uint8_t *data, std::size_t len, std::string_view key,
+      std::size_t from)
 {
     std::uint64_t n = 0;
-    for (std::size_t hit = find(data, len, key);
+    for (std::size_t hit = find(data, len, key, from);
          hit != std::string_view::npos; hit = find(data, len, key, hit + 1))
         ++n;
     return n;

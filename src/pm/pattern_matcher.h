@@ -37,10 +37,10 @@ namespace bisc::pm {
 std::size_t find(const std::uint8_t *data, std::size_t len,
                  std::string_view key, std::size_t from = 0);
 
-/** Occurrences of @p key in the window, overlapping ones included
- *  (the search resumes one byte past each hit). */
+/** Occurrences of @p key in data[@p from, @p len), overlapping ones
+ *  included (the search resumes one byte past each hit). */
 std::uint64_t count(const std::uint8_t *data, std::size_t len,
-                    std::string_view key);
+                    std::string_view key, std::size_t from = 0);
 
 /** Hardware limits of the matcher IP. */
 constexpr std::size_t kMaxKeys = 3;
@@ -81,6 +81,18 @@ struct MatchResult
     bool any = false;
     std::array<bool, kMaxKeys> hit{};
     std::array<std::size_t, kMaxKeys> first_offset{};
+
+    /** The least first_offset over the keys that hit (any only). */
+    std::size_t
+    firstHit() const
+    {
+        std::size_t first = std::string_view::npos;
+        for (std::size_t i = 0; i < kMaxKeys; ++i) {
+            if (hit[i] && first_offset[i] < first)
+                first = first_offset[i];
+        }
+        return first;
+    }
 };
 
 /**

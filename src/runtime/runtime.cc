@@ -482,4 +482,30 @@ Runtime::finishInstance(Instance &ins)
     }
 }
 
+namespace {
+
+constexpr std::size_t kSparePackets = 16;
+thread_local std::vector<Packet> spare_packets;
+
+}  // namespace
+
+void
+recyclePacket(Packet p)
+{
+    if (spare_packets.size() >= kSparePackets)
+        return;
+    p.clear();
+    spare_packets.push_back(std::move(p));
+}
+
+Packet
+sparePacket()
+{
+    if (spare_packets.empty())
+        return Packet();
+    Packet p = std::move(spare_packets.back());
+    spare_packets.pop_back();
+    return p;
+}
+
 }  // namespace bisc::rt

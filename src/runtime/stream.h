@@ -247,6 +247,21 @@ class PacketStream
 };
 
 /**
+ * Keep @p p's buffer for a later sparePacket(). Consumers of Packet
+ * ports hand drained Packets back, so a producer that builds one
+ * Packet per send starts each on a kept buffer instead of regrowing it
+ * from empty. A buffer outlives the connection it crossed: a scan
+ * ships fewer batches than a port queues, so its sender rarely waits
+ * for its own receiver. The cache is per thread and keeps at most a
+ * few buffers however many drives and simulations the thread runs.
+ * Memory only: neither call charges simulated time.
+ */
+void recyclePacket(Packet p);
+
+/** An empty Packet, on a recycled buffer when one is kept. */
+Packet sparePacket();
+
+/**
  * A type-erased connection record: what Application::connect creates
  * and what device/host ports bind to. Exactly one of {typed, packets}
  * is set, per flavor.

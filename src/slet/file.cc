@@ -93,10 +93,9 @@ File::readAsync(Bytes offset, void *buf, Bytes len)
 }
 
 File::Async
-File::scanMatched(
-    Bytes offset, Bytes len, const pm::KeySet &keys,
-    const std::function<void(Bytes, const std::uint8_t *, Bytes)>
-        &on_match)
+File::scanMatched(Bytes offset, Bytes len, const pm::KeySet &keys,
+                  const std::function<void(Bytes, const std::uint8_t *,
+                                           Bytes, std::size_t)> &on_match)
 {
     const auto &c = ctx();
     auto &fs = c.runtime->fs();
@@ -138,7 +137,7 @@ File::scanMatched(
         auto r = dev.matchView(lpn, keys, rv.view.data(),
                                rv.view.size());
         if (r.any)
-            on_match(pos, rv.view.data(), rv.view.size());
+            on_match(pos, rv.view.data(), rv.view.size(), r.firstHit());
         covered += n;
     }
     return Async(c.runtime, done, len, std::move(status));

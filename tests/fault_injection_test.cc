@@ -553,7 +553,9 @@ class ScanLet
         std::uint64_t matched = 0;
         auto token = file.scanMatched(
             0, file.size(), keys,
-            [&](Bytes, const std::uint8_t *, Bytes) { ++matched; });
+            [&](Bytes, const std::uint8_t *, Bytes, std::size_t) {
+                ++matched;
+            });
         token.wait();
         out<0>().put(matched);
         out<0>().put(token.status().ok() ? 1 : 0);

@@ -72,19 +72,20 @@ class FileExerciser
                 reinterpret_cast<const char *>(buf.data())));
             break;
           }
-          case 3: {  // matched scan reports file offsets
+          case 3: {  // matched scan reports offsets and first hits
             pm::KeySet keys;
             keys.addKey("MAGIC");
-            std::vector<Bytes> offsets;
+            keys.addKey("GIC");
+            std::vector<std::pair<Bytes, std::size_t>> hits;
             auto token = file.scanMatched(
                 0, file.size(), keys,
-                [&](Bytes off, const std::uint8_t *, Bytes) {
-                    offsets.push_back(off);
-                });
+                [&](Bytes off, const std::uint8_t *, Bytes,
+                    std::size_t first) { hits.emplace_back(off, first); });
             token.wait();
             std::string s = "pages=";
-            for (Bytes o : offsets)
-                s += std::to_string(o / 4096) + ";";
+            for (auto [off, first] : hits)
+                s += std::to_string(off / 4096) + "@" +
+                     std::to_string(first) + ";";
             out<0>().put(s);
             break;
           }
@@ -168,14 +169,16 @@ TEST_F(SletFileTest, WriteFlushReadBack)
 
 TEST_F(SletFileTest, MatchedScanReportsOnlyMatchingPages)
 {
-    // 4 pages (4 KiB each); plant MAGIC on pages 1 and 3.
+    // 4 pages (4 KiB each); plant MAGIC on pages 1 and 3. The keys
+    // are MAGIC and GIC: page 3's lone early GIC is its first hit.
     std::vector<std::uint8_t> data(4 * 4096, '.');
     std::memcpy(data.data() + 4096 + 17, "MAGIC", 5);
+    std::memcpy(data.data() + 3 * 4096 + 5, "GIC", 3);
     std::memcpy(data.data() + 3 * 4096 + 1000, "MAGIC", 5);
     env_.fs.populate("/f", data.data(), data.size());
     auto out = runVariant("/f", 3);
     ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0], "pages=1;3;");
+    EXPECT_EQ(out[0], "pages=1@17;3@5;");
 }
 
 TEST_F(SletFileTest, UnboundFileUseDies)
