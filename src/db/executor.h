@@ -89,9 +89,16 @@ struct ScanOutcome : ScanInfo
  * a cost-model plan put it. op_ticks charges the scan as "conv_scan",
  * "ndp_scan", "placed_scan" or "pipelined_scan" after that decision.
  * Rows returned satisfy @p pred exactly, in global row order.
+ *
+ * Rows come out under the table's schema followed by @p computed,
+ * whose cells are zero for the caller to fill in place
+ * (RowSet::fillColumn). A scan that asks for its computed columns
+ * copies each matched row once, straight into its wider slot, where a
+ * later RowSet::addColumn would move every row again.
  */
 PackedScan scanTablePacked(MiniDb &db, Table &table, const ExprPtr &pred,
-                           EngineMode mode, DbStats &stats);
+                           EngineMode mode, DbStats &stats,
+                           const std::vector<Column> &computed = {});
 
 /** scanTablePacked() with its rows decoded (zero simulated time). */
 ScanOutcome scanTable(MiniDb &db, Table &table, const ExprPtr &pred,

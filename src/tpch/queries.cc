@@ -43,6 +43,18 @@ addComputed(MiniDb &db, RowSet &rows, const db::Column &column,
     db.host().consumeCpu(db.planner.row_cpu * rows.size());
 }
 
+/**
+ * Fill computed column @p col, which the scan that made @p rows
+ * reserved (charged per row, as addComputed is).
+ */
+void
+fillComputed(MiniDb &db, RowSet &rows, int col,
+             const std::function<Value(RowRef)> &fn)
+{
+    rows.fillColumn(col, fn);
+    db.host().consumeCpu(db.planner.row_cpu * rows.size());
+}
+
 /** A one-row, one-column Double result. */
 RowSet
 scalar(double v)
@@ -72,10 +84,11 @@ struct Ctx
      * query's Fig. 10 category.
      */
     PackedScan
-    primary(Table &table, const ExprPtr &pred)
+    primary(Table &table, const ExprPtr &pred,
+            const std::vector<db::Column> &computed = {})
     {
-        PackedScan s =
-            db::scanTablePacked(db, table, pred, mode, out.stats);
+        PackedScan s = db::scanTablePacked(db, table, pred, mode,
+                                           out.stats, computed);
         out.ndp_used = s.used_ndp;
         out.planner_note = s.note;
         out.sampled_selectivity = s.sampled_selectivity;
@@ -105,20 +118,44 @@ struct Ctx
                            inner_pred, out.stats);
     }
 
+    /** The column addRevenue appends. */
+    static db::Column
+    revenueColumn()
+    {
+        return db::col("revenue", db::Type::Double);
+    }
+
     /**
-     * Append l_extendedprice * (1 - l_discount), reading the lineitem
-     * columns at @p base (charged per row).
+     * l_extendedprice * (1 - l_discount), reading the lineitem columns
+     * at @p base.
      */
-    void
-    addRevenue(RowSet &rows, int base)
+    std::function<Value(RowRef)>
+    revenueOf(int base)
     {
         const int price = base + ix("lineitem", "l_extendedprice");
         const int disc = base + ix("lineitem", "l_discount");
-        addComputed(db, rows, db::col("revenue", db::Type::Double),
-                    [=](RowRef r) {
-                        return Value(r.num(price) *
-                                     (1.0 - r.num(disc)));
-                    });
+        return [=](RowRef r) {
+            return Value(r.num(price) * (1.0 - r.num(disc)));
+        };
+    }
+
+    /** Append the revenue of the lineitem columns at @p base. */
+    void
+    addRevenue(RowSet &rows, int base)
+    {
+        addComputed(db, rows, revenueColumn(), revenueOf(base));
+    }
+
+    /**
+     * Fill the revenue cell a lineitem scan reserved after its columns
+     * (primary(..., {revenueColumn()})); charged as addRevenue is.
+     */
+    void
+    fillRevenue(RowSet &rows)
+    {
+        fillComputed(db, rows,
+                     static_cast<int>(t("lineitem").schema().size()),
+                     revenueOf(0));
     }
 };
 
@@ -143,9 +180,10 @@ q1(Ctx &c)
     auto &L = c.t("lineitem");
     const auto &ls = L.schema();
     auto s = c.primary(
-        L, db::cmp(ls, "l_shipdate", CmpOp::Le,
-                   std::string("1998-06-15")));
-    c.addRevenue(s.rows, 0);
+        L,
+        db::cmp(ls, "l_shipdate", CmpOp::Le, std::string("1998-06-15")),
+        {Ctx::revenueColumn()});
+    c.fillRevenue(s.rows);
     int disc_price = static_cast<int>(ls.size());
     auto grouped = db::groupBy(
         c.db, s.rows,
@@ -690,9 +728,11 @@ q15(Ctx &c)
     auto &L = c.t("lineitem");
     const auto &ls = L.schema();
     auto lines = c.primary(
-        L, db::between(ls, "l_shipdate", std::string("1996-01-01"),
-                       std::string("1996-03-31")));
-    c.addRevenue(lines.rows, 0);
+        L,
+        db::between(ls, "l_shipdate", std::string("1996-01-01"),
+                    std::string("1996-03-31")),
+        {Ctx::revenueColumn()});
+    c.fillRevenue(lines.rows);
     int rev = static_cast<int>(ls.size());
     auto grouped = db::groupBy(c.db, lines.rows,
                                {ls.indexOf("l_suppkey")},
