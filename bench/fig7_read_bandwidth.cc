@@ -76,7 +76,8 @@ class BwLet : public slet::SSDLet<
             for (Bytes off = 0; off < total; off += req) {
                 inflight.push_back(file.scanMatched(
                     off % kFileSize, req, keys,
-                    [](Bytes, const std::uint8_t *, Bytes, std::size_t) {}));
+                    [](Bytes, const std::uint8_t *, Bytes,
+                       const pm::MatchResult &) {}));
                 if (inflight.size() >= 8) {
                     inflight.front().wait();
                     inflight.pop_front();

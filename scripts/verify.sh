@@ -143,7 +143,7 @@ if [[ "$run_sanitized" == 1 ]]; then
         -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
     cmake --build build-tsan -j "$(nproc)"
     ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
-        -R "SnapshotFork|LaneRunner|ServeSoak|PlaceLane|PipelineLane|HeteroLane"
+        -R "SnapshotFork|LaneRunner|ServeSoak|PlaceLane|PipelineLane|HeteroLane|MatchMemoLane"
     BISCUIT_LANES=2 BISCUIT_TRACE=build-tsan/fig10_trace.json \
         build-tsan/bench/fig10_tpch \
         > build-tsan/fig10_lanes.txt

@@ -178,7 +178,7 @@ class ScanFilterRunsLet
         // the tokens carry the device-time completion ticks.
         PageBatcher batcher(out<0>(), page_size);
         auto on_match = [&](Bytes off, const std::uint8_t *data,
-                            Bytes len, std::size_t) {
+                            Bytes len, const pm::MatchResult &) {
             batcher.add(off, data, len);
         };
         std::vector<slet::File::Async> inflight;
@@ -222,9 +222,8 @@ class SampleLet
         for (std::uint64_t p : pages) {
             inflight.push_back(file.scanMatched(
                 p * page_size, page_size, keys,
-                [&](Bytes, const std::uint8_t *, Bytes, std::size_t) {
-                    ++matched;
-                }));
+                [&](Bytes, const std::uint8_t *, Bytes,
+                    const pm::MatchResult &) { ++matched; }));
         }
         for (auto &token : inflight)
             token.wait();

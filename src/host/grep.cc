@@ -120,17 +120,16 @@ class GrepLet
         std::uint64_t total = 0;
         auto token = file.scanMatched(
             0, file.size(), keys,
-            [&](Bytes, const std::uint8_t *data, Bytes n,
-                std::size_t first_hit) {
+            [&](Bytes, const std::uint8_t *, Bytes,
+                const pm::MatchResult &m) {
                 // The matcher IP reports hit positions; device
                 // software only tallies them (a couple of
-                // microseconds per hit on the R7 core), counting from
-                // the first hit, before which the key does not occur.
-                std::uint64_t hits =
-                    pm::count(data, n, pattern, first_hit);
+                // microseconds per hit on the R7 core).
+                const std::uint64_t hits = m.count[0];
                 consumeCpu(kUsec + 2 * kUsec * hits);
                 total += hits;
-            });
+            },
+            /*counts=*/true);
         token.wait();
         out<0>().put(total);
     }

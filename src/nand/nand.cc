@@ -234,6 +234,7 @@ NandFlash::eraseBlockEx(Pbn pbn, Tick earliest)
     }
     ++erase_counts_[pbn];
     ++block_erases_;
+    ++write_generation_;
     {
         [[maybe_unused]] Tick start = std::max(earliest, kernel_.now());
         OBS_COMPLETE(kernel_.obs(), "nand", "erase", start,
@@ -280,6 +281,7 @@ NandFlash::installPage(Ppn ppn, const std::uint8_t *data, Bytes len)
     page.assign(data, data + len);
     if (base_ != nullptr)
         dead_.erase(ppn);
+    ++write_generation_;
 }
 
 const std::vector<std::uint8_t> *
@@ -320,6 +322,7 @@ NandFlash::freeze()
     image->die_stalls = die_stalls_;
     image->channel_stalls = channel_stalls_;
     base_ = image;
+    ++write_generation_;
     return image;
 }
 
@@ -344,6 +347,7 @@ NandFlash::adoptImage(std::shared_ptr<const NandImage> image)
     erase_fails_ = base_->erase_fails;
     die_stalls_ = base_->die_stalls;
     channel_stalls_ = base_->channel_stalls;
+    ++write_generation_;
 }
 
 sim::BufferView

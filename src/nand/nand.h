@@ -207,6 +207,15 @@ class NandFlash
      */
     std::size_t overlayPages() const { return pages_.size(); }
 
+    /**
+     * Bumped by everything that can change the bytes stored at a
+     * physical page or the page store holding them: installPage (so
+     * every program), a successful erase, freeze and adoptImage. A
+     * result derived from stored bytes stays valid while it is
+     * unchanged.
+     */
+    std::uint64_t writeGeneration() const { return write_generation_; }
+
     /** Erase cycles endured by block @p pbn. */
     std::uint64_t
     eraseCount(Pbn pbn) const
@@ -345,6 +354,8 @@ class NandFlash
     std::uint64_t erase_fails_ = 0;
     std::uint64_t die_stalls_ = 0;
     std::uint64_t channel_stalls_ = 0;
+
+    std::uint64_t write_generation_ = 0;
 
     /** Request-to-done latency of every timed page read (sim ns). */
     obs::Histogram *read_latency_hist_ = nullptr;

@@ -104,7 +104,8 @@ count(const std::uint8_t *data, std::size_t len, std::string_view key,
 }
 
 MatchResult
-PatternMatcher::scan(const std::uint8_t *data, std::size_t len) const
+PatternMatcher::scan(const std::uint8_t *data, std::size_t len,
+                     bool counts) const
 {
     MatchResult r;
     for (std::size_t i = 0; i < keys_.keys().size(); ++i) {
@@ -115,13 +116,32 @@ PatternMatcher::scan(const std::uint8_t *data, std::size_t len) const
             r.first_offset[i] = off;
         }
     }
-    if (obs::enabled()) {
-        ++scans_;
-        bytes_scanned_ += len;
-        if (r.any)
-            ++matched_scans_;
-    }
+    if (counts)
+        countHits(r, data, len);
+    noteScan(len, r.any);
     return r;
+}
+
+void
+PatternMatcher::noteScan(std::size_t len, bool any) const
+{
+    if (!obs::enabled())
+        return;
+    ++scans_;
+    bytes_scanned_ += len;
+    if (any)
+        ++matched_scans_;
+}
+
+void
+PatternMatcher::countHits(MatchResult &r, const std::uint8_t *data,
+                          std::size_t len) const
+{
+    for (std::size_t i = 0; i < keys_.keys().size(); ++i) {
+        if (r.hit[i])
+            r.count[i] = 1 + count(data, len, keys_.keys()[i],
+                                   r.first_offset[i] + 1);
+    }
 }
 
 std::vector<std::size_t>

@@ -73,14 +73,23 @@ class KeySet
 };
 
 /**
- * Match results for one scanned window: which keys hit and where the
- * first hit per key is.
+ * Match results for one scanned window: which keys hit, where the
+ * first hit per key is and, when the scan was asked for them, how
+ * often each key occurs.
  */
 struct MatchResult
 {
     bool any = false;
     std::array<bool, kMaxKeys> hit{};
     std::array<std::size_t, kMaxKeys> first_offset{};
+
+    /**
+     * Occurrences of each key in the window, overlapping ones
+     * included, counted from its first hit (none occur before it).
+     * Zero for a key that missed, and for every key unless the scan
+     * asked for counts.
+     */
+    std::array<std::uint64_t, kMaxKeys> count{};
 
     /** The least first_offset over the keys that hit (any only). */
     std::size_t
@@ -118,8 +127,28 @@ class PatternMatcher
 
     const KeySet &keySet() const { return keys_; }
 
-    /** Scan a window; OR-semantics across keys (any key may hit). */
-    MatchResult scan(const std::uint8_t *data, std::size_t len) const;
+    /**
+     * Scan a window; OR-semantics across keys (any key may hit). With
+     * @p counts, also count each hitting key's occurrences (the
+     * device software's tally, not part of the IP's verdict).
+     */
+    MatchResult scan(const std::uint8_t *data, std::size_t len,
+                     bool counts = false) const;
+
+    /**
+     * Fill @p r's counts for the window @p r was scanned from, counting
+     * each hitting key from its first hit. Not a scan: the obs
+     * counters do not move.
+     */
+    void countHits(MatchResult &r, const std::uint8_t *data,
+                   std::size_t len) const;
+
+    /**
+     * Account one scan of @p len bytes whose verdict was @p any
+     * without searching: the device's memo already holds the verdict
+     * for these exact bytes, and the IP still streamed them.
+     */
+    void noteScan(std::size_t len, bool any) const;
 
     // ----- Observability (aggregated per-device by exportStats) -----
 

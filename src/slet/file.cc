@@ -94,8 +94,7 @@ File::readAsync(Bytes offset, void *buf, Bytes len)
 
 File::Async
 File::scanMatched(Bytes offset, Bytes len, const pm::KeySet &keys,
-                  const std::function<void(Bytes, const std::uint8_t *,
-                                           Bytes, std::size_t)> &on_match)
+                  const MatchFn &on_match, bool counts)
 {
     const auto &c = ctx();
     auto &fs = c.runtime->fs();
@@ -135,9 +134,9 @@ File::scanMatched(Bytes offset, Bytes len, const pm::KeySet &keys,
 
         // Functional match: exactly what the channel IP saw stream by.
         auto r = dev.matchView(lpn, keys, rv.view.data(),
-                               rv.view.size());
+                               rv.view.size(), counts);
         if (r.any)
-            on_match(pos, rv.view.data(), rv.view.size(), r.firstHit());
+            on_match(pos, rv.view.data(), rv.view.size(), r);
         covered += n;
     }
     return Async(c.runtime, done, len, std::move(status));

@@ -102,23 +102,26 @@ class File
      */
     Async readAsync(Bytes offset, void *buf, Bytes len);
 
+    /** A matched page: file offset, bytes, length, the verdict. */
+    using MatchFn = std::function<void(Bytes, const std::uint8_t *, Bytes,
+                                       const pm::MatchResult &)>;
+
     /**
      * Hardware-matched streaming scan of [offset, offset+len):
      * configures the channel matchers with @p keys and streams pages;
      * @p on_match is invoked for each page containing any key, with
-     * the page's file offset, its bytes, their length and the offset
-     * within them of the matcher's first hit (the least over the keys
-     * that hit; no key occurs before it). The bytes are a zero-copy
-     * view of the streamed page — valid only for the duration of the
-     * callback; copy out anything kept longer. Returns the completion
-     * token of the whole scan. The per-page IP control cost on the
-     * device core is what caps PM bandwidth below raw internal
-     * bandwidth (Fig. 7).
+     * the page's file offset, its bytes, their length and the
+     * matcher's verdict on them (which keys hit and where first;
+     * firstHit() is the least offset, before which no key occurs).
+     * With @p counts the verdict also carries each key's occurrences
+     * in the page. The bytes are a zero-copy view of the streamed
+     * page — valid only for the duration of the callback; copy out
+     * anything kept longer. Returns the completion token of the whole
+     * scan. The per-page IP control cost on the device core is what
+     * caps PM bandwidth below raw internal bandwidth (Fig. 7).
      */
     Async scanMatched(Bytes offset, Bytes len, const pm::KeySet &keys,
-                      const std::function<void(Bytes, const std::uint8_t *,
-                                               Bytes, std::size_t)>
-                          &on_match);
+                      const MatchFn &on_match, bool counts = false);
 
     /** Asynchronous write; pair with flush() for durability. */
     Async write(Bytes offset, const void *data, Bytes len);

@@ -1,8 +1,19 @@
 #include "ssd/device.h"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace bisc::ssd {
+
+namespace {
+
+/** Physical pages the memo key can name (its low 40 bits). */
+constexpr std::uint64_t kMemoPageBits = 40;
+
+/** Key sets interned before the memo starts over. */
+constexpr std::size_t kMaxKeySets = 1024;
+
+}  // namespace
 
 SsdDevice::SsdDevice(sim::Kernel &kernel, const SsdConfig &config)
     : kernel_(kernel), config_(config),
@@ -20,39 +31,101 @@ SsdDevice::SsdDevice(sim::Kernel &kernel, const SsdConfig &config)
     }
     for (std::uint32_t c = 0; c < config_.geometry.channels; ++c)
         matchers_.push_back(std::make_unique<pm::PatternMatcher>());
+    BISC_ASSERT(config_.geometry.totalPages() <= 1ull << kMemoPageBits &&
+                    config_.geometry.page_size <= UINT32_MAX,
+                "geometry exceeds the matcher memo's key and fields");
     batch_fanout_ = &kernel_.obs().metrics().histogram(
         "hil.batch_fanout", "pages", obs::Histogram::depthBounds());
 }
 
-pm::MatchResult
-SsdDevice::matchPage(ftl::Lpn lpn, Bytes offset, Bytes len,
-                     const pm::KeySet &keys)
+void
+SsdDevice::MatchMemo::pack(const pm::MatchResult &r, bool with_counts)
 {
-    BISC_ASSERT(offset + len <= config_.geometry.page_size,
-                "match window beyond page");
-    if (!ftl_->isMapped(lpn))
-        return pm::MatchResult{};
-    nand::Ppn ppn = ftl_->physicalOf(lpn);
-    const auto *page = nand_->peekPage(ppn);
-    if (page == nullptr)
-        return pm::MatchResult{};
-    auto &ip = matcher(config_.geometry.channelOf(ppn));
-    ip.configure(keys);
-    Bytes avail = page->size() > offset ? page->size() - offset : 0;
-    Bytes n = std::min(len, avail);
-    return ip.scan(page->data() + offset, n);
+    for (std::size_t i = 0; i < pm::kMaxKeys; ++i) {
+        if (!r.hit[i])
+            continue;
+        hits |= static_cast<std::uint8_t>(1u << i);
+        first[i] = static_cast<std::uint32_t>(r.first_offset[i]);
+        count[i] = static_cast<std::uint32_t>(r.count[i]);
+    }
+    counted = with_counts;
+}
+
+pm::MatchResult
+SsdDevice::MatchMemo::unpack(bool with_counts) const
+{
+    pm::MatchResult r;
+    r.any = hits != 0;
+    for (std::size_t i = 0; i < pm::kMaxKeys; ++i) {
+        r.hit[i] = (hits >> i & 1u) != 0;
+        r.first_offset[i] = first[i];
+        if (with_counts)
+            r.count[i] = count[i];
+    }
+    return r;
+}
+
+std::uint32_t
+SsdDevice::internKeys(const pm::KeySet &keys)
+{
+    // Scan loops match page after page with one key set, so the last
+    // set asked for is nearly always the one asked for again.
+    if (last_key_set_ < key_sets_.size() &&
+        key_sets_[last_key_set_].keys() == keys.keys())
+        return last_key_set_;
+    for (std::size_t i = 0; i < key_sets_.size(); ++i) {
+        if (key_sets_[i].keys() == keys.keys()) {
+            last_key_set_ = static_cast<std::uint32_t>(i);
+            return last_key_set_;
+        }
+    }
+    if (key_sets_.size() == kMaxKeySets) {
+        key_sets_.clear();
+        match_memo_.clear();
+    }
+    key_sets_.push_back(keys);
+    last_key_set_ = static_cast<std::uint32_t>(key_sets_.size() - 1);
+    return last_key_set_;
 }
 
 pm::MatchResult
 SsdDevice::matchView(ftl::Lpn lpn, const pm::KeySet &keys,
-                     const std::uint8_t *data, Bytes len)
+                     const std::uint8_t *data, Bytes len, bool counts)
 {
     if (!ftl_->isMapped(lpn))
         return pm::MatchResult{};
     nand::Ppn ppn = ftl_->physicalOf(lpn);
     auto &ip = matcher(config_.geometry.channelOf(ppn));
     ip.configure(keys);
-    return ip.scan(data, len);
+
+    // Only the stored page itself is memoized: a padded or damaged
+    // pool copy, a partial window and the old bytes of a page the FTL
+    // relocated mid-read are searched as they are.
+    const auto *page = nand_->peekPage(ppn);
+    if (page == nullptr || data != page->data() || len != page->size())
+        return ip.scan(data, len, counts);
+
+    if (memo_generation_ != nand_->writeGeneration()) {
+        match_memo_.clear();
+        memo_generation_ = nand_->writeGeneration();
+    }
+    const std::uint64_t key =
+        std::uint64_t{internKeys(keys)} << kMemoPageBits | ppn;
+    auto [it, fresh] = match_memo_.try_emplace(key);
+    MatchMemo &memo = it->second;
+    if (fresh) {
+        pm::MatchResult r = ip.scan(data, len, counts);
+        memo.pack(r, counts);
+        return r;
+    }
+    ++memo_hits_;
+    pm::MatchResult r = memo.unpack(counts);
+    if (counts && !memo.counted) {
+        ip.countHits(r, data, len);
+        memo.pack(r, true);
+    }
+    ip.noteScan(len, r.any);
+    return r;
 }
 
 sim::BufferView

@@ -13,8 +13,10 @@
 #ifndef BISCUIT_SSD_DEVICE_H_
 #define BISCUIT_SSD_DEVICE_H_
 
+#include <array>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ftl/ftl.h"
@@ -115,27 +117,35 @@ class SsdDevice
     }
 
     /**
-     * Functional pattern-match of a logical page region against
-     * @p keys, exactly as the channel matcher sees the data stream.
+     * The channel matcher's verdict on bytes streamed off @p lpn's
+     * channel (the view of an internalReadViewEx or a pageView): loads
+     * @p keys into that channel's matcher and scans, exactly as the IP
+     * sees the data stream. With @p counts the result also carries
+     * each hitting key's occurrences. Unmapped pages never match.
      * Timing is the caller's: a matched read costs a normal internal
      * read plus pm_control_per_page of device-CPU time.
-     */
-    pm::MatchResult matchPage(ftl::Lpn lpn, Bytes offset, Bytes len,
-                              const pm::KeySet &keys);
-
-    /**
-     * Pattern-match bytes already streamed off @p lpn's channel (e.g.
-     * the view of an internalReadViewEx) without re-resolving the
-     * page: loads @p keys into that channel's matcher and scans.
-     * Unmapped pages never match.
+     *
+     * NAND page bytes cannot change between program and erase, so a
+     * window that borrows the stored page itself (the whole page, not
+     * a padded or damaged copy) is searched once per (physical page,
+     * key set) and its verdict kept until the NAND write generation
+     * moves. The matcher's counters count every call as a scan either
+     * way.
      */
     pm::MatchResult matchView(ftl::Lpn lpn, const pm::KeySet &keys,
-                              const std::uint8_t *data, Bytes len);
+                              const std::uint8_t *data, Bytes len,
+                              bool counts = false);
+
+    /** Verdicts the matcher memo holds. */
+    std::size_t matchMemoEntries() const { return match_memo_.size(); }
+
+    /** matchView calls answered from the memo. */
+    std::uint64_t matchMemoHits() const { return memo_hits_; }
 
     /**
      * Zero-time functional view of a logical page region (the bytes
-     * matchPage would inspect): borrows the NAND backing store when
-     * possible, pool-pinned zero-padded copy otherwise.
+     * the channel matcher would inspect): borrows the NAND backing
+     * store when possible, pool-pinned zero-padded copy otherwise.
      */
     sim::BufferView pageView(ftl::Lpn lpn, Bytes offset, Bytes len);
 
@@ -191,6 +201,22 @@ class SsdDevice
     }
 
   private:
+    /** A memoized verdict, packed to page-offset-sized fields. */
+    struct MatchMemo
+    {
+        std::array<std::uint32_t, pm::kMaxKeys> first{};
+        std::array<std::uint32_t, pm::kMaxKeys> count{};
+        std::uint8_t hits = 0;  ///< bit i: key i hit
+        bool counted = false;   ///< count holds the occurrences
+
+        void pack(const pm::MatchResult &r, bool with_counts);
+        /** The verdict, with counts only when @p with_counts. */
+        pm::MatchResult unpack(bool with_counts) const;
+    };
+
+    /** The memo's id of @p keys (interned on first sight). */
+    std::uint32_t internKeys(const pm::KeySet &keys);
+
     sim::Kernel &kernel_;
     SsdConfig config_;
     std::string stats_scope_;
@@ -199,6 +225,18 @@ class SsdDevice
     std::unique_ptr<hil::Hil> hil_;
     std::vector<std::unique_ptr<sim::Server>> cores_;
     std::vector<std::unique_ptr<pm::PatternMatcher>> matchers_;
+
+    /** Key sets seen by matchView; a set's index is its memo id. */
+    std::vector<pm::KeySet> key_sets_;
+    std::uint32_t last_key_set_ = 0;
+
+    /**
+     * Matcher verdicts keyed by key-set id << 40 | physical page,
+     * valid while the NAND write generation equals memo_generation_.
+     */
+    std::unordered_map<std::uint64_t, MatchMemo> match_memo_;
+    std::uint64_t memo_generation_ = 0;
+    std::uint64_t memo_hits_ = 0;
 
     /** Per-page outcomes of the last vectored host command (scratch). */
     std::vector<ftl::ReadResult> batch_results_;

@@ -553,7 +553,8 @@ class ScanLet
         std::uint64_t matched = 0;
         auto token = file.scanMatched(
             0, file.size(), keys,
-            [&](Bytes, const std::uint8_t *, Bytes, std::size_t) {
+            [&](Bytes, const std::uint8_t *, Bytes,
+                const pm::MatchResult &) {
                 ++matched;
             });
         token.wait();

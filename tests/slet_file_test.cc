@@ -80,7 +80,9 @@ class FileExerciser
             auto token = file.scanMatched(
                 0, file.size(), keys,
                 [&](Bytes off, const std::uint8_t *, Bytes,
-                    std::size_t first) { hits.emplace_back(off, first); });
+                    const pm::MatchResult &m) {
+                    hits.emplace_back(off, m.firstHit());
+                });
             token.wait();
             std::string s = "pages=";
             for (auto [off, first] : hits)

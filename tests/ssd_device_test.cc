@@ -98,14 +98,13 @@ TEST_F(DeviceTest, MatchPageFindsConfiguredKey)
     fillPage(9, "xx 1995-1-17 yy");
     pm::KeySet keys;
     keys.addKey("1995-1-17");
-    auto r = dev_.matchPage(9, 0, dev_.config().geometry.page_size,
-                            keys);
+    auto page = dev_.pageView(9, 0, dev_.config().geometry.page_size);
+    auto r = dev_.matchView(9, keys, page.data(), page.size());
     EXPECT_TRUE(r.any);
 
     pm::KeySet miss;
     miss.addKey("2001-9-9");
-    auto m = dev_.matchPage(9, 0, dev_.config().geometry.page_size,
-                            miss);
+    auto m = dev_.matchView(9, miss, page.data(), page.size());
     EXPECT_FALSE(m.any);
 }
 
@@ -113,7 +112,8 @@ TEST_F(DeviceTest, MatchUnmappedPageIsClean)
 {
     pm::KeySet keys;
     keys.addKey("whatever");
-    auto r = dev_.matchPage(99, 0, 512, keys);
+    auto page = dev_.pageView(99, 0, 512);
+    auto r = dev_.matchView(99, keys, page.data(), page.size());
     EXPECT_FALSE(r.any);
 }
 
