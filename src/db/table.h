@@ -137,11 +137,16 @@ class Table
     template <class Fn>
     void forEachSlot(Fn &&fn) const
     {
-        std::vector<std::uint8_t> page(page_size_);
+        // Each page is viewed in place (a borrow of the NAND store),
+        // never copied out.
+        const std::size_t shards = shard_fs_.size();
+        std::vector<const std::vector<ftl::Lpn> *> lpns(shards);
+        for (std::size_t s = 0; s < shards; ++s)
+            lpns[s] = &shard_fs_[s]->pagesOf(file_);
         for (std::uint64_t p = 0; p < page_count_; ++p) {
-            shard_fs_[p % shard_fs_.size()]->peek(
-                file_, (p / shard_fs_.size()) * page_size_,
-                page_size_, page.data());
+            const sim::BufferView page =
+                shard_fs_[p % shards]->device().pageView(
+                    (*lpns[p % shards])[p / shards], 0, page_size_);
             std::uint64_t n = rowsInPage(p);
             for (std::uint64_t i = 0; i < n; ++i)
                 fn(page.data() + i * schema_.rowWidth());

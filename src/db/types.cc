@@ -183,6 +183,16 @@ encodeColumn(const Column &c, const Value &v, std::uint8_t *dst)
     }
 }
 
+/**
+ * Whether encodeColumn writes every byte of @p c's cell: numerics do,
+ * strings rely on zeroed storage for their NUL padding.
+ */
+bool
+fillsCell(const Column &c)
+{
+    return c.type == Type::Int64 || c.type == Type::Double;
+}
+
 }  // namespace
 
 void
@@ -292,6 +302,7 @@ RowSet::addColumn(const Column &c,
     Schema wider(std::move(cols));
     const Bytes old_w = rowWidth();
     const Bytes new_w = wider.rowWidth();
+    const bool zero = !fillsCell(c);
     if (rows_ * new_w > cap_)
         grow(rows_ * new_w);
     // Back to front: row i moves up to i * new_w, over bytes of rows
@@ -299,7 +310,8 @@ RowSet::addColumn(const Column &c,
     for (std::size_t i = rows_; i-- > 0;) {
         std::uint8_t *dst = data_ + i * new_w;
         std::memmove(dst, data_ + i * old_w, old_w);
-        std::memset(dst + old_w, 0, c.width);
+        if (zero)
+            std::memset(dst + old_w, 0, c.width);
         encodeColumn(c, fn(RowRef(dst, schema_)), dst + old_w);
     }
     schema_ = std::move(wider);
@@ -311,9 +323,11 @@ RowSet::fillColumn(int col, const std::function<Value(RowRef)> &fn)
     const auto i_col = static_cast<std::size_t>(col);
     const Column &c = schema_.at(i_col);
     const Bytes off = schema_.offsetOf(i_col);
+    const bool zero = !fillsCell(c);
     for (std::size_t i = 0; i < rows_; ++i) {
         std::uint8_t *cell = data_ + i * rowWidth() + off;
-        std::memset(cell, 0, c.width);
+        if (zero)
+            std::memset(cell, 0, c.width);
         encodeColumn(c, fn((*this)[i]), cell);
     }
 }
