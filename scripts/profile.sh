@@ -14,6 +14,8 @@
 #     The static link matters: a dynamically linked -pg binary gets no
 #     samples inside libc, so memmove and memset time vanishes
 #     from the profile instead of showing up under its own name.
+#     GCC's clones (.part.N, .isra.N, .cold, ...) get rows of their
+#     own: gprof reads a renamed copy of the binary (see below).
 #
 #   scripts/profile.sh --copies <workload> [build-dir]
 #     Bytes copied and filled per call site. gprof shows memmove under
@@ -71,7 +73,43 @@ print(f"{workload}, one profiled run (-pg): user {ru.ru_utime:.2f} s, "
       f"system {ru.ru_stime:.2f} s, {ru.ru_minflt} minor page faults")
 print()
 RUSAGE
-    gprof -b -p "$harness" "$run_dir/gmon.out"
+    # gprof 2.40 drops every local symbol whose suffix is not .clone.N
+    # or .constprop.N (GCC's .part.N, .isra.N, .cold, ...), and their
+    # samples and calls land on the symbol before them. Profile a copy
+    # whose dotted symbols are renamed to .clone.K, one K per suffix,
+    # then print each K as the suffix it stands for. A dotted alias of
+    # an undotted symbol is left alone, so the plain name keeps its row.
+    python3 - "$harness" "$run_dir" <<'CLONES'
+import re
+import subprocess
+import sys
+
+harness, run_dir = sys.argv[1:3]
+syms = [line.split() for line in subprocess.run(
+    ["nm", harness], capture_output=True, text=True,
+    check=True).stdout.splitlines()]
+syms = [(addr, name) for addr, kind, name in
+        (f for f in syms if len(f) == 3) if kind in "tTwW"]
+plain = {addr for addr, name in syms if "." not in name[1:]}
+suffixes = {}
+renames = {}
+for addr, name in syms:
+    cut = name.find(".", 1)
+    if cut < 0 or addr in plain:
+        continue
+    k = suffixes.setdefault(name[cut:], len(suffixes))
+    renames[name] = f"{name[:cut]}.clone.{k}"
+with open(f"{run_dir}/renames", "w") as f:
+    f.writelines(f"{old} {new}\n" for old, new in renames.items())
+subprocess.run(["objcopy", f"--redefine-syms={run_dir}/renames",
+                harness, f"{run_dir}/harness"], check=True)
+flat = subprocess.run(["gprof", "-b", "-p", f"{run_dir}/harness",
+                       f"{run_dir}/gmon.out"], capture_output=True,
+                      text=True, check=True).stdout
+suffix_of = {str(k): s for s, k in suffixes.items()}
+print(re.sub(r"\.clone\.(\d+)", lambda m: suffix_of[m.group(1)], flat),
+      end="")
+CLONES
     exit 0
 fi
 
