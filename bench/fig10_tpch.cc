@@ -167,7 +167,7 @@ main()
     tpch::buildTpch(mdb, cfg);
 
     std::vector<tpch::QueryRun> runs =
-        tpch::runSuiteParallel(env, mdb, host::lanesFromEnv());
+        tpch::runSuite(env, mdb, host::lanesFromEnv());
 
     const SuiteTotals totals = aggregate(runs);
 

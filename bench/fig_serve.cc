@@ -9,7 +9,8 @@
  * counts against a 1-drive and a 4-drive array. Admission control
  * queues or rejects offloads when per-drive core/DRAM budgets are
  * exhausted; per-tenant p50/p99/p999 come from exact sim-clock
- * samples.
+ * samples. BISCUIT_PIPELINE_PLACE and BISCUIT_UNIFIED_PIPELINES pick
+ * the engine's planner (serve::plannerConfigFromEnv).
  *
  * The drive counts are fixed here (BISCUIT_DRIVES is ignored) and the
  * printed figures never depend on BISCUIT_OBS or BISCUIT_LANES, so
@@ -30,10 +31,11 @@
 namespace {
 
 bisc::serve::ServeReport
-runAt(std::uint32_t drives, const bisc::serve::ServeConfig &cfg)
+runAt(std::uint32_t drives, const bisc::serve::ServeConfig &cfg,
+      const bisc::db::PlannerConfig &planner)
 {
     bisc::sisc::Env env(bisc::ssd::defaultConfig(), drives);
-    return bisc::serve::runServe(env, cfg);
+    return bisc::serve::runServe(env, cfg, planner);
 }
 
 void
@@ -84,6 +86,7 @@ main()
     using namespace bisc;
 
     serve::ServeConfig cfg = serve::serveConfigFromEnv();
+    const db::PlannerConfig planner = serve::plannerConfigFromEnv();
 
     std::printf("Serving: open-loop multi-client mix with admission "
                 "control\n");
@@ -96,7 +99,7 @@ main()
     const std::uint32_t counts[] = {1, 4};
     std::vector<serve::ServeReport> reports;
     for (std::uint32_t n : counts) {
-        reports.push_back(runAt(n, cfg));
+        reports.push_back(runAt(n, cfg, planner));
         printReport(n, reports.back());
     }
 

@@ -9,10 +9,11 @@
 # pass (two-run byte-identity and lane/drive env invariance of
 # fig_serve and of the unified and pipeline serving paths), and the
 # same two checks for fig_prune, fig_place, fig_pipeline and
-# fig_hetero, then sanitizer builds via BISCUIT_SANITIZE (ASan/UBSan
-# ctest; TSan lane + serve-soak tests plus traced 2-lane fig10 runs at
-# 1 and 4 drives so the trace buffers and the drive array see real
-# thread concurrency).
+# fig_hetero, and a one-second perfbench run of each workload (builds
+# the benchmark harness, checks its answers), then sanitizer builds
+# via BISCUIT_SANITIZE (ASan/UBSan ctest; TSan lane + serve-soak tests
+# plus traced 2-lane fig10 runs at 1 and 4 drives so the trace buffers
+# and the drive array see real thread concurrency).
 #
 # Usage: scripts/verify.sh [--no-sanitize] [--no-perf-smoke]
 set -euo pipefail
@@ -119,6 +120,20 @@ if [[ "$run_perf_smoke" == 1 ]]; then
         env "${bench_env[@]}" "build/bench/${bench}" > "${out}_env.txt"
         cmp "${out}_a.txt" "${out}_env.txt"
         echo "${bench}: two runs byte-identical, env-invariant"
+    done
+
+    echo
+    echo "=== perfbench pass: the benchmark harness builds and answers ==="
+    # The ctest pass never compiles perfbench/harness.cc, which
+    # includes the engine and serving headers. One short run per
+    # workload builds it (into .bench_build/) and checks its answers
+    # against perfbench/expected.json.
+    for workload in tpch_suite placed_batch serve_mix; do
+        result="$(python3 perfbench/run.py --workload "$workload" \
+            --seed 1 --seconds 1 | tail -n 1)"
+        python3 -c 'import json, sys
+sys.exit(0 if json.loads(sys.argv[1])["correct"] else 1)' "$result"
+        echo "perfbench ${workload}: built, answers match"
     done
 fi
 

@@ -189,21 +189,6 @@ snapshotDriveLoads(MiniDb &db)
     return out;
 }
 
-std::uint32_t
-leastLoadedDrive(const std::vector<DriveLoadSnapshot> &loads)
-{
-    std::uint32_t best = 0;
-    for (std::uint32_t k = 1; k < loads.size(); ++k) {
-        const DriveLoadSnapshot &a = loads[k];
-        const DriveLoadSnapshot &b = loads[best];
-        if (a.min_core_backlog < b.min_core_backlog ||
-            (a.min_core_backlog == b.min_core_backlog &&
-             a.active_apps < b.active_apps))
-            best = k;
-    }
-    return best;
-}
-
 double
 streamContention(const DriveLoadSnapshot &load)
 {

@@ -186,14 +186,6 @@ struct DriveLoadSnapshot
 std::vector<DriveLoadSnapshot> snapshotDriveLoads(MiniDb &db);
 
 /**
- * Drive with the smallest (min_core_backlog, active_apps, index)
- * tuple — the cheapest site for a load-agnostic single-drive job
- * (the serving tier's placement-aware grep).
- */
-std::uint32_t leastLoadedDrive(
-    const std::vector<DriveLoadSnapshot> &loads);
-
-/**
  * Effective bandwidth-sharing factor a host stream pulling from this
  * drive sees: 1 (alone) plus the other live host streams plus the
  * channel demand of resident co-tenant apps (bounded by the device

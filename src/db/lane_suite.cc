@@ -7,35 +7,10 @@
 
 #include "db/executor.h"
 #include "db/stats.h"
-#include "host/host_system.h"
 #include "host/lane_runner.h"
 #include "obs/obs.h"
-#include "sisc/device_image.h"
 
 namespace bisc::db {
-
-namespace {
-
-/**
- * Everything a lane needs to rebuild the MiniDb instance over a
- * forked device image: the catalog is bookkeeping (schemas, row
- * counts); the data pages are already in the image.
- */
-struct Catalog
-{
-    PlannerConfig planner;
-    host::HostConfig host;
-
-    struct TableMeta
-    {
-        std::string name;
-        Schema schema;
-        std::uint64_t rows = 0;
-        std::uint32_t shards = 1;
-    };
-
-    std::vector<TableMeta> tables;
-};
 
 Catalog
 captureCatalog(MiniDb &db)
@@ -50,6 +25,19 @@ captureCatalog(MiniDb &db)
     }
     return cat;
 }
+
+Fork::Fork(const sim::DeviceImage &image, const Catalog &cat)
+    : env(image), host(env.array, cat.host), db(env, host)
+{
+    db.planner = cat.planner;
+    for (const auto &t : cat.tables)
+        db.attachShardedTable(t.name, t.schema, t.rows, t.shards);
+    // Table statistics are frozen with the image (attach constructors
+    // never rebuild them).
+    adoptTableStats(db, image);
+}
+
+namespace {
 
 /** Shared-state view a lane starts from (see header). */
 struct LaneSetup
@@ -74,19 +62,11 @@ runLane(const sim::DeviceImage &image, const Catalog &cat,
     // worker thread happened to pick it up — that keeps multi-lane
     // trace exports deterministic run to run.
     obs::LaneLabelGuard label_guard(lane_label);
-    sisc::Env env(image);
-    host::HostSystem host(env.array, cat.host);
-    MiniDb ldb(env, host);
-    ldb.planner = cat.planner;
-    for (const auto &t : cat.tables)
-        ldb.attachShardedTable(t.name, t.schema, t.rows, t.shards);
-    // Table statistics are frozen with the image (attach constructors
-    // never rebuild them), so every lane prunes and estimates exactly
-    // like the primary run.
-    adoptTableStats(ldb, image);
+    Fork lane(image, cat);
+    MiniDb &ldb = lane.db;
     ldb.selectivity_stats = setup.preseed_stats;
 
-    env.run([&] {
+    lane.env.run([&] {
         // Warm-up happens before the job opens its measurement
         // window; translation invariance makes the measured deltas
         // independent of the clock time spent here.

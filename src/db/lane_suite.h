@@ -29,13 +29,58 @@
 #ifndef BISCUIT_DB_LANE_SUITE_H_
 #define BISCUIT_DB_LANE_SUITE_H_
 
+#include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "db/minidb.h"
+#include "host/host_system.h"
+#include "sisc/device_image.h"
 #include "sisc/env.h"
 
 namespace bisc::db {
+
+/**
+ * Everything a fork needs to rebuild a MiniDb over a frozen device
+ * image: the planner and host configs and the table bookkeeping
+ * (schemas, row counts, shard counts); the data pages are in the
+ * image.
+ */
+struct Catalog
+{
+    PlannerConfig planner;
+    host::HostConfig host;
+
+    struct TableMeta
+    {
+        std::string name;
+        Schema schema;
+        std::uint64_t rows = 0;
+        std::uint32_t shards = 1;
+    };
+
+    std::vector<TableMeta> tables;
+};
+
+/** The catalog of @p db as it stands now. */
+Catalog captureCatalog(MiniDb &db);
+
+/**
+ * A MiniDb forked from a frozen device image: a fresh Env over the
+ * image, a HostSystem with the primary's HostConfig, and a MiniDb with
+ * the primary's planner, every catalog table attached and the table
+ * statistics frozen with the image (exportTableStats) adopted, so the
+ * fork prunes, estimates and times exactly like the primary.
+ */
+struct Fork
+{
+    Fork(const sim::DeviceImage &image, const Catalog &cat);
+
+    sisc::Env env;
+    host::HostSystem host;
+    MiniDb db;
+};
 
 /** One independent simulation of the suite. */
 struct LaneSuiteJob

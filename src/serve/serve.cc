@@ -9,9 +9,7 @@
 
 #include "db/costmodel.h"
 #include "db/executor.h"
-#include "db/placer.h"
 #include "db/session.h"
-#include "db/stats.h"
 #include "db/workloads.h"
 #include "host/grep.h"
 #include "host/load_gen.h"
@@ -35,38 +33,18 @@ subSeed(std::uint64_t seed, std::uint64_t salt)
 }
 
 /**
- * Boolean env flag @p name: "0"/"false"/"off" disable, anything else
- * enables, unset or empty keeps @p fallback. Never writes to stderr —
- * read inside golden-checked benches.
+ * Boolean env flag @p name: "0"/"false"/"off", empty or unset are
+ * off, anything else is on. Never writes to stderr — read inside
+ * golden-checked benches.
  */
 bool
-boolFromEnv(const char *name, bool fallback)
+envFlagOn(const char *name)
 {
     const char *env = std::getenv(name);
-    if (env == nullptr || env[0] == '\0')
-        return fallback;
-    return std::strcmp(env, "0") != 0 &&
+    return env != nullptr && env[0] != '\0' &&
+           std::strcmp(env, "0") != 0 &&
            std::strcmp(env, "false") != 0 &&
            std::strcmp(env, "off") != 0;
-}
-
-/**
- * Map serve-tier feature flags onto the embedded engine's planner.
- * pipelined_scans implies the statistics and cost-model layers the
- * pipeline gate requires. Applied once, when the data is populated;
- * the catalog carries the result to forked replicas, and the serving
- * run reads the planner, not the flags.
- */
-void
-applyPlannerFlags(db::MiniDb &db, const ServeConfig &cfg)
-{
-    if (cfg.pipelined_scans || cfg.unified_pipelines) {
-        db.planner.use_stats = true;
-        db.planner.use_cost_model = true;
-        db.planner.use_pipeline = true;
-    }
-    if (cfg.unified_pipelines)
-        db.planner.use_unified_pipelines = true;
 }
 
 enum class JobKind { TpchQuery, PointLookup, Grep, WordCount };
@@ -247,19 +225,8 @@ runJob(ServeState &st, const JobSpec &job)
             planned->launch();
         }
         db::DbStats stats;
-        db::Row row;
-        if (st.cfg.keyed_lookups) {
-            // dbgen makes o_orderkey dense ascending (row + 1), so
-            // the keyed and row-index lookups return the same row.
-            bool found = db::pointLookupByKey(
-                st.db, st.db.table("orders"), 0,
-                static_cast<std::int64_t>(job.row) + 1, &row, stats);
-            BISC_ASSERT(found, "keyed lookup missed order ",
-                        job.row + 1);
-        } else {
-            row = db::pointLookup(st.db, st.db.table("orders"),
-                                  job.row, stats);
-        }
+        const db::Row row =
+            db::pointLookup(st.db, st.db.table("orders"), job.row, stats);
         rows = 1;
         // o_orderkey (column 0) sums drive-count-invariantly.
         st.report.lookup_sum += static_cast<std::uint64_t>(
@@ -267,17 +234,10 @@ runJob(ServeState &st, const JobSpec &job)
         break;
       }
       case JobKind::Grep: {
-        // Placement-aware routing: the corpus is identical on every
-        // drive, so the grep can run wherever the cores are idlest.
-        std::uint32_t target = job.drive;
-        if (st.cfg.placed_greps) {
-            target =
-                db::leastLoadedDrive(db::snapshotDriveLoads(st.db));
-        }
         Demand demand;
         demand.cores = 1;
         demand.dram = 128_KiB;
-        demand.first_drive = target;
+        demand.first_drive = job.drive;
         demand.drive_span = 1;
         Status s = st.adm.acquire(job.tenant, demand);
         if (!s.ok()) {
@@ -295,14 +255,14 @@ runJob(ServeState &st, const JobSpec &job)
             // delegate to the legacy leaf scanners.
             db::WorkloadSpec spec;
             spec.kind = db::WorkloadKind::Grep;
-            spec.drive = target;
+            spec.drive = job.drive;
             spec.path = st.cat.log_path;
             spec.pattern = st.cfg.grep_needle;
             matches = db::runWorkload(st.db, spec).grep.matches;
         } else {
             matches = host::grepBiscuitResident(
-                          st.db.env().array.drive(target).runtime,
-                          st.grep_modules[target], st.cat.log_path,
+                          st.db.env().array.drive(job.drive).runtime,
+                          st.grep_modules[job.drive], st.cat.log_path,
                           st.cfg.grep_needle)
                           .matches;
         }
@@ -417,16 +377,19 @@ serveConfigFromEnv()
         if (end != env && *end == '\0')
             cfg.seed = v;
     }
-    // BISCUIT_PIPELINE_PLACE opts tenant scans into pipeline
-    // placement; unset leaves the default (off), so the fig_serve
-    // golden environment is unchanged.
-    cfg.pipelined_scans =
-        boolFromEnv("BISCUIT_PIPELINE_PLACE", cfg.pipelined_scans);
-    // BISCUIT_UNIFIED_PIPELINES routes all four job kinds through the
-    // shared placement session; same golden-preserving default.
-    cfg.unified_pipelines =
-        boolFromEnv("BISCUIT_UNIFIED_PIPELINES", cfg.unified_pipelines);
     return cfg;
+}
+
+db::PlannerConfig
+plannerConfigFromEnv()
+{
+    db::PlannerConfig p;
+    p.use_unified_pipelines = envFlagOn("BISCUIT_UNIFIED_PIPELINES");
+    p.use_pipeline =
+        p.use_unified_pipelines || envFlagOn("BISCUIT_PIPELINE_PLACE");
+    p.use_cost_model = p.use_pipeline;
+    p.use_stats = p.use_pipeline;
+    return p;
 }
 
 std::uint64_t
@@ -444,32 +407,22 @@ ServeCatalog
 populateServeData(host::HostSystem &host, db::MiniDb &db,
                   const ServeConfig &cfg)
 {
-    applyPlannerFlags(db, cfg);
     tpch::TpchConfig tcfg;
     tcfg.scale_factor = cfg.tpch_scale;
     tpch::buildTpch(db, tcfg);
 
-    ServeCatalog cat;
-    cat.log_path = kLogPath;
+    std::uint64_t log_matches = 0;
     for (std::uint32_t d = 0; d < host.driveCount(); ++d) {
         host::installGrepModule(host.fsOf(d));
         // Same generation seed on every drive: identical corpora, so
         // grep/wordcount results do not depend on which drive a job
         // lands on — the aggregate drive-count-invariance the serve
         // tests assert.
-        cat.log_matches = host::generateWebLog(
-            host.fsOf(d), cat.log_path, cfg.weblog_bytes,
-            cfg.grep_needle, kNeedlePeriod, subSeed(cfg.seed, 0x10));
+        log_matches = host::generateWebLog(
+            host.fsOf(d), kLogPath, cfg.weblog_bytes, cfg.grep_needle,
+            kNeedlePeriod, subSeed(cfg.seed, 0x10));
     }
-
-    cat.planner = db.planner;
-    cat.host = host.config();
-    for (const auto &name : db.tableNames()) {
-        db::Table &t = db.table(name);
-        cat.tables.push_back(
-            {name, t.schema(), t.rowCount(), t.shardCount()});
-    }
-    return cat;
+    return {db::captureCatalog(db), kLogPath, log_matches};
 }
 
 ServeReport
@@ -550,29 +503,13 @@ serveMain(db::MiniDb &db, const ServeConfig &cfg,
 }
 
 ServeReport
-runServe(sisc::Env &env, const ServeConfig &cfg)
+runServe(sisc::Env &env, const ServeConfig &cfg,
+         const db::PlannerConfig &planner)
 {
     host::HostSystem host(env.array);
     db::MiniDb db(env, host);
+    db.planner = planner;
     ServeCatalog cat = populateServeData(host, db, cfg);
-    ServeReport rep;
-    env.run([&] { rep = serveMain(db, cfg, cat); });
-    return rep;
-}
-
-ServeReport
-runServeForked(const sim::DeviceImage &image, const ServeCatalog &cat,
-               const ServeConfig &cfg)
-{
-    sisc::Env env(image);
-    host::HostSystem host(env.array, cat.host);
-    db::MiniDb db(env, host);
-    db.planner = cat.planner;
-    for (const auto &t : cat.tables)
-        db.attachShardedTable(t.name, t.schema, t.rows, t.shards);
-    // Frozen table statistics ride the image; keyed lookups and
-    // pruned scans replay the primary's decisions exactly.
-    db::adoptTableStats(db, image);
     ServeReport rep;
     env.run([&] { rep = serveMain(db, cfg, cat); });
     return rep;

@@ -36,10 +36,10 @@
 #include <string>
 #include <vector>
 
+#include "db/lane_suite.h"
 #include "db/minidb.h"
 #include "db/types.h"
 #include "serve/admission.h"
-#include "sisc/device_image.h"
 #include "sisc/env.h"
 #include "util/common.h"
 
@@ -84,49 +84,6 @@ struct ServeConfig
 
     /** Needle planted in the web logs (grep pattern). */
     std::string grep_needle = "heisenbug";
-
-    /**
-     * Route point lookups through the keyed path
-     * (db::pointLookupByKey on o_orderkey) instead of the row-index
-     * pread: zone maps skip the page runs that cannot hold the key.
-     * Off by default — the fig_serve golden predates statistics.
-     */
-    bool keyed_lookups = false;
-
-    /**
-     * Placement-aware grep routing: send each grep job to the least
-     * loaded drive (db::leastLoadedDrive over the array's core
-     * busy-until horizons) instead of the job's pre-drawn drive.
-     * Result-safe because every drive carries an identical corpus.
-     * Off by default — the fig_serve golden predates placement.
-     */
-    bool placed_greps = false;
-
-    /**
-     * Route tenant TPC-H scans through multi-stage pipeline
-     * placement (db::PlannerConfig::use_pipeline plus its
-     * use_stats / use_cost_model prerequisites): the planner prices
-     * the scan -> re-check -> merge DAG against live drive loads and
-     * may chain both scan stages in-drive. Result-safe — the placed
-     * row output is byte-identical to every other path. Off by
-     * default — the fig_serve golden predates pipeline placement.
-     */
-    bool pipelined_scans = false;
-
-    /**
-     * Unified workload pipelines (implies pipelined_scans and its
-     * prerequisites): grep and word-count jobs run as placeable stage
-     * DAGs (db/workloads.h) instead of hard-wired device/host calls,
-     * all four job kinds plan through one shared db::PlacementSession
-     * (TPC-H scans and joins admit their DAGs, point lookups admit a
-     * degenerate host-only stage so their host work is priced), and
-     * in-flight plans may re-place unlaunched stages when co-tenant
-     * load drifts. Result aggregates stay byte-identical — both grep
-     * sites and both word-count sites delegate to the legacy leaf
-     * scanners. Off by default — the fig_serve golden predates
-     * unification.
-     */
-    bool unified_pipelines = false;
 };
 
 /** The default 4-tenant mix: weights 4/2/2/1. */
@@ -140,24 +97,21 @@ std::vector<TenantConfig> defaultTenants();
 ServeConfig serveConfigFromEnv();
 
 /**
- * Everything a forked lane needs to rebuild the served MiniDb over a
- * frozen device image: table bookkeeping (the pages are in the
- * image), planner/host configs and the web-log location.
+ * The planner the serving tier runs under, from the environment:
+ * BISCUIT_PIPELINE_PLACE turns on pipeline placement together with
+ * the statistics and cost-model layers it requires, and
+ * BISCUIT_UNIFIED_PIPELINES turns on all four PlannerConfig gates.
+ * "0"/"false"/"off", empty or unset leave a gate off; every other
+ * field keeps its default.
  */
-struct ServeCatalog
+db::PlannerConfig plannerConfigFromEnv();
+
+/**
+ * Everything a forked lane needs to rebuild the served MiniDb over a
+ * frozen device image (db::Fork), plus the web-log location.
+ */
+struct ServeCatalog : db::Catalog
 {
-    db::PlannerConfig planner;
-    host::HostConfig host;
-
-    struct TableMeta
-    {
-        std::string name;
-        db::Schema schema;
-        std::uint64_t rows = 0;
-        std::uint32_t shards = 1;
-    };
-
-    std::vector<TableMeta> tables;
     std::string log_path;
     std::uint64_t log_matches = 0;  ///< planted needles, per drive
 };
@@ -201,12 +155,11 @@ struct ServeReport
 
 /**
  * Lay the served dataset out at simulated tick zero (offline, like
- * every other population step): first map @p cfg's planner flags onto
- * db.planner, then TPC-H tables at cfg.tpch_scale
- * (sharded across the array), one identical web-log corpus per drive
- * (same generation seed, so grep/wordcount results are
- * drive-placement-invariant) and the grep .slet file. Returns the
- * catalog a forked lane rebuilds from.
+ * every other population step): TPC-H tables at cfg.tpch_scale
+ * (sharded across the array, built under db.planner), one identical
+ * web-log corpus per drive (same generation seed, so grep/wordcount
+ * results are drive-placement-invariant) and the grep .slet file.
+ * Returns the catalog a forked lane rebuilds from.
  */
 ServeCatalog populateServeData(host::HostSystem &host, db::MiniDb &db,
                                const ServeConfig &cfg);
@@ -215,23 +168,17 @@ ServeCatalog populateServeData(host::HostSystem &host, db::MiniDb &db,
  * The serving run proper; call from the host fiber of a populated
  * system. Warms the offload modules (minidb + per-drive grep), spawns
  * the client fibers and blocks until every job completed or was
- * rejected. Which paths the jobs take follows db.planner, as
- * populateServeData (or the catalog of a fork) left it.
+ * rejected. Which paths the jobs take follows db.planner.
  */
 ServeReport serveMain(db::MiniDb &db, const ServeConfig &cfg,
                       const ServeCatalog &cat);
 
-/** Populate + run on a fresh system (the one-call benchmark shape). */
-ServeReport runServe(sisc::Env &env, const ServeConfig &cfg);
-
 /**
- * Run the identical serving workload on a lane forked from @p image
- * (frozen at tick zero, before any module load — the fork starts as
- * cold as the primary, so reports are byte-identical).
+ * Populate + run on a fresh system whose MiniDb runs under
+ * @p planner (the one-call benchmark shape).
  */
-ServeReport runServeForked(const sim::DeviceImage &image,
-                           const ServeCatalog &cat,
-                           const ServeConfig &cfg);
+ServeReport runServe(sisc::Env &env, const ServeConfig &cfg,
+                     const db::PlannerConfig &planner = {});
 
 /** FNV-1a 64-bit hash (event-log fingerprinting). */
 std::uint64_t fnv1a(const std::string &s);

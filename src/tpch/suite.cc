@@ -5,22 +5,8 @@
 namespace bisc::tpch {
 
 std::vector<QueryRun>
-runSuite(sisc::Env &env, db::MiniDb &db)
+runSuite(sisc::Env &env, db::MiniDb &db, unsigned lanes)
 {
-    std::vector<QueryRun> runs;
-    env.run([&] {
-        for (int q : allQueries())
-            runs.push_back(runQueryBoth(q, db));
-    });
-    return runs;
-}
-
-std::vector<QueryRun>
-runSuiteParallel(sisc::Env &env, db::MiniDb &db, unsigned lanes)
-{
-    if (lanes <= 1)
-        return runSuite(env, db);
-
     const std::vector<int> queries = allQueries();
     std::vector<QueryRun> runs(queries.size());
 

@@ -1,9 +1,9 @@
 /**
  * @file
  * The Fig. 10 suite driver: all 22 TPC-H queries, Conv and Biscuit,
- * runnable either serially in one Env (the legacy path) or as
- * independent parallel simulation lanes forked from a frozen device
- * image — with bit-identical results either way.
+ * runnable either serially in one Env or as independent parallel
+ * simulation lanes forked from a frozen device image — with
+ * bit-identical results either way.
  *
  * The 44 (query, mode) simulations become one canonical-order job
  * list for db::runLaneSuite (db/lane_suite.h), which owns the
@@ -25,19 +25,15 @@
 namespace bisc::tpch {
 
 /**
- * Legacy serial suite: run every query Conv-then-Biscuit, in order,
- * as one host program in @p db's own environment.
+ * Run every query Conv-then-Biscuit over @p db's populated data. With
+ * @p lanes <= 1 the 44 (query, mode) simulations run serially, in
+ * order, as one host program in @p env; with more, @p env's device
+ * image is frozen and they run as independent lanes on @p lanes
+ * worker threads. Results — rows, elapsed ticks, stats, planner notes
+ * — are bit-identical either way.
  */
-std::vector<QueryRun> runSuite(sisc::Env &env, db::MiniDb &db);
-
-/**
- * Parallel suite: freeze @p env's device image and execute the 44
- * (query, mode) simulations as independent lanes on @p lanes worker
- * threads. Results — rows, elapsed ticks, stats, planner notes — are
- * bit-identical to runSuite(); @p lanes <= 1 falls back to it.
- */
-std::vector<QueryRun> runSuiteParallel(sisc::Env &env, db::MiniDb &db,
-                                       unsigned lanes);
+std::vector<QueryRun> runSuite(sisc::Env &env, db::MiniDb &db,
+                               unsigned lanes);
 
 }  // namespace bisc::tpch
 

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "db/executor.h"
+#include "db/lane_suite.h"
 #include "db/minidb.h"
 #include "host/grep.h"
 #include "host/host_system.h"
@@ -161,19 +162,12 @@ TEST(DriveArrayTest, ArrayForkIsBitIdenticalAcrossLanes)
     EXPECT_FALSE(serial.drive_deltas[0].empty());
     EXPECT_FALSE(serial.drive_deltas[1].empty());
 
+    const db::Catalog cat = db::captureCatalog(primary.db);
     std::vector<ArrayRecord> lanes;
     for (int i = 0; i < 2; ++i) {
-        sisc::Env lenv(image);
-        ASSERT_EQ(lenv.array.driveCount(), 2u);
-        host::HostSystem lhost(lenv.array);
-        db::MiniDb ldb(lenv, lhost);
-        ldb.planner = primary.db.planner;
-        for (const auto &name : primary.db.tableNames()) {
-            db::Table &t = primary.db.table(name);
-            ldb.attachShardedTable(name, t.schema(), t.rowCount(),
-                                   t.shardCount());
-        }
-        lanes.push_back(recordQ6(lenv, ldb));
+        db::Fork lane(image, cat);
+        ASSERT_EQ(lane.env.array.driveCount(), 2u);
+        lanes.push_back(recordQ6(lane.env, lane.db));
     }
     expectSameRecord(serial, lanes[0]);
     expectSameRecord(lanes[0], lanes[1]);

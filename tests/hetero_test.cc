@@ -35,6 +35,7 @@
 #include "db/costmodel.h"
 #include "db/executor.h"
 #include "db/expr.h"
+#include "db/lane_suite.h"
 #include "db/minidb.h"
 #include "db/placer.h"
 #include "db/session.h"
@@ -439,9 +440,11 @@ struct ReplanRecord
 };
 
 /** Admit a grep, let a co-tenant fleet pile onto its drive, then hit
- *  the launch checkpoint. */
+ *  the launch checkpoint. @p s is a HeteroSystem or a db::Fork of
+ *  one. */
+template <typename System>
 ReplanRecord
-replanScenario(HeteroSystem &s)
+replanScenario(System &s)
 {
     ReplanRecord r;
     s.env.run([&] {
@@ -509,6 +512,7 @@ TEST(HeteroLane, ForkedLaneReproducesReplanSequence)
 {
     constexpr std::uint32_t kDrives = 2;
     HeteroSystem primary(kDrives);
+    const Catalog cat = captureCatalog(primary.db);
     const sim::DeviceImage image =
         sisc::freezeDeviceImage(primary.env);
 
@@ -520,45 +524,10 @@ TEST(HeteroLane, ForkedLaneReproducesReplanSequence)
     host::LaneRunner runner(2);
     std::vector<ReplanRecord> lanes(2);
     runner.run(2, [&](std::size_t i) {
-        sisc::Env lenv(image);
-        host::HostSystem lhost(lenv.array);
-        MiniDb ldb(lenv, lhost);
-        ldb.planner = primary.db.planner;
         // The corpus pages are already in the image; the lane replays
         // the identical scenario over them.
-        ReplanRecord r;
-        lenv.run([&] {
-            warmGrepModules(ldb);
-            PlacementSession session(ldb);
-            const int forced = admitWorkload(
-                ldb, grepSpec(0, PlaceForce::AllDevice));
-            const int qid =
-                admitWorkload(ldb, grepSpec(0, PlaceForce::Auto));
-            r.premature = session.maybeReplan(qid);
-            std::vector<sim::FiberId> tenants;
-            for (int k = 0; k < 8; ++k) {
-                tenants.push_back(lenv.kernel.spawn(
-                    "cotenant" + std::to_string(k), [&] {
-                        host::grepBiscuitResident(
-                            lenv.array.drive(0).runtime,
-                            ldb.grep_drive_modules[0], kLogPath,
-                            kNeedle);
-                    }));
-            }
-            lenv.kernel.sleep(Tick{500000});
-            r.forced = session.maybeReplan(forced);
-            r.moved = session.maybeReplan(qid);
-            r.replans = session.replans();
-            r.final_placement = session.plan(qid).describe();
-            const WorkloadOutcome out = runPlannedWorkload(
-                ldb, grepSpec(0, PlaceForce::Auto), qid);
-            r.matches = out.grep.matches;
-            session.release(forced);
-            for (sim::FiberId fid : tenants)
-                lenv.kernel.join(fid);
-            r.end_tick = lenv.kernel.now();
-        });
-        lanes[i] = r;
+        Fork lane(image, cat);
+        lanes[i] = replanScenario(lane);
     });
 
     for (const ReplanRecord &lane : lanes) {

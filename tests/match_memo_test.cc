@@ -21,6 +21,7 @@
 
 #include "db/executor.h"
 #include "db/expr.h"
+#include "db/lane_suite.h"
 #include "db/minidb.h"
 #include "db/table.h"
 #include "db/types.h"
@@ -585,6 +586,7 @@ TEST(MatchMemoLane, ForkedLanesMatchTheFrozenSystem)
     Answers before, after;
     env.run([&] { before = deviceAnswers(env, db, table); });
     const sim::DeviceImage image = sisc::freezeDeviceImage(env);
+    const db::Catalog cat = db::captureCatalog(db);
     env.run([&] { after = deviceAnswers(env, db, table); });
     EXPECT_EQ(describe(before), want);
     EXPECT_EQ(describe(after), want);
@@ -594,16 +596,13 @@ TEST(MatchMemoLane, ForkedLanesMatchTheFrozenSystem)
     const host::LaneRunner runner(2);
     const std::vector<std::string> lanes =
         runner.runTranscripts(4, [&](std::size_t) {
-            sisc::Env lane(image);
-            host::HostSystem lane_host(lane.array);
-            db::MiniDb lane_db(lane, lane_host);
-            lane_db.planner = db.planner;
-            db::Table &t = lane_db.attachTable("events", table.schema(),
-                                               table.rowCount());
+            db::Fork fork(image, cat);
+            sisc::Env &lane = fork.env;
+            db::Table &t = fork.db.table("events");
             Answers first, second;
             lane.run([&] {
-                first = deviceAnswers(lane, lane_db, t);
-                second = deviceAnswers(lane, lane_db, t);
+                first = deviceAnswers(lane, fork.db, t);
+                second = deviceAnswers(lane, fork.db, t);
             });
             std::string s = describe(first);
             if (!(second == first))

@@ -37,6 +37,7 @@
 #include "db/costmodel.h"
 #include "db/executor.h"
 #include "db/expr.h"
+#include "db/lane_suite.h"
 #include "db/minidb.h"
 #include "db/placer.h"
 #include "db/planner.h"
@@ -565,6 +566,7 @@ TEST(PipelineLane, ForkedLaneReproducesPipelinePlacement)
     auto &t = db.createShardedTable("events", schema);
     t.loadRows(eventRows(7, 20000));
 
+    const Catalog cat = captureCatalog(db);
     sim::DeviceImage image = sisc::freezeDeviceImage(env);
     exportTableStats(db, image);
 
@@ -583,14 +585,8 @@ TEST(PipelineLane, ForkedLaneReproducesPipelinePlacement)
     host::LaneRunner runner(2);
     std::vector<ScanRecord> lanes(2);
     runner.run(2, [&](std::size_t i) {
-        sisc::Env lenv(image);
-        host::HostSystem lhost(lenv.array);
-        MiniDb ldb(lenv, lhost);
-        ldb.planner = db.planner;
-        ldb.attachShardedTable("events", schema, t.rowCount(),
-                               kDrives);
-        adoptTableStats(ldb, image);
-        lanes[i] = scanOnce(lenv, ldb, pred);
+        Fork lane(image, cat);
+        lanes[i] = scanOnce(lane.env, lane.db, pred);
     });
 
     for (const ScanRecord &lane : lanes) {

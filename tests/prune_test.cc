@@ -14,10 +14,10 @@
  *     rows with statistics off and on, in both engine modes.
  *  5. A lane forked from a frozen device image adopts the primary's
  *     statistics and reproduces its prune decisions (same runs, same
- *     estimates, same counters, same simulated ticks).
+ *     estimates, same counters, same simulated ticks), and a
+ *     db::Fork also carries the primary's HostConfig.
  *  6. Keyed point lookups equal the linear path and the row-index
- *     path, present and absent keys, with and without statistics;
- *     the serving tier's keyed mode preserves its aggregates.
+ *     path, present and absent keys, with and without statistics.
  */
 
 #include <gtest/gtest.h>
@@ -30,13 +30,13 @@
 
 #include "db/executor.h"
 #include "db/expr.h"
+#include "db/lane_suite.h"
 #include "db/minidb.h"
 #include "db/planner.h"
 #include "db/stats.h"
 #include "db/table.h"
 #include "db/types.h"
 #include "host/host_system.h"
-#include "serve/serve.h"
 #include "sisc/device_image.h"
 #include "sisc/env.h"
 #include "ssd/config.h"
@@ -484,6 +484,82 @@ TEST(PruneFork, ForkedLaneReproducesPruneDecisions)
               primary.stats.pages_to_host);
 }
 
+TEST(PruneFork, ForkCarriesHostConfigAndStatistics)
+{
+    const Schema schema = eventsSchema();
+    constexpr std::uint32_t kDrives = 2;
+
+    // A host slower than the default at DB page work and per-I/O
+    // set-up: a fork that fell back to the default HostConfig would
+    // time the host side of the scan differently.
+    host::HostConfig slow;
+    slow.db_scan_ns_per_byte = 9.0;
+    slow.io_request_cpu = Tick{20000};
+
+    sisc::Env env(ssd::testConfig(), kDrives);
+    host::HostSystem host(env.array, slow);
+    MiniDb db(env, host);
+    db.planner.min_table_bytes = 8_KiB;
+    db.planner.sample_pages = 8;
+    db.planner.use_stats = true;
+    auto &t = db.createShardedTable("events", schema);
+    t.loadRows(eventRows(5, 20000));
+    ASSERT_EQ(t.shardCount(), kDrives);
+    ASSERT_TRUE(t.stats());
+
+    const Catalog cat = captureCatalog(db);
+    sim::DeviceImage image = sisc::freezeDeviceImage(env);
+    exportTableStats(db, image);
+
+    auto pred = between(schema, "day", std::string("1995-03-01"),
+                        std::string("1995-04-15"));
+    struct Record
+    {
+        std::vector<Row> rows;
+        std::string note;
+        Tick elapsed = 0;
+        std::uint64_t pages_skipped = 0;
+    };
+    auto scan = [&pred](sisc::Env &e, MiniDb &d) {
+        Record r;
+        e.run([&] {
+            DbStats stats;
+            const Tick t0 = e.kernel.now();
+            ScanOutcome out = scanTable(d, d.table("events"), pred,
+                                        EngineMode::Biscuit, stats);
+            r.elapsed = e.kernel.now() - t0;
+            r.rows = std::move(out.rows);
+            r.note = out.note;
+            r.pages_skipped = stats.prune_pages_skipped;
+        });
+        return r;
+    };
+
+    const Record primary = scan(env, db);
+    ASSERT_FALSE(primary.rows.empty());
+    ASSERT_GT(primary.pages_skipped, 0u);
+
+    Fork fork(image, cat);
+    EXPECT_EQ(fork.host.config().db_scan_ns_per_byte,
+              slow.db_scan_ns_per_byte);
+    EXPECT_EQ(fork.db.table("events").shardCount(), kDrives);
+    EXPECT_EQ(fork.db.table("events").stats().get(), t.stats().get());
+    const Record forked = scan(fork.env, fork.db);
+    EXPECT_EQ(forked.rows, primary.rows);
+    EXPECT_EQ(forked.note, primary.note);
+    EXPECT_EQ(forked.elapsed, primary.elapsed);
+    EXPECT_EQ(forked.pages_skipped, primary.pages_skipped);
+
+    // The HostConfig is what the elapsed ticks hinge on: the same
+    // fork under the default host times the scan differently.
+    Catalog default_host = cat;
+    default_host.host = host::HostConfig{};
+    Fork plain(image, default_host);
+    const Record replain = scan(plain.env, plain.db);
+    EXPECT_EQ(replain.rows, primary.rows);
+    EXPECT_NE(replain.elapsed, primary.elapsed);
+}
+
 TEST_F(PruneStatsTest, PointLookupByKeyMatchesRowIndexLookup)
 {
     Table &t = db_.table("events");
@@ -540,30 +616,6 @@ TEST_F(PruneStatsTest, PointLookupByKeyMatchesRowIndexLookup)
                                           key, &got, ls));
         }
     });
-}
-
-TEST(PruneServe, KeyedLookupsPreserveServingAggregates)
-{
-    serve::ServeConfig cfg;
-    cfg.clients = 6;
-    cfg.jobs_per_client = 3;
-
-    sisc::Env plain_env(ssd::defaultConfig(), 2);
-    serve::ServeReport plain = serve::runServe(plain_env, cfg);
-
-    cfg.keyed_lookups = true;
-    sisc::Env keyed_env(ssd::defaultConfig(), 2);
-    serve::ServeReport keyed = serve::runServe(keyed_env, cfg);
-
-    // Routing lookups through o_orderkey zone maps changes their
-    // latency, never their answers or the rest of the mix.
-    EXPECT_EQ(keyed.lookup_sum, plain.lookup_sum);
-    EXPECT_EQ(keyed.tpch_rows, plain.tpch_rows);
-    EXPECT_EQ(keyed.grep_matches, plain.grep_matches);
-    EXPECT_EQ(keyed.wordcount_words, plain.wordcount_words);
-    EXPECT_EQ(keyed.submitted, plain.submitted);
-    EXPECT_EQ(keyed.completed + keyed.rejected,
-              plain.completed + plain.rejected);
 }
 
 }  // namespace

@@ -17,6 +17,8 @@
  *     budgets completes with typed rejects only.
  *  5. Populating the data and calling serveMain with unified
  *     pipelines on reproduces runServe's report.
+ *  6. plannerConfigFromEnv maps BISCUIT_PIPELINE_PLACE and
+ *     BISCUIT_UNIFIED_PIPELINES onto the PlannerConfig gate chain.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "db/lane_suite.h"
 #include "db/minidb.h"
 #include "host/host_system.h"
 #include "host/lane_runner.h"
@@ -35,6 +38,18 @@
 
 namespace bisc {
 namespace {
+
+/** Every PlannerConfig gate on: the unified serving path. */
+db::PlannerConfig
+unifiedPlanner()
+{
+    db::PlannerConfig p;
+    p.use_stats = true;
+    p.use_cost_model = true;
+    p.use_pipeline = true;
+    p.use_unified_pipelines = true;
+    return p;
+}
 
 serve::ServeConfig
 soakConfig()
@@ -106,7 +121,10 @@ TEST(ServeSoak, ForkedLanesReproduceThePrimaryRun)
     std::vector<serve::ServeReport> lane_reports(lanes);
     host::LaneRunner runner(lanes);
     runner.run(lanes, [&](std::size_t i) {
-        lane_reports[i] = serve::runServeForked(image, cat, cfg);
+        db::Fork lane(image, cat);
+        lane.env.run([&] {
+            lane_reports[i] = serve::serveMain(lane.db, cfg, cat);
+        });
     });
 
     for (unsigned i = 0; i < lanes; ++i) {
@@ -163,30 +181,6 @@ TEST(ServeSoak, SaturationRejectsTypedAndNeverCrashes)
     // deadlocked the run before this point).
 }
 
-TEST(ServeSoak, PlacedGrepRoutingIsDeterministicAndDrains)
-{
-    // Placement-aware grep routing (ServeConfig::placed_greps) sends
-    // each grep to the least-loaded drive instead of the client's RNG
-    // pick. Routing may move work; it must not change determinism or
-    // lose jobs, and every grep still returns the same result because
-    // every drive serves the identical corpus.
-    serve::ServeConfig cfg = soakConfig();
-    cfg.placed_greps = true;
-
-    sisc::Env env1(ssd::defaultConfig(), 4);
-    serve::ServeReport r1 = serve::runServe(env1, cfg);
-    sisc::Env env2(ssd::defaultConfig(), 4);
-    serve::ServeReport r2 = serve::runServe(env2, cfg);
-
-    EXPECT_GT(r1.completed, 0u);
-    EXPECT_EQ(r1.completed + r1.rejected, r1.submitted);
-    expectSameReport(r1, r2);
-
-    // The gate default stays off: an unconfigured run must not have
-    // taken the placed path (fig_serve's golden depends on it).
-    EXPECT_FALSE(serve::ServeConfig{}.placed_greps);
-}
-
 TEST(ServeSoak, ConcurrentLazyModuleLoadsComplete)
 {
     // Unified pipelines load their device modules lazily, on first
@@ -199,10 +193,9 @@ TEST(ServeSoak, ConcurrentLazyModuleLoadsComplete)
     cfg.clients = 4;
     cfg.jobs_per_client = 20;
     cfg.mean_interarrival = 2 * kMsec;
-    cfg.unified_pipelines = true;
 
     sisc::Env env(ssd::defaultConfig(), 4);
-    serve::ServeReport rep = serve::runServe(env, cfg);
+    serve::ServeReport rep = serve::runServe(env, cfg, unifiedPlanner());
 
     EXPECT_EQ(rep.submitted,
               static_cast<std::uint64_t>(cfg.clients) *
@@ -214,22 +207,23 @@ TEST(ServeSoak, ConcurrentLazyModuleLoadsComplete)
 TEST(ServeSoak, PopulatedUnifiedRunMatchesRunServe)
 {
     // The populate-then-serveMain shape of the forked-lane test and
-    // the benchmark harness, with unified pipelines on: population
-    // maps the flags onto the planner once, so this run takes the
-    // same paths as runServe.
-    serve::ServeConfig cfg = soakConfig();
-    cfg.unified_pipelines = true;
+    // the benchmark harness, with unified pipelines on: the caller's
+    // planner is the one runServe installs, so this run takes the
+    // same paths.
+    const serve::ServeConfig cfg = soakConfig();
 
     sisc::Env env(ssd::defaultConfig(), 4);
     host::HostSystem host(env.array);
     db::MiniDb db(env, host);
+    db.planner = unifiedPlanner();
     const serve::ServeCatalog cat =
         serve::populateServeData(host, db, cfg);
     serve::ServeReport populated;
     env.run([&] { populated = serve::serveMain(db, cfg, cat); });
 
     sisc::Env fresh(ssd::defaultConfig(), 4);
-    const serve::ServeReport reference = serve::runServe(fresh, cfg);
+    const serve::ServeReport reference =
+        serve::runServe(fresh, cfg, unifiedPlanner());
 
     EXPECT_GT(populated.completed, 0u);
     expectSameReport(populated, reference);
@@ -243,6 +237,88 @@ TEST(ServeSoak, ConfigFromEnvironment)
     serve::ServeConfig def = serve::serveConfigFromEnv();
     EXPECT_EQ(def.clients, serve::ServeConfig{}.clients);
     EXPECT_EQ(def.seed, serve::ServeConfig{}.seed);
+}
+
+/** Sets (or, for null, unsets) one environment variable for a scope
+ *  and restores its old value on exit. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        const char *old = std::getenv(name);
+        had_old_ = old != nullptr;
+        if (had_old_)
+            old_ = old;
+        if (value)
+            setenv(name, value, 1);
+        else
+            unsetenv(name);
+    }
+
+    ~ScopedEnv()
+    {
+        if (had_old_)
+            setenv(name_, old_.c_str(), 1);
+        else
+            unsetenv(name_);
+    }
+
+  private:
+    const char *name_;
+    bool had_old_ = false;
+    std::string old_;
+};
+
+/** The four PlannerConfig gates as "stats/cost/pipeline/unified". */
+std::string
+gates(const db::PlannerConfig &p)
+{
+    return std::to_string(p.use_stats) + std::to_string(p.use_cost_model) +
+           std::to_string(p.use_pipeline) +
+           std::to_string(p.use_unified_pipelines);
+}
+
+std::string
+gatesFromEnv(const char *pipeline, const char *unified)
+{
+    ScopedEnv p("BISCUIT_PIPELINE_PLACE", pipeline);
+    ScopedEnv u("BISCUIT_UNIFIED_PIPELINES", unified);
+    return gates(serve::plannerConfigFromEnv());
+}
+
+TEST(ServeSoak, PlannerConfigFromEnvironment)
+{
+    // Unset or empty: every gate off, i.e. the default planner.
+    EXPECT_EQ(gatesFromEnv(nullptr, nullptr), "0000");
+    EXPECT_EQ(gatesFromEnv("", ""), "0000");
+    EXPECT_EQ(gates(db::PlannerConfig{}), "0000");
+
+    // Pipeline placement brings the statistics and cost-model layers
+    // it requires; unified pipelines bring all four gates.
+    EXPECT_EQ(gatesFromEnv("1", nullptr), "1110");
+    EXPECT_EQ(gatesFromEnv(nullptr, "1"), "1111");
+    EXPECT_EQ(gatesFromEnv("yes", "on"), "1111");
+    EXPECT_EQ(gatesFromEnv("0", "1"), "1111");
+
+    // "0", "false" and "off" turn a gate off.
+    for (const char *off : {"0", "false", "off"}) {
+        SCOPED_TRACE(off);
+        EXPECT_EQ(gatesFromEnv(off, nullptr), "0000");
+        EXPECT_EQ(gatesFromEnv(nullptr, off), "0000");
+        EXPECT_EQ(gatesFromEnv(off, off), "0000");
+        EXPECT_EQ(gatesFromEnv("1", off), "1110");
+    }
+
+    // Only the gates move: every other field keeps its default.
+    const db::PlannerConfig def;
+    ScopedEnv u("BISCUIT_UNIFIED_PIPELINES", "1");
+    const db::PlannerConfig p = serve::plannerConfigFromEnv();
+    EXPECT_EQ(p.enable_ndp, def.enable_ndp);
+    EXPECT_EQ(p.page_selectivity_threshold,
+              def.page_selectivity_threshold);
+    EXPECT_EQ(p.place_seed, def.place_seed);
+    EXPECT_EQ(p.min_table_bytes, def.min_table_bytes);
 }
 
 }  // namespace

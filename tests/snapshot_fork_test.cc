@@ -20,6 +20,7 @@
 
 #include "db/executor.h"
 #include "db/expr.h"
+#include "db/lane_suite.h"
 #include "db/minidb.h"
 #include "host/host_system.h"
 #include "sim/stats.h"
@@ -144,23 +145,12 @@ class SnapshotForkTest : public ::testing::Test
         return record(*env_, *db_, q, mode);
     }
 
-    struct Lane
+    /** A fork of @p primary's catalog over @p image. */
+    struct Lane : db::Fork
     {
-        sisc::Env env;
-        host::HostSystem host;
-        db::MiniDb db;
-
-        explicit Lane(const sim::DeviceImage &image,
-                      const db::MiniDb &primary)
-            : env(image), host(env.array), db(env, host)
-        {
-            db.planner = primary.planner;
-            for (const auto &name : primary.tableNames()) {
-                const db::Table &t =
-                    const_cast<db::MiniDb &>(primary).table(name);
-                db.attachTable(name, t.schema(), t.rowCount());
-            }
-        }
+        Lane(const sim::DeviceImage &image, db::MiniDb &primary)
+            : db::Fork(image, db::captureCatalog(primary))
+        {}
     };
 
     static sisc::Env *env_;
