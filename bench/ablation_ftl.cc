@@ -153,7 +153,7 @@ reliability(double raw_ber, Tick retry_cost, double program_fail,
         }
         for (ftl::Lpn l = 0; l < space; ++l) {
             Tick t0 = kernel.now();
-            auto r = ftl.readEx(l, 0, page.size(), out.data());
+            auto r = ftl.read(l, 0, page.size(), out.data());
             sim::Kernel::current().sleepUntil(r.done);
             sum_us += toMicros(kernel.now() - t0);
             retries += r.retries;

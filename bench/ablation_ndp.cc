@@ -181,7 +181,7 @@ main()
         // ---- B. software scan vs hardware matcher ----------------
         std::printf("\nB. in-storage scanning: software vs. the "
                     "matcher IP (64 MiB grep)\n");
-        auto conv = host::grepConv(host, "/data/weblog",
+        auto conv = host::grepConv(host, 0, "/data/weblog",
                                    "sig_needle");
         Tick soft_time = 0;
         auto soft = runSoftGrep(env.runtime, "/data/weblog",

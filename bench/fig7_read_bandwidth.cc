@@ -112,7 +112,7 @@ convBandwidth(sisc::Env &env, host::HostSystem &host, Bytes req,
     Tick t0 = env.kernel.now();
     if (!async) {
         for (Bytes off = 0; off < total; off += req)
-            host.pread("/data/bw", off % kFileSize, nullptr, req);
+            host.pread(0, "/data/bw", off % kFileSize, nullptr, req);
     } else {
         std::deque<Tick> inflight;
         for (Bytes off = 0; off < total; off += req) {
@@ -163,8 +163,8 @@ biscuitBandwidth(sisc::Env &env, rt::ModuleId mid,
 int
 main()
 {
-    sisc::Env env;
-    host::HostSystem host(env.kernel, env.device, env.fs);
+    sisc::Env env(ssd::defaultConfig(), 1);
+    host::HostSystem host(env.array);
     env.installModule("/bench_bw.slet", "bench_bw");
     env.fs.populateWith("/data/bw", kFileSize,
                         [](Bytes, std::uint8_t *buf, Bytes n) {

@@ -127,8 +127,8 @@ printTrace(const char *label, const sim::TimeSeries &trace,
 int
 main()
 {
-    sisc::Env env;
-    host::HostSystem host(env.kernel, env.device, env.fs);
+    sisc::Env env(ssd::defaultConfig(), 1);
+    host::HostSystem host(env.array);
     db::MiniDb mdb(env, host);
     mdb.planner.min_table_bytes = 512_KiB;
 

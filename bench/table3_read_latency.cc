@@ -58,8 +58,8 @@ int
 main()
 {
     constexpr std::uint32_t kRounds = 64;
-    sisc::Env env;
-    host::HostSystem host(env.kernel, env.device, env.fs);
+    sisc::Env env(ssd::defaultConfig(), 1);
+    host::HostSystem host(env.array);
     env.installModule("/bench_read.slet", "bench_read");
 
     // A few MiB of data to read from.
@@ -74,7 +74,7 @@ main()
         for (std::uint32_t i = 0; i < kRounds; ++i) {
             env.kernel.sleep(500 * kUsec);
             Tick t0 = env.kernel.now();
-            host.pread("/data/blob", (i % 512) * Bytes{4096},
+            host.pread(0, "/data/blob", (i % 512) * Bytes{4096},
                        buf.data(), 4096);
             total += env.kernel.now() - t0;
         }

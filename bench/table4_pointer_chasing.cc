@@ -25,8 +25,8 @@ main()
 {
     using namespace bisc;
 
-    sisc::Env env;
-    host::HostSystem host(env.kernel, env.device, env.fs);
+    sisc::Env env(ssd::defaultConfig(), 1);
+    host::HostSystem host(env.array);
 
     graph::GraphSpec gspec;
     gspec.vertices = 400000;  // ~100 MiB store (paper: 20 GiB)

@@ -27,8 +27,8 @@ main()
 {
     using namespace bisc;
 
-    sisc::Env env;
-    host::HostSystem host(env.kernel, env.device, env.fs);
+    sisc::Env env(ssd::defaultConfig(), 1);
+    host::HostSystem host(env.array);
 
     const Bytes corpus = 256_MiB;
     const double scale_to_paper =
@@ -48,7 +48,7 @@ main()
     env.run([&] {
         for (std::uint32_t threads : {0u, 6u, 12u, 18u, 24u}) {
             host::StreamBench load(host, threads);
-            auto conv = host::grepConv(host, "/data/weblog", needle);
+            auto conv = host::grepConv(host, 0, "/data/weblog", needle);
             auto ndp =
                 host::grepBiscuit(env.runtime, "/data/weblog", needle);
             std::printf("%-10u %12.3f %12.3f %8.1fx %12.1f / %.1f s\n",

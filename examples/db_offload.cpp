@@ -24,8 +24,8 @@ main()
     using namespace bisc;
     using db::CmpOp;
 
-    sisc::Env env;
-    host::HostSystem host(env.kernel, env.device, env.fs);
+    sisc::Env env(ssd::defaultConfig(), 1);
+    host::HostSystem host(env.array);
     db::MiniDb mdb(env, host);
     mdb.planner.min_table_bytes = 256_KiB;
 

@@ -22,8 +22,8 @@ main()
 {
     using namespace bisc;
 
-    sisc::Env env;
-    host::HostSystem host(env.kernel, env.device, env.fs);
+    sisc::Env env(ssd::defaultConfig(), 1);
+    host::HostSystem host(env.array);
 
     const Bytes corpus = 64_MiB;
     const std::string needle = "ERROR_5xx_spike";
@@ -43,7 +43,7 @@ main()
                     "Biscuit (ms)", "speedup");
         for (std::uint32_t threads : {0u, 6u, 12u, 18u, 24u}) {
             host::StreamBench load(host, threads);
-            auto conv = host::grepConv(host, "/data/weblog", needle);
+            auto conv = host::grepConv(host, 0, "/data/weblog", needle);
             auto ndp =
                 host::grepBiscuit(env.runtime, "/data/weblog", needle);
             std::printf("%-8u %14.1f %14.1f %8.1fx   "

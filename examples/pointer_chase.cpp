@@ -20,8 +20,8 @@ main()
 {
     using namespace bisc;
 
-    sisc::Env env;
-    host::HostSystem host(env.kernel, env.device, env.fs);
+    sisc::Env env(ssd::defaultConfig(), 1);
+    host::HostSystem host(env.array);
 
     graph::GraphSpec gspec;
     gspec.vertices = 200000;  // ~51 MiB store

@@ -5,7 +5,8 @@
 # that run what the goldens do not: a trace pass (fig10 with
 # BISCUIT_TRACE: golden must still match, the JSON must load, two runs
 # must be byte-identical), a multi-drive pass (fig10 at
-# BISCUIT_DRIVES=4 on two lanes against the 4-drive golden), a serve
+# BISCUIT_DRIVES=4 on two lanes against the 4-drive golden, and the
+# single-drive benches at BISCUIT_DRIVES=4 against their own), a serve
 # pass (two-run byte-identity and lane/drive env invariance of
 # fig_serve and of the unified and pipeline serving paths), and the
 # same two checks for fig_prune, fig_place, fig_pipeline and
@@ -50,7 +51,7 @@ if [[ "$run_perf_smoke" == 1 ]]; then
     echo "trace: golden match, JSON valid, two runs byte-identical"
 
     echo
-    echo "=== multi-drive pass: fig10 with BISCUIT_DRIVES=4 ==="
+    echo "=== multi-drive pass: BISCUIT_DRIVES=4 ==="
     # The sharded suite keeps its own golden (the serial run is the
     # golden.fig10_tpch_drives4 ctest case): a parallel-lane run must
     # match it byte-for-byte too (the array freeze/fork path).
@@ -59,6 +60,17 @@ if [[ "$run_perf_smoke" == 1 ]]; then
     diff -q bench/golden/fig10_tpch_drives4.txt \
         build/bench_out/fig10_drives4_lanes.txt
     echo "multi-drive: 2-lane run matches the 4-drive golden"
+    # The single-drive benches pin a 1-drive Env, so BISCUIT_DRIVES
+    # must not move them (fig9's MiniDb would shard without the pin).
+    for bench in table3_read_latency table4_pointer_chasing \
+                 table5_string_search fig7_read_bandwidth \
+                 fig9_power_energy; do
+        BISCUIT_DRIVES=4 "build/bench/${bench}" \
+            > "build/bench_out/${bench}_drives4.txt"
+        diff -q "bench/golden/${bench}.txt" \
+            "build/bench_out/${bench}_drives4.txt"
+    done
+    echo "multi-drive: the single-drive benches ignore BISCUIT_DRIVES"
 
     echo
     echo "=== serve pass: open-loop serving determinism ==="

@@ -25,6 +25,9 @@ namespace bisc::db {
 
 namespace {
 
+/** Block-nested-loop join buffer (MariaDB join_buffer_size). */
+constexpr Bytes kJoinBuffer = 128_KiB;
+
 /**
  * Wall-to-wall sim-time accounting of one relational operator:
  * accumulates into DbStats::op_ticks[name] and, when tracing, emits a
@@ -825,8 +828,8 @@ runScan(MiniDb &db, Table &table, const ExprPtr &pred,
         };
         for (const auto &[first, count] : sp.runs(table, s)) {
             stats.pages_to_host += count;
-            host.streamReadOn(s, table.file(), first * page_size,
-                              count * page_size, 1_MiB, onWindow);
+            host.streamRead(s, table.file(), first * page_size,
+                            count * page_size, 1_MiB, onWindow);
         }
     };
 
@@ -1026,8 +1029,8 @@ pointLookup(MiniDb &db, Table &table, std::uint64_t row_index,
     const std::uint32_t shard = table.shardOf(page);
 
     std::vector<std::uint8_t> buf(page_size);
-    host.preadOn(shard, table.file(), table.localPage(page) * page_size,
-                 buf.data(), page_size);
+    host.pread(shard, table.file(), table.localPage(page) * page_size,
+               buf.data(), page_size);
     host.consumeCpuPerByte(page_size, host.config().db_scan_ns_per_byte);
     const std::uint64_t in_page = table.rowsInPage(page);
     const std::uint64_t slot = row_index % table.rowsPerPage();
@@ -1054,9 +1057,9 @@ pointLookupByKey(MiniDb &db, Table &table, int key_col,
 
     std::vector<std::uint8_t> buf(page_size);
     auto probePage = [&](std::uint64_t page) {
-        host.preadOn(table.shardOf(page), table.file(),
-                     table.localPage(page) * page_size, buf.data(),
-                     page_size);
+        host.pread(table.shardOf(page), table.file(),
+                   table.localPage(page) * page_size, buf.data(),
+                   page_size);
         host.consumeCpuPerByte(page_size,
                                host.config().db_scan_ns_per_byte);
         ++stats.pages_to_host;
@@ -1407,7 +1410,7 @@ placedJoinTiming(MiniDb &db, Table &inner, std::uint64_t blocks,
             return;
         }
         for (std::uint64_t b = 0; b < blocks; ++b) {
-            host.streamReadTimedOn(
+            host.streamReadTimed(
                 s, inner.file(), 0, inner.shardPageCount(s) * page,
                 1_MiB, [&](Bytes, Bytes len) {
                     host.consumeCpuPerByte(
@@ -1470,8 +1473,7 @@ bnlJoin(MiniDb &db, const RowSet &outer, Bytes outer_width,
     // magnification effect of early filtering: fewer outer rows means
     // fewer physical passes over the inner table.
     Bytes outer_bytes = outer.size() * outer_width;
-    std::uint64_t blocks =
-        divCeil<Bytes>(outer_bytes, db.planner.join_buffer);
+    std::uint64_t blocks = divCeil<Bytes>(outer_bytes, kJoinBuffer);
     if (db.planner.use_unified_pipelines && db.planner.use_pipeline &&
         inner.pageCount() > 0) {
         // Unified gate: the inner side becomes a placeable
@@ -1479,8 +1481,7 @@ bnlJoin(MiniDb &db, const RowSet &outer, Bytes outer_width,
         // once instead of once per block). Rows already computed
         // above — identical at any placement.
         placedJoinTiming(db, inner, blocks, matched_rows, stats);
-        host.consumeCpu(db.planner.row_cpu *
-                        (outer.size() + out.size()));
+        host.consumeCpu(kRowCpu * (outer.size() + out.size()));
         return out;
     }
     for (std::uint64_t b = 0; b < blocks; ++b) {
@@ -1489,7 +1490,7 @@ bnlJoin(MiniDb &db, const RowSet &outer, Bytes outer_width,
         // sharded inner reads its per-drive slices concurrently
         // within each pass.
         forEachShard(db, inner, "db.bnl", [&](std::uint32_t s) {
-            host.streamReadTimedOn(
+            host.streamReadTimed(
                 s, inner.file(), 0,
                 inner.shardPageCount(s) * inner.pageSize(), 1_MiB,
                 [&](Bytes, Bytes len) {
@@ -1501,7 +1502,7 @@ bnlJoin(MiniDb &db, const RowSet &outer, Bytes outer_width,
         stats.rows_examined += inner.rowCount();
     }
 
-    host.consumeCpu(db.planner.row_cpu * (outer.size() + out.size()));
+    host.consumeCpu(kRowCpu * (outer.size() + out.size()));
     return out;
 }
 
@@ -1551,7 +1552,7 @@ groupBy(MiniDb &db, const RowSet &rows, const std::vector<int> &key_cols,
         }
         ++counts[g];
     }
-    db.host().consumeCpu(db.planner.row_cpu * rows.size());
+    db.host().consumeCpu(kRowCpu * rows.size());
 
     std::vector<Column> cols;
     for (int c : key_cols)
@@ -1664,7 +1665,7 @@ filterRows(MiniDb &db, const RowSet &rows, const ExprPtr &pred,
         if (!pred || evalPredRaw(*pred, rows.slot(i), rows.schema()))
             out.append(rows.slot(i));
     }
-    db.host().consumeCpu(db.planner.row_cpu * rows.size());
+    db.host().consumeCpu(kRowCpu * rows.size());
     stats.rows_examined += rows.size();
     return out;
 }

@@ -98,18 +98,6 @@ struct PlannerConfig
     bool use_unified_pipelines = false;
 
     /**
-     * Re-planning hysteresis (use_unified_pipelines): an in-flight
-     * plan's unlaunched stages are re-priced only when a drive's
-     * resident-app or host-stream population shifted by at least
-     * replan_min_delta since planning, or a core backlog drifted by
-     * more than replan_hysteresis of its planned value. Both guards
-     * damp oscillation; both are deterministic (sim-state inputs
-     * only).
-     */
-    std::uint32_t replan_min_delta = 1;
-    double replan_hysteresis = 0.25;
-
-    /**
      * Seed of the placement annealer's xoshiro stream; 0 defers to
      * the BISCUIT_PLACE_SEED environment variable (falling back to
      * the PlacerConfig default). Fixed seed -> identical plans.
@@ -121,13 +109,10 @@ struct PlannerConfig
 
     /** Tables smaller than this are not worth offloading. */
     Bytes min_table_bytes = 1_MiB;
-
-    /** Block-nested-loop join buffer (MariaDB join_buffer_size). */
-    Bytes join_buffer = 128_KiB;
-
-    /** Host CPU cost per row of join/aggregation bookkeeping. */
-    Tick row_cpu = Tick{60};  // 60 ns
 };
+
+/** Host CPU cost per row of join/aggregation bookkeeping. */
+constexpr Tick kRowCpu = Tick{60};  // 60 ns
 
 /** Aggregate counters a query run accumulates. */
 struct DbStats

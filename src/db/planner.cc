@@ -84,10 +84,10 @@ buildPipelineGraph(MiniDb &db, Table &table,
     merge.kind = StageKind::Merge;
     merge.page_bytes = table.pageSize();
     merge.eligible_drives.clear();
-    // Merge bookkeeping is per-row (planner row_cpu), expressed per
-    // byte of matched-row payload.
+    // Merge bookkeeping is per-row (kRowCpu), expressed per byte of
+    // matched-row payload.
     merge.cpu_ns_per_byte =
-        static_cast<double>(db.planner.row_cpu) /
+        static_cast<double>(kRowCpu) /
         std::max<double>(1.0, static_cast<double>(
                                   table.schema().rowWidth()));
     g.stages.push_back(std::move(merge));

@@ -8,6 +8,17 @@ namespace bisc::db {
 
 namespace {
 
+/**
+ * Re-planning hysteresis (PlannerConfig::use_unified_pipelines): an
+ * in-flight plan's unlaunched stages are re-priced only when a
+ * drive's resident-app or host-stream population shifted by at least
+ * kReplanMinDelta since planning, or a core backlog drifted by more
+ * than kReplanHysteresis of its planned value. Both guards damp
+ * oscillation; both are deterministic (sim-state inputs only).
+ */
+constexpr std::uint32_t kReplanMinDelta = 1;
+constexpr double kReplanHysteresis = 0.25;
+
 /** Absolute floor under the relative backlog-drift trigger: sub-0.1ms
  *  horizon wiggle never forces a re-plan on a quiet array. */
 constexpr Tick kMinBacklogDrift = Tick{100000};
@@ -245,12 +256,12 @@ PlacementSession::maybeReplan(int qid)
                                     now.min_core_backlog;
         if (diff > kMinBacklogDrift &&
             static_cast<double>(diff) >
-                db_.planner.replan_hysteresis *
+                kReplanHysteresis *
                     static_cast<double>(std::max<Tick>(
                         was.min_core_backlog, kMinBacklogDrift)))
             backlog_drift = true;
     }
-    if (pop_delta < db_.planner.replan_min_delta && !backlog_drift)
+    if (pop_delta < kReplanMinDelta && !backlog_drift)
         return false;
 
     // Seed mixed with the replan ordinal: the first re-plan of a

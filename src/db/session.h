@@ -86,8 +86,8 @@ class PlacementSession
     /**
      * Hysteresis-guarded mid-flight re-plan: take a fresh array
      * snapshot; when a drive's resident-app/host-stream population
-     * shifted by >= PlannerConfig::replan_min_delta or a core backlog
-     * drifted past replan_hysteresis relative to plan time, re-place
+     * shifted by >= kReplanMinDelta or a core backlog drifted past
+     * kReplanHysteresis relative to plan time (session.cc), re-place
      * @p qid's unlaunched stages (launched pinned, seed mixed with
      * the replan ordinal). Returns true when any site moved.
      */

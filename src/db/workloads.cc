@@ -226,8 +226,8 @@ runPlannedWorkload(MiniDb &db, const WorkloadSpec &spec,
                          out.plan.sites[0].on_host;
     if (spec.kind == WorkloadKind::Grep) {
         if (on_host) {
-            out.grep = host::grepConvOn(host, spec.drive, spec.path,
-                                        spec.pattern);
+            out.grep = host::grepConv(host, spec.drive, spec.path,
+                                      spec.pattern);
         } else {
             out.grep = host::grepBiscuitResident(
                 db.env().array.drive(spec.drive).runtime,

@@ -10,7 +10,7 @@
  * Merge over a counters-only edge — priced by predictPipeline() and
  * searched by the same seeded annealer as DB scans. Execution then
  * dispatches on the Scan stage's site alone: a host site runs the
- * legacy streaming scanner (host::grepConvOn / host::wordCount), a
+ * legacy streaming scanner (host::grepConv / host::wordCount), a
  * device site runs the legacy resident grep SSDlet or the device
  * word-count SSDlet of the "minidb" module. Results are byte-
  * identical to the legacy drivers by construction — both sites

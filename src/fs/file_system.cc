@@ -83,8 +83,8 @@ FileSystem::populateWith(
 }
 
 ReadResult
-FileSystem::readEx(const std::string &path, Bytes offset, Bytes len,
-                   std::uint8_t *out, Tick earliest)
+FileSystem::read(const std::string &path, Bytes offset, Bytes len,
+                 std::uint8_t *out, Tick earliest)
 {
     ReadResult r;
     const Inode &node = inodeOf(path);
@@ -120,7 +120,7 @@ FileSystem::readEx(const std::string &path, Bytes offset, Bytes len,
         }
         Bytes n = std::min(page_size_ - in_page, len - copied);
         ftl::ReadResult pr =
-            ftl.readEx(node.pages[page_idx], in_page, n, dst, earliest);
+            ftl.read(node.pages[page_idx], in_page, n, dst, earliest);
         r.done = std::max(r.done, pr.done);
         r.retries += pr.retries;
         if (!pr.status.ok() && r.status.ok())
@@ -129,16 +129,6 @@ FileSystem::readEx(const std::string &path, Bytes offset, Bytes len,
     }
     r.bytes = copied;
     return r;
-}
-
-Tick
-FileSystem::read(const std::string &path, Bytes offset, Bytes len,
-                 std::uint8_t *out, Tick earliest)
-{
-    ReadResult r = readEx(path, offset, len, out, earliest);
-    BISC_ASSERT(r.status.ok(), "unhandled media error reading '", path,
-                "': ", r.status.toString());
-    return r.done;
 }
 
 Tick
@@ -166,7 +156,11 @@ FileSystem::write(const std::string &path, Bytes offset,
             // Read-modify-write for partial pages.
             if (!buf)
                 buf = dev_.nand().bufferPool().acquire();
-            dev_.internalRead(lpn, 0, page_size_, buf.data());
+            ftl::ReadResult r =
+                dev_.internalRead(lpn, 0, page_size_, buf.data());
+            BISC_ASSERT(r.status.ok(), "unhandled media error in "
+                        "read-modify-write of '", path, "': ",
+                        r.status.toString());
             std::memcpy(buf.data() + in_page, data + written, n);
             done = std::max(
                 done, dev_.internalWrite(lpn, buf.data(), page_size_));

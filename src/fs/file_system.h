@@ -109,12 +109,8 @@ class FileSystem
      * Reads past EOF are clamped; @p out may be null for timing-only
      * probes.
      */
-    ReadResult readEx(const std::string &path, Bytes offset, Bytes len,
-                      std::uint8_t *out, Tick earliest = 0);
-
-    /** Legacy tick-only read; panics on an unhandled media error. */
-    Tick read(const std::string &path, Bytes offset, Bytes len,
-              std::uint8_t *out, Tick earliest = 0);
+    ReadResult read(const std::string &path, Bytes offset, Bytes len,
+                    std::uint8_t *out, Tick earliest = 0);
 
     /**
      * Timed device-internal write, extending the file as needed.

@@ -30,8 +30,8 @@ Ftl::Ftl(sim::Kernel &kernel, nand::NandFlash &nand,
 }
 
 ReadResult
-Ftl::readEx(Lpn lpn, Bytes offset, Bytes len, std::uint8_t *out,
-            Tick earliest)
+Ftl::read(Lpn lpn, Bytes offset, Bytes len, std::uint8_t *out,
+          Tick earliest)
 {
     BISC_ASSERT(lpn < logical_pages_, "lpn out of range: ", lpn);
     Tick start = std::max(earliest, kernel_.now());
@@ -45,7 +45,7 @@ Ftl::readEx(Lpn lpn, Bytes offset, Bytes len, std::uint8_t *out,
     }
     // Firmware dispatch, then media + channel (NAND pipelines them).
     nand::Ppn ppn = it->second;
-    nand::ReadResult r = nand_.readPageEx(ppn, offset, len, out, fw_done);
+    nand::ReadResult r = nand_.readPage(ppn, offset, len, out, fw_done);
     OBS_HIST(*read_latency_hist_, r.done - start);
     if (!r.status.ok()) {
         ++uncorrectable_;
@@ -56,7 +56,7 @@ Ftl::readEx(Lpn lpn, Bytes offset, Bytes len, std::uint8_t *out,
 }
 
 ReadViewResult
-Ftl::readViewEx(Lpn lpn, Bytes offset, Bytes len, Tick earliest)
+Ftl::readView(Lpn lpn, Bytes offset, Bytes len, Tick earliest)
 {
     BISC_ASSERT(lpn < logical_pages_, "lpn out of range: ", lpn);
     Tick start = std::max(earliest, kernel_.now());
@@ -68,7 +68,7 @@ Ftl::readViewEx(Lpn lpn, Bytes offset, Bytes len, Tick earliest)
                               nand_.zeroView(len)};
     nand::Ppn ppn = it->second;
     nand::ReadViewResult r =
-        nand_.readPageViewEx(ppn, offset, len, fw_done);
+        nand_.readPageView(ppn, offset, len, fw_done);
     OBS_HIST(*read_latency_hist_, r.done - start);
     if (!r.status.ok()) {
         ++uncorrectable_;
@@ -96,7 +96,7 @@ Ftl::readPages(const Lpn *lpns, std::size_t n, std::uint8_t *out,
     for (std::size_t i = 0; i < n; ++i) {
         std::uint8_t *dst =
             out == nullptr ? nullptr : out + i * page_size;
-        ReadResult r = readEx(lpns[i], 0, page_size, dst, earliest);
+        ReadResult r = read(lpns[i], 0, page_size, dst, earliest);
         br.done = std::max(br.done, r.done);
         br.retries += r.retries;
         if (!r.status.ok() && br.status.ok())
@@ -123,16 +123,6 @@ Ftl::maybeRelocateAfterRead(Lpn lpn, nand::Ppn ppn,
     if (!isBad(pbn) &&
         ++suspect_events_[pbn] >= params_.bad_block_read_events)
         retireBlock(pbn);
-}
-
-Tick
-Ftl::read(Lpn lpn, Bytes offset, Bytes len, std::uint8_t *out,
-          Tick earliest)
-{
-    ReadResult r = readEx(lpn, offset, len, out, earliest);
-    BISC_ASSERT(r.status.ok(), "unhandled media error on legacy FTL "
-                "read path: ", r.status.toString());
-    return r.done;
 }
 
 Tick
@@ -291,7 +281,7 @@ Ftl::programWithRemap(const std::uint8_t *data, Bytes len)
     for (std::uint32_t attempt = 0; attempt < params_.max_program_attempts;
          ++attempt) {
         nand::Ppn ppn = allocPage(/*timed=*/true);
-        nand::OpResult r = nand_.programPageEx(ppn, data, len);
+        nand::OpResult r = nand_.programPage(ppn, data, len);
         if (r.status.ok())
             return {ppn, r.done};
         // Program verify failed: the block has grown bad. Retire it
@@ -331,7 +321,7 @@ Ftl::retireBlock(nand::Pbn pbn)
         if (rit == rev_.end())
             continue;
         Lpn lpn = rit->second;
-        nand_.readPageEx(src, 0, geo.page_size, nullptr);
+        nand_.readPage(src, 0, geo.page_size, nullptr);
         snapshotPage(src, buf.data());
         rev_.erase(rit);
         auto vit = valid_count_.find(pbn);
@@ -397,7 +387,7 @@ Ftl::gcOnce()
         // Timing-only media read; GC data moves through the firmware
         // buffer, taken functionally from the backing store so an
         // injected error can never propagate corrupt bytes.
-        nand_.readPageEx(src, 0, geo.page_size, nullptr);
+        nand_.readPage(src, 0, geo.page_size, nullptr);
         snapshotPage(src, buf.data());
         rev_.erase(rit);
         auto vit = valid_count_.find(victim);
@@ -410,7 +400,7 @@ Ftl::gcOnce()
     }
     in_gc_ = false;
     valid_count_.erase(victim);
-    nand::OpResult er = nand_.eraseBlockEx(victim);
+    nand::OpResult er = nand_.eraseBlock(victim);
     if (!er.status.ok()) {
         // The reclaimed block refused to erase: retire it instead of
         // returning it to the free pool.

@@ -168,27 +168,23 @@ class Ftl
      * with deliberately damaged output bytes. @p earliest lower-bounds
      * the firmware start (e.g., after NVMe command fetch).
      */
-    ReadResult readEx(Lpn lpn, Bytes offset, Bytes len,
-                      std::uint8_t *out, Tick earliest = 0);
-
-    /** Legacy tick-only read; panics on an unhandled media error. */
-    Tick read(Lpn lpn, Bytes offset, Bytes len, std::uint8_t *out,
-              Tick earliest = 0);
+    ReadResult read(Lpn lpn, Bytes offset, Bytes len,
+                    std::uint8_t *out, Tick earliest = 0);
 
     /**
-     * Zero-copy variant of readEx: identical timing, Status and
+     * Zero-copy variant of read: identical timing, Status and
      * relocation policy, but the bytes come back as a BufferView
      * instead of being copied out. Clean reads borrow the NAND backing
      * store; a read that triggers relocation pins its bytes first so
      * the view survives the source block's reclamation.
      */
-    ReadViewResult readViewEx(Lpn lpn, Bytes offset, Bytes len,
-                              Tick earliest = 0);
+    ReadViewResult readView(Lpn lpn, Bytes offset, Bytes len,
+                            Tick earliest = 0);
 
     /**
      * Vectored full-page read: @p n logical pages in one firmware
      * round trip, fanning out across NAND channels by physical
-     * placement. Byte-for-byte and status-identical to n readEx calls
+     * placement. Byte-for-byte and status-identical to n read calls
      * in the same order (same timing too — reservations are issued in
      * command order). @p out receives n * pageSize() bytes (may be
      * null); @p per_page (optional) receives each page's individual
@@ -345,7 +341,7 @@ class Ftl
     std::uint64_t program_remaps_ = 0;
     bool in_gc_ = false;
 
-    /** Logical-to-physical map probes (every readEx/readViewEx). */
+    /** Logical-to-physical map probes (every read/readView). */
     obs::Counter *map_lookups_ = nullptr;
 
     /** Firmware-in to media-done latency of timed reads (sim ns). */

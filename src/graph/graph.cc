@@ -161,8 +161,8 @@ chaseConv(host::HostSystem &host, const GraphStore &graph,
           const ChaseSpec &spec)
 {
     auto &kernel = host.kernel();
-    auto &fs = host.fs();
-    auto &dev = host.device();
+    auto &fs = host.fsOf(0);
+    auto &dev = host.deviceOf(0);
     const Bytes page = fs.pageSize();
 
     ChaseResult result;

@@ -35,7 +35,7 @@ hostStreamScan(HostSystem &host, std::uint32_t drive,
 {
     const Tick t0 = host.kernel().now();
     const Bytes size = host.fsOf(drive).size(path);
-    host.streamReadOn(
+    host.streamRead(
         drive, path, 0, size, 1_MiB,
         [&](Bytes, Bytes n, const StreamPages &pages) {
             host.consumeCpuPerByte(n,
@@ -51,8 +51,8 @@ hostStreamScan(HostSystem &host, std::uint32_t drive,
 }  // namespace
 
 GrepResult
-grepConvOn(HostSystem &host, std::uint32_t drive,
-           const std::string &path, const std::string &pattern)
+grepConv(HostSystem &host, std::uint32_t drive, const std::string &path,
+         const std::string &pattern)
 {
     BISC_ASSERT(!pattern.empty(), "empty grep pattern");
     GrepResult result;
@@ -86,13 +86,6 @@ grepConvOn(HostSystem &host, std::uint32_t drive,
                                 static_cast<std::ptrdiff_t>(overlap));
         });
     return result;
-}
-
-GrepResult
-grepConv(HostSystem &host, const std::string &path,
-         const std::string &pattern)
-{
-    return grepConvOn(host, 0, path, pattern);
 }
 
 // ----- NDP grep SSDlet -----

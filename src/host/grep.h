@@ -27,18 +27,12 @@ struct GrepResult
 };
 
 /**
- * Conventional grep: stream the file to the host with OS readahead
- * and scan it on a host core at grep's Boyer-Moore rate. Degrades
- * under background memory load.
+ * Conventional grep: stream the file off drive @p drive to the host
+ * with OS readahead and scan it on a host core at grep's Boyer-Moore
+ * rate. Degrades under background memory load.
  */
-GrepResult grepConv(HostSystem &host, const std::string &path,
-                    const std::string &pattern);
-
-/** grepConv() against drive @p drive of the attached array (the
- *  unified-pipeline host site runs one of these per shard). */
-GrepResult grepConvOn(HostSystem &host, std::uint32_t drive,
-                      const std::string &path,
-                      const std::string &pattern);
+GrepResult grepConv(HostSystem &host, std::uint32_t drive,
+                    const std::string &path, const std::string &pattern);
 
 /**
  * NDP grep: load the grep SSDlet, stream the file through the

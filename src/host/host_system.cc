@@ -5,16 +5,10 @@
 
 namespace bisc::host {
 
-HostSystem::HostSystem(sim::Kernel &kernel, ssd::SsdDevice &dev,
-                       fs::FileSystem &fs, const HostConfig &cfg)
-    : kernel_(kernel), dev_(dev), fs_(fs), cfg_(cfg),
-      cpu_(kernel, "hostcpu")
-{}
-
 HostSystem::HostSystem(sisc::DriveArray &array, const HostConfig &cfg)
-    : kernel_(array.kernel()), dev_(array.drive(0).device),
-      fs_(array.drive(0).fs), array_(&array), cfg_(cfg),
-      cpu_(array.kernel(), "hostcpu")
+    : kernel_(array.kernel()), array_(array), cfg_(cfg),
+      cpu_(array.kernel(), "hostcpu"),
+      active_streams_(array.driveCount(), 0)
 {}
 
 void
@@ -48,15 +42,8 @@ HostSystem::consumeCpuPerByte(Bytes bytes, double ns_per_byte)
 }
 
 Bytes
-HostSystem::pread(const std::string &path, Bytes offset, void *buf,
-                  Bytes len)
-{
-    return preadOn(0, path, offset, buf, len);
-}
-
-Bytes
-HostSystem::preadOn(std::uint32_t drive, const std::string &path,
-                    Bytes offset, void *buf, Bytes len)
+HostSystem::pread(std::uint32_t drive, const std::string &path,
+                  Bytes offset, void *buf, Bytes len)
 {
     ssd::SsdDevice &dev = deviceOf(drive);
     fs::FileSystem &fs = fsOf(drive);
@@ -99,35 +86,25 @@ HostSystem::preadOn(std::uint32_t drive, const std::string &path,
 }
 
 void
-HostSystem::streamRead(const std::string &path, Bytes offset, Bytes len,
-                       Bytes window, const StreamFn &on_window)
-{
-    streamReadOn(0, path, offset, len, window, on_window);
-}
-
-void
-HostSystem::streamReadOn(std::uint32_t drive, const std::string &path,
-                         Bytes offset, Bytes len, Bytes window,
-                         const StreamFn &on_window)
+HostSystem::streamRead(std::uint32_t drive, const std::string &path,
+                       Bytes offset, Bytes len, Bytes window,
+                       const StreamFn &on_window)
 {
     ssd::SsdDevice &dev = deviceOf(drive);
     fs::FileSystem &fs = fsOf(drive);
     const auto &table = fs.pagesOf(path);
-    streamReadTimedOn(drive, path, offset, len, window,
-                      [&](Bytes off, Bytes n) {
-                          on_window(off, n,
-                                    StreamPages(dev, table,
-                                                fs.pageSize(), off,
-                                                off + n));
-                      });
+    streamReadTimed(drive, path, offset, len, window,
+                    [&](Bytes off, Bytes n) {
+                        on_window(off, n,
+                                  StreamPages(dev, table, fs.pageSize(),
+                                              off, off + n));
+                    });
 }
 
 HostSystem::StreamScope::StreamScope(HostSystem &host,
                                      std::uint32_t drive)
     : host_(host), drive_(drive)
 {
-    if (host_.active_streams_.size() < host_.driveCount())
-        host_.active_streams_.resize(host_.driveCount(), 0);
     ++host_.active_streams_[drive_];
 }
 
@@ -138,14 +115,6 @@ HostSystem::StreamScope::~StreamScope()
 
 void
 HostSystem::streamReadTimed(
-    const std::string &path, Bytes offset, Bytes len, Bytes window,
-    const std::function<void(Bytes, Bytes)> &on_window)
-{
-    streamReadTimedOn(0, path, offset, len, window, on_window);
-}
-
-void
-HostSystem::streamReadTimedOn(
     std::uint32_t drive, const std::string &path, Bytes offset,
     Bytes len, Bytes window,
     const std::function<void(Bytes, Bytes)> &on_window)

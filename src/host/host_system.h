@@ -116,44 +116,29 @@ using StreamFn =
 class HostSystem
 {
   public:
-    /** Single-drive host: attached to one explicit device + fs. */
-    HostSystem(sim::Kernel &kernel, ssd::SsdDevice &dev,
-               fs::FileSystem &fs, const HostConfig &cfg = HostConfig{});
-
     /**
-     * Array-attached host: the shard router. Plain pread/streamRead
-     * address drive 0 (the historical single-drive API); the *On
-     * variants address any drive of the array.
+     * A host attached to a drive array: the shard router. Every read
+     * names the drive it addresses.
      */
     explicit HostSystem(sisc::DriveArray &array,
                         const HostConfig &cfg = HostConfig{});
 
     const HostConfig &config() const { return cfg_; }
     sim::Kernel &kernel() { return kernel_; }
-    ssd::SsdDevice &device() { return dev_; }
-    fs::FileSystem &fs() { return fs_; }
 
-    /** The attached array; null for a single-drive host. */
-    sisc::DriveArray *array() { return array_; }
-
-    /** Drives reachable from this host (1 without an array). */
-    std::uint32_t
-    driveCount() const
-    {
-        return array_ == nullptr ? 1 : array_->driveCount();
-    }
+    /** Drives reachable from this host. */
+    std::uint32_t driveCount() const { return array_.driveCount(); }
 
     ssd::SsdDevice &
     deviceOf(std::uint32_t drive)
     {
-        return array_ == nullptr ? dev_
-                                 : array_->drive(drive).device;
+        return array_.drive(drive).device;
     }
 
     fs::FileSystem &
     fsOf(std::uint32_t drive)
     {
-        return array_ == nullptr ? fs_ : array_->drive(drive).fs;
+        return array_.drive(drive).fs;
     }
 
     /** The CPU resource the measured application thread runs on. */
@@ -177,32 +162,25 @@ class HostSystem
     void consumeCpuPerByte(Bytes bytes, double ns_per_byte);
 
     /**
-     * Conventional file read (Linux pread path): one NVMe command per
-     * window of pages plus host-side CPU costs that inflate under
-     * load. Blocks the host fiber; @p buf may be null for timing-only.
-     * Returns bytes read.
+     * Conventional file read (Linux pread path) from drive @p drive:
+     * one NVMe command per window of pages plus host-side CPU costs
+     * that inflate under load. Blocks the host fiber; @p buf may be
+     * null for timing-only. Returns bytes read.
      */
-    Bytes pread(const std::string &path, Bytes offset, void *buf,
-                Bytes len);
-
-    /** pread() against drive @p drive of the attached array. */
-    Bytes preadOn(std::uint32_t drive, const std::string &path,
-                  Bytes offset, void *buf, Bytes len);
+    Bytes pread(std::uint32_t drive, const std::string &path,
+                Bytes offset, void *buf, Bytes len);
 
     /**
-     * Streaming sequential read of a whole region with OS readahead:
-     * I/O is overlapped with the caller's compute, so the caller only
-     * blocks when the data isn't there yet. @p on_window runs once per
-     * readahead window with (offset, len, pages): it charges its own
-     * CPU for the window, then visits the window's pages in place.
+     * Streaming sequential read of a whole region of a file on drive
+     * @p drive with OS readahead: I/O is overlapped with the caller's
+     * compute, so the caller only blocks when the data isn't there
+     * yet. @p on_window runs once per readahead window with
+     * (offset, len, pages): it charges its own CPU for the window,
+     * then visits the window's pages in place.
      */
-    void streamRead(const std::string &path, Bytes offset, Bytes len,
-                    Bytes window, const StreamFn &on_window);
-
-    /** streamRead() against drive @p drive of the attached array. */
-    void streamReadOn(std::uint32_t drive, const std::string &path,
-                      Bytes offset, Bytes len, Bytes window,
-                      const StreamFn &on_window);
+    void streamRead(std::uint32_t drive, const std::string &path,
+                    Bytes offset, Bytes len, Bytes window,
+                    const StreamFn &on_window);
 
     /**
      * Timing-only variant of streamRead: the same readahead pipeline
@@ -210,17 +188,10 @@ class HostSystem
      * pages are handed over — @p on_window receives (offset, len) per
      * readahead window.
      */
-    void streamReadTimed(const std::string &path, Bytes offset,
-                         Bytes len, Bytes window,
+    void streamReadTimed(std::uint32_t drive, const std::string &path,
+                         Bytes offset, Bytes len, Bytes window,
                          const std::function<void(Bytes, Bytes)>
                              &on_window);
-
-    /** streamReadTimed() against drive @p drive of the array. */
-    void streamReadTimedOn(std::uint32_t drive,
-                           const std::string &path, Bytes offset,
-                           Bytes len, Bytes window,
-                           const std::function<void(Bytes, Bytes)>
-                               &on_window);
 
     /**
      * Host streaming reads currently in flight against drive
@@ -267,9 +238,7 @@ class HostSystem
     };
 
     sim::Kernel &kernel_;
-    ssd::SsdDevice &dev_;
-    fs::FileSystem &fs_;
-    sisc::DriveArray *array_ = nullptr;
+    sisc::DriveArray &array_;
     HostConfig cfg_;
     sim::Server cpu_;
     std::uint32_t load_threads_ = 0;

@@ -101,8 +101,8 @@ NandFlash::lookupPage(Ppn ppn) const
 }
 
 ReadResult
-NandFlash::readPageEx(Ppn ppn, Bytes offset, Bytes len, std::uint8_t *out,
-                      Tick earliest)
+NandFlash::readPage(Ppn ppn, Bytes offset, Bytes len, std::uint8_t *out,
+                    Tick earliest)
 {
     ReadResult r;
     bool uncorrectable = false;
@@ -128,7 +128,7 @@ NandFlash::readPageEx(Ppn ppn, Bytes offset, Bytes len, std::uint8_t *out,
 }
 
 ReadViewResult
-NandFlash::readPageViewEx(Ppn ppn, Bytes offset, Bytes len, Tick earliest)
+NandFlash::readPageView(Ppn ppn, Bytes offset, Bytes len, Tick earliest)
 {
     ReadViewResult v;
     ReadResult r;
@@ -165,8 +165,8 @@ NandFlash::readPageViewEx(Ppn ppn, Bytes offset, Bytes len, Tick earliest)
 }
 
 OpResult
-NandFlash::programPageEx(Ppn ppn, const std::uint8_t *data, Bytes len,
-                         Tick earliest)
+NandFlash::programPage(Ppn ppn, const std::uint8_t *data, Bytes len,
+                       Tick earliest)
 {
     BISC_ASSERT(ppn < geo_.totalPages(), "ppn out of range: ", ppn);
     BISC_ASSERT(len <= geo_.page_size, "program beyond page: ", len);
@@ -206,7 +206,7 @@ NandFlash::programPageEx(Ppn ppn, const std::uint8_t *data, Bytes len,
 }
 
 OpResult
-NandFlash::eraseBlockEx(Pbn pbn, Tick earliest)
+NandFlash::eraseBlock(Pbn pbn, Tick earliest)
 {
     BISC_ASSERT(pbn < geo_.totalBlocks(), "pbn out of range: ", pbn);
     OpResult r;
@@ -241,35 +241,6 @@ NandFlash::eraseBlockEx(Pbn pbn, Tick earliest)
                      r.done - start, static_cast<std::int64_t>(pbn));
     }
     return r;
-}
-
-Tick
-NandFlash::readPage(Ppn ppn, Bytes offset, Bytes len, std::uint8_t *out,
-                    Tick earliest)
-{
-    ReadResult r = readPageEx(ppn, offset, len, out, earliest);
-    BISC_ASSERT(r.status.ok(), "unhandled media error on legacy read "
-                "path: ", r.status.toString());
-    return r.done;
-}
-
-Tick
-NandFlash::programPage(Ppn ppn, const std::uint8_t *data, Bytes len,
-                       Tick earliest)
-{
-    OpResult r = programPageEx(ppn, data, len, earliest);
-    BISC_ASSERT(r.status.ok(), "unhandled media error on legacy "
-                "program path: ", r.status.toString());
-    return r.done;
-}
-
-Tick
-NandFlash::eraseBlock(Pbn pbn, Tick earliest)
-{
-    OpResult r = eraseBlockEx(pbn, earliest);
-    BISC_ASSERT(r.status.ok(), "unhandled media error on legacy erase "
-                "path: ", r.status.toString());
-    return r.done;
 }
 
 void

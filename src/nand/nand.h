@@ -126,19 +126,19 @@ class NandFlash
      * flash, no ECC evaluation). @p earliest lower-bounds the media
      * start (e.g., after firmware dispatch).
      */
-    ReadResult readPageEx(Ppn ppn, Bytes offset, Bytes len,
-                          std::uint8_t *out, Tick earliest = 0);
+    ReadResult readPage(Ppn ppn, Bytes offset, Bytes len,
+                        std::uint8_t *out, Tick earliest = 0);
 
     /**
-     * Zero-copy variant of readPageEx: identical timing, ECC behavior
+     * Zero-copy variant of readPage: identical timing, ECC behavior
      * and Status, but instead of copying into a caller buffer the
      * result carries a BufferView of the bytes. Clean reads of fully
      * covered pages borrow the backing store directly; unwritten pages
      * view a shared zero page; only a fault or a short stored page
      * pins a pool buffer.
      */
-    ReadViewResult readPageViewEx(Ppn ppn, Bytes offset, Bytes len,
-                                  Tick earliest = 0);
+    ReadViewResult readPageView(Ppn ppn, Bytes offset, Bytes len,
+                                Tick earliest = 0);
 
     /**
      * Program page @p ppn with @p len bytes (rest of the page zero).
@@ -146,8 +146,8 @@ class NandFlash
      * A program failure charges the full attempt latency, installs
      * nothing and reports ErrCode::kProgramFail.
      */
-    OpResult programPageEx(Ppn ppn, const std::uint8_t *data, Bytes len,
-                           Tick earliest = 0);
+    OpResult programPage(Ppn ppn, const std::uint8_t *data, Bytes len,
+                         Tick earliest = 0);
 
     /**
      * Erase block @p pbn, clearing all of its pages. An erase failure
@@ -155,19 +155,7 @@ class NandFlash
      * (so valid pages can still be migrated) and reports
      * ErrCode::kEraseFail.
      */
-    OpResult eraseBlockEx(Pbn pbn, Tick earliest = 0);
-
-    // Legacy tick-only entry points, used by code that runs with the
-    // ideal media (faults disabled); they panic on an injected failure
-    // rather than let it pass silently.
-
-    Tick readPage(Ppn ppn, Bytes offset, Bytes len, std::uint8_t *out,
-                  Tick earliest = 0);
-
-    Tick programPage(Ppn ppn, const std::uint8_t *data, Bytes len,
-                     Tick earliest = 0);
-
-    Tick eraseBlock(Pbn pbn, Tick earliest = 0);
+    OpResult eraseBlock(Pbn pbn, Tick earliest = 0);
 
     /** True if @p ppn has been programmed since its last erase. */
     bool isProgrammed(Ppn ppn) const { return lookupPage(ppn) != nullptr; }

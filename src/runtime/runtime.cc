@@ -41,8 +41,8 @@ Runtime::loadModule(const std::string &slet_path)
     Bytes file_size = fs_.size(slet_path);
     Bytes header_len = std::min<Bytes>(256, file_size);
     std::vector<std::uint8_t> header(header_len);
-    fs::ReadResult hdr = fs_.readEx(slet_path, 0, header_len,
-                                    header.data());
+    fs::ReadResult hdr = fs_.read(slet_path, 0, header_len,
+                                  header.data());
     kernel_.sleepUntil(hdr.done);
     if (!hdr.status.ok()) {
         BISC_FATAL("unrecoverable media error reading module header ",
@@ -59,7 +59,7 @@ Runtime::loadModule(const std::string &slet_path)
 
     // Stream the whole image off flash (timed), then charge symbol
     // relocation on the control core.
-    fs::ReadResult body = fs_.readEx(slet_path, 0, file_size, nullptr);
+    fs::ReadResult body = fs_.read(slet_path, 0, file_size, nullptr);
     kernel_.sleepUntil(body.done);
     if (!body.status.ok()) {
         BISC_FATAL("unrecoverable media error streaming module image ",

@@ -82,8 +82,8 @@ File::readAsync(Bytes offset, void *buf, Bytes len)
             buf == nullptr
                 ? nullptr
                 : static_cast<std::uint8_t *>(buf) + covered;
-        ftl::ReadResult r = dev.internalReadEx(pages[pos / page],
-                                               in_page, n, dst, issued);
+        ftl::ReadResult r = dev.internalRead(pages[pos / page],
+                                             in_page, n, dst, issued);
         done = std::max(done, r.done);
         if (!r.status.ok() && status.ok())
             status = r.status;
@@ -121,7 +121,7 @@ File::scanMatched(Bytes offset, Bytes len, const pm::KeySet &keys,
         // the page streams by as a zero-copy view.
         Tick ctrl = c.core->reserve(cfg.pm_control_per_page);
         ftl::ReadViewResult rv =
-            dev.internalReadViewEx(lpn, in_page, n, ctrl);
+            dev.internalReadView(lpn, in_page, n, ctrl);
         done = std::max(done, rv.done);
         if (!rv.status.ok()) {
             // The stream the matcher saw was garbage: suppress any

@@ -204,8 +204,10 @@ SsdDevice::hostRead(ftl::Lpn lpn, Bytes offset, Bytes len,
 {
     [[maybe_unused]] Tick start = kernel_.now();
     Tick sub_done = kernel_.now() + hil_->submissionLatency();
-    Tick media_done = ftl_->read(lpn, offset, len, out, sub_done);
-    Tick dma_done = hil_->dmaToHost(len, media_done);
+    ftl::ReadResult r = ftl_->read(lpn, offset, len, out, sub_done);
+    BISC_ASSERT(r.status.ok(), "unhandled media error on host read "
+                "path: ", r.status.toString());
+    Tick dma_done = hil_->dmaToHost(len, r.done);
     Tick done = dma_done + hil_->completionLatency();
     OBS_COMPLETE(kernel_.obs(), "ssd", "hostRead", start, done - start,
                  static_cast<std::int64_t>(lpn));

@@ -83,30 +83,22 @@ class SsdDevice
      * reports a non-OK status with damaged output bytes.
      */
     ftl::ReadResult
-    internalReadEx(ftl::Lpn lpn, Bytes offset, Bytes len,
-                   std::uint8_t *out, Tick earliest = 0)
-    {
-        return ftl_->readEx(lpn, offset, len, out, earliest);
-    }
-
-    /**
-     * Zero-copy internal read: same timing and Status as
-     * internalReadEx, but the bytes come back as a BufferView (valid
-     * until the page is next programmed or its block erased).
-     */
-    ftl::ReadViewResult
-    internalReadViewEx(ftl::Lpn lpn, Bytes offset, Bytes len,
-                       Tick earliest = 0)
-    {
-        return ftl_->readViewEx(lpn, offset, len, earliest);
-    }
-
-    /** Legacy tick-only internal read; panics on a media error. */
-    Tick
     internalRead(ftl::Lpn lpn, Bytes offset, Bytes len,
                  std::uint8_t *out, Tick earliest = 0)
     {
         return ftl_->read(lpn, offset, len, out, earliest);
+    }
+
+    /**
+     * Zero-copy internal read: same timing and Status as
+     * internalRead, but the bytes come back as a BufferView (valid
+     * until the page is next programmed or its block erased).
+     */
+    ftl::ReadViewResult
+    internalReadView(ftl::Lpn lpn, Bytes offset, Bytes len,
+                     Tick earliest = 0)
+    {
+        return ftl_->readView(lpn, offset, len, earliest);
     }
 
     /** Device-internal write. */
@@ -118,7 +110,7 @@ class SsdDevice
 
     /**
      * The channel matcher's verdict on bytes streamed off @p lpn's
-     * channel (the view of an internalReadViewEx or a pageView): loads
+     * channel (the view of an internalReadView or a pageView): loads
      * @p keys into that channel's matcher and scans, exactly as the IP
      * sees the data stream. With @p counts the result also carries
      * each hitting key's occurrences. Unmapped pages never match.

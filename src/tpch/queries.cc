@@ -40,7 +40,7 @@ addComputed(MiniDb &db, RowSet &rows, const db::Column &column,
             const std::function<Value(RowRef)> &fn)
 {
     rows.addColumn(column, fn);
-    db.host().consumeCpu(db.planner.row_cpu * rows.size());
+    db.host().consumeCpu(db::kRowCpu * rows.size());
 }
 
 /**
@@ -52,7 +52,7 @@ fillComputed(MiniDb &db, RowSet &rows, int col,
              const std::function<Value(RowRef)> &fn)
 {
     rows.fillColumn(col, fn);
-    db.host().consumeCpu(db.planner.row_cpu * rows.size());
+    db.host().consumeCpu(db::kRowCpu * rows.size());
 }
 
 /** A one-row, one-column Double result. */
@@ -392,7 +392,7 @@ q6(Ctx &c)
     double revenue = 0;
     for (std::size_t i = 0; i < s.rows.size(); ++i)
         revenue += s.rows[i].num(price) * s.rows[i].num(disc);
-    c.db.host().consumeCpu(c.db.planner.row_cpu * s.rows.size());
+    c.db.host().consumeCpu(db::kRowCpu * s.rows.size());
     return scalar(revenue);
 }
 
@@ -423,7 +423,7 @@ q7(Ctx &c)
         if (d >= "1995-01-01" && d <= "1996-12-31")
             filtered.append(j2.slot(i));
     }
-    c.db.host().consumeCpu(c.db.planner.row_cpu * j2.size());
+    c.db.host().consumeCpu(db::kRowCpu * j2.size());
     c.addRevenue(filtered, base_l);
     int n_name = ns.indexOf("n_name");
     auto grouped = db::groupBy(c.db, filtered, {n_name},
@@ -717,7 +717,7 @@ q14(Ctx &c)
         if (r.str(type).starts_with("PROMO"))
             promo += rev;
     }
-    c.db.host().consumeCpu(c.db.planner.row_cpu * joined.size());
+    c.db.host().consumeCpu(db::kRowCpu * joined.size());
     return scalar(total > 0 ? 100.0 * promo / total : 0.0);
 }
 
@@ -802,7 +802,7 @@ q17(Ctx &c)
         if (j[i].num(l_qty) < 0.2 * acc.first / acc.second)
             total += j[i].num(l_price);
     }
-    c.db.host().consumeCpu(2 * c.db.planner.row_cpu * j.size());
+    c.db.host().consumeCpu(2 * db::kRowCpu * j.size());
     return scalar(total / 7.0);
 }
 
@@ -821,7 +821,7 @@ q18(Ctx &c)
         if (per_order[i].num(1) > 270.0)
             big.append(per_order.slot(i));
     }
-    c.db.host().consumeCpu(c.db.planner.row_cpu * per_order.size());
+    c.db.host().consumeCpu(db::kRowCpu * per_order.size());
     auto &O = c.t("orders");
     auto j = c.join(big, 16, 0, O, "o_orderkey");
     db::sortRows(j, {{1, true}});
@@ -859,7 +859,7 @@ q19(Ctx &c)
     double rev = 0;
     for (std::size_t i = 0; i < j.size(); ++i)
         rev += j[i].num(price) * (1.0 - j[i].num(disc));
-    c.db.host().consumeCpu(c.db.planner.row_cpu * j.size());
+    c.db.host().consumeCpu(db::kRowCpu * j.size());
     return scalar(rev);
 }
 
@@ -943,7 +943,7 @@ q22(Ctx &c)
         if (code && r.num(c_bal) > 0.0)
             eligible.append(r.data());
     }
-    c.db.host().consumeCpu(c.db.planner.row_cpu * all.rows.size());
+    c.db.host().consumeCpu(db::kRowCpu * all.rows.size());
     (void)cust;
     eligible.addColumn(db::col("code", db::Type::String, 2),
                        [=](RowRef r) {

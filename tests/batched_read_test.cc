@@ -2,7 +2,7 @@
  * @file
  * Equivalence tests for the vectored read path: Ftl::readPages must be
  * byte-, status-, retry- and tick-identical to the same sequence of
- * single-page readEx calls — including under seeded media faults where
+ * single-page read calls — including under seeded media faults where
  * pages need ECC retries or come back uncorrectable — and the host
  * multi-page command built on it must keep its media parallelism.
  */
@@ -44,7 +44,7 @@ installPages(ssd::SsdDevice &a, ssd::SsdDevice &b, ftl::Lpn n_pages)
 }
 
 /**
- * Run readPages on one device and the equivalent readEx loop on an
+ * Run readPages on one device and the equivalent read loop on an
  * identically-seeded twin; assert identical bytes, per-page Status,
  * per-page completion ticks and merged aggregates.
  */
@@ -73,7 +73,7 @@ expectBatchMatchesSingles(const ssd::SsdConfig &cfg, ftl::Lpn n_pages,
     Status expect_status;
     std::uint32_t expect_retries = 0;
     for (ftl::Lpn l = 0; l < n_pages; ++l) {
-        ftl::ReadResult r = dev_single.ftl().readEx(
+        ftl::ReadResult r = dev_single.ftl().read(
             lpns[l], 0, page, out_single.data() + l * page, earliest);
         ASSERT_EQ(per_page[l].done, r.done) << "page " << l;
         ASSERT_EQ(per_page[l].status.code(), r.status.code())
@@ -162,7 +162,7 @@ TEST(BatchedRead, FileSystemReadSpansBatchAndPartials)
     Bytes off = page / 2;
     Bytes len = 4 * page + page / 4;
     std::vector<std::uint8_t> out(len);
-    fs::ReadResult r = fs.readEx("/t", off, len, out.data(), 0);
+    fs::ReadResult r = fs.read("/t", off, len, out.data(), 0);
     ASSERT_TRUE(r.status.ok());
     ASSERT_EQ(r.bytes, len);
     EXPECT_EQ(std::memcmp(out.data(), data.data() + off, len), 0);
@@ -190,8 +190,8 @@ TEST(BatchedRead, KeepsChannelParallelism)
     sim::Kernel k2;
     ssd::SsdDevice d2(k2, ssd::testConfig());
     d2.ftl().install(0, buf.data(), buf.size());
-    ftl::ReadResult single = d2.ftl().readEx(0, 0, geo.page_size,
-                                             nullptr);
+    ftl::ReadResult single = d2.ftl().read(0, 0, geo.page_size,
+                                           nullptr);
     EXPECT_LT(br.done - t0,
               static_cast<Tick>(geo.channels) * single.done / 2);
 }

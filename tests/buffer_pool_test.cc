@@ -144,7 +144,7 @@ TEST(BufferPool, SteadyStateScanIsAllocationFree)
     pm::KeySet keys;
     keys.addKey("NEEDLE");
     for (ftl::Lpn l = 0; l < kPages; ++l) {
-        ftl::ReadViewResult rv = dev.internalReadViewEx(l, 0, page);
+        ftl::ReadViewResult rv = dev.internalReadView(l, 0, page);
         ASSERT_TRUE(rv.status.ok());
         ASSERT_FALSE(rv.view.pinned());  // zero-copy: borrowed
         auto m = dev.matchView(l, keys, rv.view.data(), rv.view.size());
@@ -172,7 +172,7 @@ TEST(BufferPool, PartialWindowBorrowsStoredPage)
         buf[i] = static_cast<std::uint8_t>(i & 0xff);
     dev.ftl().install(5, buf.data(), buf.size());
 
-    ftl::ReadViewResult rv = dev.internalReadViewEx(5, 128, 256);
+    ftl::ReadViewResult rv = dev.internalReadView(5, 128, 256);
     ASSERT_TRUE(rv.status.ok());
     EXPECT_FALSE(rv.view.pinned());
     ASSERT_EQ(rv.view.size(), 256u);
@@ -185,7 +185,7 @@ TEST(BufferPool, UnmappedViewIsZeros)
     sim::Kernel kernel;
     ssd::SsdDevice dev(kernel, ssd::testConfig());
 
-    ftl::ReadViewResult rv = dev.internalReadViewEx(123, 0, 512);
+    ftl::ReadViewResult rv = dev.internalReadView(123, 0, 512);
     ASSERT_TRUE(rv.status.ok());
     ASSERT_EQ(rv.view.size(), 512u);
     for (Bytes i = 0; i < 512; ++i)
@@ -225,9 +225,9 @@ TEST(BufferPool, ViewReadMatchesCopyReadUnderFaults)
     std::vector<std::uint8_t> out(page);
     for (ftl::Lpn l = 0; l < kPages; ++l) {
         ftl::ReadViewResult rv =
-            dev_view.internalReadViewEx(l, 0, page);
+            dev_view.internalReadView(l, 0, page);
         ftl::ReadResult rc =
-            dev_copy.internalReadEx(l, 0, page, out.data());
+            dev_copy.internalRead(l, 0, page, out.data());
         ASSERT_EQ(rv.status.code(), rc.status.code()) << "lpn " << l;
         ASSERT_EQ(rv.done, rc.done) << "lpn " << l;
         ASSERT_EQ(rv.retries, rc.retries) << "lpn " << l;

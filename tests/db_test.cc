@@ -279,8 +279,8 @@ class MiniDbTest : public ::testing::Test
 {
   protected:
     MiniDbTest()
-        : env_(ssd::testConfig()),
-          host_(env_.kernel, env_.device, env_.fs), db_(env_, host_)
+        : env_(ssd::testConfig(), 1),
+          host_(env_.array), db_(env_, host_)
     {
         // The tiny test SSD has 4 KiB pages; keep the planner's
         // minimum size small so scans qualify for offload.

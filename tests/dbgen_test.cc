@@ -184,8 +184,8 @@ TEST_F(DbgenTest, ForeignKeysResolve)
 TEST_F(DbgenTest, GenerationIsDeterministic)
 {
     // Rebuilding with the same config yields byte-identical tables.
-    sisc::Env env2(ssd::defaultConfig());
-    host::HostSystem host2(env2.kernel, env2.device, env2.fs);
+    sisc::Env env2(ssd::defaultConfig(), 1);
+    host::HostSystem host2(env2.array);
     db::MiniDb db2(env2, host2);
     TpchConfig cfg;
     cfg.scale_factor = 0.01;

@@ -203,7 +203,7 @@ runCampaign(Scenario s, std::uint64_t seed)
             // Stalls and bit errors are read-side events.
             std::uint64_t q = churn.below(pages);
             fs::ReadResult rr =
-                fsys.readEx("/campaign", q * kPage, kPage, buf.data());
+                fsys.read("/campaign", q * kPage, kPage, buf.data());
             if (rr.status.ok()) {
                 EXPECT_EQ(buf, ref[q]) << "churn read of page " << q;
             }
@@ -215,7 +215,7 @@ runCampaign(Scenario s, std::uint64_t seed)
     for (std::uint64_t p = 0; p < pages; ++p) {
         std::fill(buf.begin(), buf.end(), 0);
         fs::ReadResult rr =
-            fsys.readEx("/campaign", p * kPage, kPage, buf.data());
+            fsys.read("/campaign", p * kPage, kPage, buf.data());
         if (rr.status.ok()) {
             ++r.ok_reads;
             if (buf != ref[p])
@@ -333,7 +333,7 @@ TEST(FaultUnit, UncorrectableReadSurfacesTypedErrorWithExactRetries)
     st.snapshot("before");
 
     std::vector<std::uint8_t> out(kPage, 0);
-    fs::ReadResult r = fsys.readEx("/f", 0, kPage, out.data());
+    fs::ReadResult r = fsys.read("/f", 0, kPage, out.data());
     EXPECT_FALSE(r.status.ok());
     EXPECT_EQ(r.status.code(), ErrCode::kUncorrectable);
     EXPECT_EQ(r.retries, 4u);  // exhausted exactly max_read_retries
@@ -374,7 +374,7 @@ TEST(FaultUnit, RecoveredReadIsByteIdenticalAndChargesOneRetry)
     st.snapshot("before");
 
     std::vector<std::uint8_t> out(kPage, 0);
-    fs::ReadResult r = fsys.readEx("/f", 0, kPage, out.data());
+    fs::ReadResult r = fsys.read("/f", 0, kPage, out.data());
     EXPECT_TRUE(r.status.ok()) << r.status.toString();
     EXPECT_EQ(r.retries, 1u);
     EXPECT_EQ(out, data);
@@ -399,7 +399,7 @@ TEST(FaultUnit, DieStallChargesExactlyItsLatency)
         std::vector<std::uint8_t> data(kPage, 0x42);
         fsys.create("/f");
         fsys.populate("/f", data.data(), kPage);
-        fs::ReadResult r = fsys.readEx("/f", 0, kPage, data.data());
+        fs::ReadResult r = fsys.read("/f", 0, kPage, data.data());
         EXPECT_TRUE(r.status.ok());
         return r.done;
     };
@@ -421,7 +421,7 @@ TEST(FaultUnit, ChannelStallChargesExactlyItsLatency)
         std::vector<std::uint8_t> data(kPage, 0x42);
         fsys.create("/f");
         fsys.populate("/f", data.data(), kPage);
-        fs::ReadResult r = fsys.readEx("/f", 0, kPage, data.data());
+        fs::ReadResult r = fsys.read("/f", 0, kPage, data.data());
         EXPECT_TRUE(r.status.ok());
         return r.done;
     };
@@ -454,8 +454,7 @@ TEST(FaultUnit, DisabledFaultModelIsInert)
             fillPage(data, 7, p, 0);
             last = fsys.write("/f", p * kPage, data.data(), kPage);
         }
-        fs::ReadResult r =
-            fsys.readEx("/f", 0, 24 * kPage, nullptr);
+        fs::ReadResult r = fsys.read("/f", 0, 24 * kPage, nullptr);
         EXPECT_EQ(dev.nand().readRetries(), 0u);
         EXPECT_EQ(dev.nand().uncorrectableReads(), 0u);
         EXPECT_EQ(r.retries, 0u);
@@ -463,25 +462,6 @@ TEST(FaultUnit, DisabledFaultModelIsInert)
         return std::make_pair(last, r.done);
     };
     EXPECT_EQ(run(false), run(true));
-}
-
-TEST(FaultDeath, LegacyReadPathPanicsInsteadOfReturningGarbage)
-{
-    EXPECT_DEATH(
-        {
-            ssd::SsdConfig cfg = smallConfig();
-            cfg.fault.enabled = true;
-            cfg.fault.seed = 6;
-            cfg.fault.raw_ber = 0.5;
-            sim::Kernel kernel;
-            ssd::SsdDevice dev(kernel, cfg);
-            fs::FileSystem fsys(dev);
-            std::vector<std::uint8_t> data(kPage, 0x11);
-            fsys.create("/f");
-            fsys.write("/f", 0, data.data(), kPage);
-            fsys.read("/f", 0, kPage, data.data());  // legacy path
-        },
-        "unhandled media error");
 }
 
 // ----- SSDlet-level: the device-side File status surface -----

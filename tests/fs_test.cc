@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "fs/file_system.h"
+#include "ok_done.h"
 #include "sim/kernel.h"
 #include "ssd/config.h"
 #include "ssd/device.h"
@@ -62,7 +63,7 @@ TEST_F(FsTest, PopulateAndRead)
     EXPECT_EQ(fs_.size("/data/blob"), data.size());
 
     std::vector<std::uint8_t> out(data.size());
-    fs_.read("/data/blob", 0, out.size(), out.data());
+    okDone(fs_.read("/data/blob", 0, out.size(), out.data()));
     EXPECT_EQ(out, data);
 }
 
@@ -72,7 +73,7 @@ TEST_F(FsTest, ReadAtOffsetAcrossPageBoundary)
     fs_.populate("/f", data.data(), data.size());
     std::vector<std::uint8_t> out(4_KiB);
     Bytes off = 4_KiB - 100;  // straddles first page boundary
-    fs_.read("/f", off, out.size(), out.data());
+    okDone(fs_.read("/f", off, out.size(), out.data()));
     EXPECT_TRUE(std::equal(out.begin(), out.end(), data.begin() + off));
 }
 
@@ -81,7 +82,7 @@ TEST_F(FsTest, ReadPastEofClamps)
     auto data = bytes(100);
     fs_.populate("/f", data.data(), data.size());
     std::vector<std::uint8_t> out(200, 0xaa);
-    fs_.read("/f", 50, out.size(), out.data());
+    okDone(fs_.read("/f", 50, out.size(), out.data()));
     // Only 50 bytes available.
     EXPECT_TRUE(std::equal(out.begin(), out.begin() + 50,
                            data.begin() + 50));
@@ -100,7 +101,7 @@ TEST_F(FsTest, WriteExtendsFile)
     EXPECT_EQ(fs_.size("/w"), 6000u + 4_KiB);
 
     std::vector<std::uint8_t> out(4_KiB);
-    fs_.read("/w", 6000, out.size(), out.data());
+    okDone(fs_.read("/w", 6000, out.size(), out.data()));
     EXPECT_EQ(out, more);
 }
 
@@ -113,7 +114,7 @@ TEST_F(FsTest, PartialPageWriteIsReadModifyWrite)
     fs_.write("/rmw", 1000, patch, sizeof(patch));
 
     std::vector<std::uint8_t> out(4_KiB);
-    fs_.read("/rmw", 0, out.size(), out.data());
+    okDone(fs_.read("/rmw", 0, out.size(), out.data()));
     for (Bytes i = 0; i < 4_KiB; ++i) {
         if (i >= 1000 && i < 1016)
             EXPECT_EQ(out[i], 0xCC);
@@ -128,7 +129,7 @@ TEST_F(FsTest, SparseWriteZeroFillsHole)
     std::uint8_t b = 0x77;
     fs_.write("/hole", 10000, &b, 1);
     std::vector<std::uint8_t> out(16, 0xff);
-    fs_.read("/hole", 0, out.size(), out.data());
+    okDone(fs_.read("/hole", 0, out.size(), out.data()));
     for (auto v : out)
         EXPECT_EQ(v, 0);
 }
@@ -180,7 +181,7 @@ TEST_F(FsTest, LargePopulateViaFiller)
     EXPECT_EQ(fs_.size("/big"), total);
     std::vector<std::uint8_t> out(512);
     Bytes off = 17 * 4_KiB + 11;
-    fs_.read("/big", off, out.size(), out.data());
+    okDone(fs_.read("/big", off, out.size(), out.data()));
     for (Bytes i = 0; i < out.size(); ++i)
         EXPECT_EQ(out[i], (off + i) % 251);
 }
@@ -190,12 +191,12 @@ TEST_F(FsTest, ParallelPagesFinishFasterThanSerial)
     const auto &geo = dev_.config().geometry;
     auto data = bytes(geo.channels * geo.page_size);
     fs_.populate("/wide", data.data(), data.size());
-    Tick one_page = fs_.read("/wide", 0, geo.page_size, nullptr);
+    Tick one_page = okDone(fs_.read("/wide", 0, geo.page_size, nullptr));
     // A fresh kernel baseline would be cleaner, but server queues only
     // grow, so reading N striped pages right after must cost much less
     // than N x one page.
     Tick t0 = kernel_.now();
-    Tick all = fs_.read("/wide", 0, data.size(), nullptr);
+    Tick all = okDone(fs_.read("/wide", 0, data.size(), nullptr));
     EXPECT_LT(all - t0, static_cast<Tick>(geo.channels) * one_page);
 }
 

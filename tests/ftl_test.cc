@@ -15,6 +15,7 @@
 #include "ftl/ftl.h"
 #include "nand/fault.h"
 #include "nand/nand.h"
+#include "ok_done.h"
 #include "sim/kernel.h"
 #include "util/common.h"
 #include "util/rng.h"
@@ -68,7 +69,7 @@ TEST_F(FtlTest, WriteReadRoundTrip)
     auto data = pattern(3);
     ftl_.write(10, data.data(), data.size());
     std::vector<std::uint8_t> out(ftl_.pageSize());
-    ftl_.read(10, 0, out.size(), out.data());
+    okDone(ftl_.read(10, 0, out.size(), out.data()));
     EXPECT_EQ(out, data);
 }
 
@@ -76,7 +77,7 @@ TEST_F(FtlTest, UnmappedReadsZeroWithoutMediaAccess)
 {
     std::vector<std::uint8_t> out(128, 0xee);
     auto before = nand_.pageReads();
-    Tick done = ftl_.read(5, 0, out.size(), out.data());
+    Tick done = okDone(ftl_.read(5, 0, out.size(), out.data()));
     EXPECT_EQ(nand_.pageReads(), before);
     EXPECT_EQ(done, FtlParams{}.fw_read_overhead);
     for (auto b : out)
@@ -94,7 +95,7 @@ TEST_F(FtlTest, OverwriteGoesOutOfPlace)
     EXPECT_NE(ppn1, ppn2);
 
     std::vector<std::uint8_t> out(ftl_.pageSize());
-    ftl_.read(0, 0, out.size(), out.data());
+    okDone(ftl_.read(0, 0, out.size(), out.data()));
     EXPECT_EQ(out, b);
 }
 
@@ -106,7 +107,7 @@ TEST_F(FtlTest, TrimUnmaps)
     ftl_.trim(4);
     EXPECT_FALSE(ftl_.isMapped(4));
     std::vector<std::uint8_t> out(16, 0xff);
-    ftl_.read(4, 0, out.size(), out.data());
+    okDone(ftl_.read(4, 0, out.size(), out.data()));
     for (auto b : out)
         EXPECT_EQ(b, 0);
 }
@@ -117,7 +118,7 @@ TEST_F(FtlTest, InstallPopulatesWithoutTime)
     ftl_.install(8, data.data(), data.size());
     EXPECT_TRUE(ftl_.isMapped(8));
     std::vector<std::uint8_t> out(ftl_.pageSize());
-    ftl_.read(8, 0, out.size(), out.data());
+    okDone(ftl_.read(8, 0, out.size(), out.data()));
     EXPECT_EQ(out, data);
 }
 
@@ -148,7 +149,7 @@ TEST_F(FtlTest, GcReclaimsInvalidatedSpace)
     // Data survives garbage collection.
     std::vector<std::uint8_t> out(ftl_.pageSize());
     for (Lpn l = 0; l < 8; ++l) {
-        ftl_.read(l, 0, out.size(), out.data());
+        okDone(ftl_.read(l, 0, out.size(), out.data()));
         EXPECT_EQ(out, data) << "lpn " << l;
     }
     // The FTL never runs itself out of free blocks.
@@ -192,7 +193,7 @@ TEST_F(FtlTest, ReadLatencyIncludesFirmwareOverhead)
     ftl_.install(0, data.data(), data.size());
     nand::NandTiming t;
     FtlParams p;
-    Tick done = ftl_.read(0, 0, 1_KiB, nullptr);
+    Tick done = okDone(ftl_.read(0, 0, 1_KiB, nullptr));
     Tick expect = p.fw_read_overhead + t.read_page + t.channel_cmd +
                   transferTicks(1_KiB, t.channel_bw);
     EXPECT_EQ(done, expect);
@@ -244,7 +245,7 @@ TEST(FtlChurnProperty, MappingStaysBijectiveUnderBadBlockChurn)
                 shadow.erase(lpn);
             } else if (shadow.count(lpn)) {
                 ReadResult r =
-                    ftl.readEx(lpn, 0, out.size(), out.data());
+                    ftl.read(lpn, 0, out.size(), out.data());
                 ASSERT_TRUE(r.status.ok()) << r.status.toString();
                 ASSERT_EQ(out, shadow[lpn]) << "lpn " << lpn;
             }
@@ -271,7 +272,7 @@ TEST(FtlChurnProperty, MappingStaysBijectiveUnderBadBlockChurn)
         std::string why;
         ASSERT_TRUE(ftl.auditMapping(&why)) << why;
         for (const auto &[lpn, want] : shadow) {
-            ReadResult r = ftl.readEx(lpn, 0, out.size(), out.data());
+            ReadResult r = ftl.read(lpn, 0, out.size(), out.data());
             ASSERT_TRUE(r.status.ok()) << r.status.toString();
             ASSERT_EQ(out, want) << "lpn " << lpn;
         }

@@ -30,8 +30,8 @@ class GraphTest : public ::testing::Test
 {
   protected:
     GraphTest()
-        : env_(ssd::testConfig()),
-          host_(env_.kernel, env_.device, env_.fs),
+        : env_(ssd::testConfig(), 1),
+          host_(env_.array),
           graph_(GraphStore::build(env_.fs, "/data/graph", smallSpec()))
     {}
 

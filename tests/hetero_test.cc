@@ -6,7 +6,7 @@
  *  1. Property, 24 seeds x {1, 2, 4} drives: grep and word-count
  *     results through the unified stage-DAG path are byte-identical
  *     to the legacy drivers, compared like-for-like per site — a
- *     forced-host unified grep against host::grepConvOn, a
+ *     forced-host unified grep against host::grepConv, a
  *     forced-device one against host::grepBiscuitResident, and word
  *     counts against host::wordCount on either site.
  *  2. Gate closed (use_unified_pipelines=false), the session
@@ -125,7 +125,7 @@ TEST(HeteroProperty, WorkloadsByteIdenticalLegacyVsUnified)
             // Like-for-like host site: the unified forced-host grep
             // must reproduce the legacy streaming scanner exactly.
             const host::GrepResult legacy_host =
-                host::grepConvOn(s.host, drive, kLogPath, kNeedle);
+                host::grepConv(s.host, drive, kLogPath, kNeedle);
             const WorkloadOutcome uni_host = runWorkload(
                 s.db, grepSpec(drive, PlaceForce::AllHost));
             EXPECT_EQ(uni_host.grep.matches, legacy_host.matches)

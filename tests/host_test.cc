@@ -25,10 +25,7 @@ namespace {
 class HostTest : public ::testing::Test
 {
   protected:
-    HostTest()
-        : env_(ssd::testConfig()),
-          host_(env_.kernel, env_.device, env_.fs)
-    {}
+    HostTest() : env_(ssd::testConfig(), 1), host_(env_.array) {}
 
     sisc::Env env_;
     HostSystem host_;
@@ -68,7 +65,7 @@ TEST_F(HostTest, PreadReturnsData)
     env_.fs.populate("/f", text.data(), text.size());
     std::string out(text.size(), '\0');
     env_.run([&] {
-        Bytes n = host_.pread("/f", 0, out.data(), out.size());
+        Bytes n = host_.pread(0, "/f", 0, out.data(), out.size());
         EXPECT_EQ(n, text.size());
     });
     EXPECT_EQ(out, text);
@@ -102,7 +99,7 @@ TEST_F(HostTest, StreamReadCoversWholeFileInOrder)
     Bytes seen = 0;
     env_.run([&] {
         host_.streamRead(
-            "/s", 0, data.size(), 16 * 1024,
+            0, "/s", 0, data.size(), 16 * 1024,
             [&](Bytes, Bytes, const StreamPages &pages) {
                 pages.forEach([&](Bytes off, const sim::BufferView &v) {
                     EXPECT_EQ(off, seen);
@@ -128,12 +125,12 @@ TEST_F(HostTest, StreamReadOverlapsComputeWithIo)
     int windows = 0;
     env_.run([&] {
         Tick t0 = env_.kernel.now();
-        host_.streamRead("/big", 0, size, 16 * 4_KiB,
+        host_.streamRead(0, "/big", 0, size, 16 * 4_KiB,
                          [](Bytes, Bytes, const StreamPages &) {});
         io_only = env_.kernel.now() - t0;
 
         t0 = env_.kernel.now();
-        host_.streamRead("/big", 0, size, 16 * 4_KiB,
+        host_.streamRead(0, "/big", 0, size, 16 * 4_KiB,
                          [&](Bytes, Bytes, const StreamPages &) {
                              ++windows;
                              host_.consumeCpu(compute / 4);
@@ -147,6 +144,89 @@ TEST_F(HostTest, StreamReadOverlapsComputeWithIo)
     EXPECT_GE(mixed, compute);
 }
 
+// ----- Per-drive reads -----
+
+/** What the three host reads of one file returned, and when. */
+struct DriveReads
+{
+    std::vector<std::uint8_t> pread_bytes, stream_bytes;
+    Tick pread_ticks = 0, stream_ticks = 0, timed_ticks = 0;
+    Bytes timed_bytes = 0;
+};
+
+/**
+ * pread, streamRead and streamReadTimed of @p size bytes of "/d" on
+ * drive @p drive of @p env, checking inside every stream callback
+ * that the drive counts one active stream and no other drive any.
+ */
+DriveReads
+readFromDrive(sisc::Env &env, std::uint32_t drive, Bytes size)
+{
+    HostSystem host(env.array);
+    auto expectActive = [&](std::uint32_t want) {
+        for (std::uint32_t d = 0; d < host.driveCount(); ++d)
+            EXPECT_EQ(host.activeStreamsOn(d), d == drive ? want : 0u)
+                << "drive " << d;
+    };
+    DriveReads r;
+    r.pread_bytes.resize(size);
+    env.run([&] {
+        Tick t0 = env.kernel.now();
+        EXPECT_EQ(host.pread(drive, "/d", 0, r.pread_bytes.data(), size),
+                  size);
+        r.pread_ticks = env.kernel.now() - t0;
+
+        t0 = env.kernel.now();
+        host.streamRead(drive, "/d", 0, size, 4 * 4_KiB,
+                        [&](Bytes, Bytes, const StreamPages &pages) {
+                            expectActive(1);
+                            pages.forEach([&](Bytes,
+                                              const sim::BufferView &v) {
+                                r.stream_bytes.insert(
+                                    r.stream_bytes.end(), v.data(),
+                                    v.data() + v.size());
+                            });
+                        });
+        r.stream_ticks = env.kernel.now() - t0;
+        expectActive(0);
+
+        t0 = env.kernel.now();
+        host.streamReadTimed(drive, "/d", 0, size, 4 * 4_KiB,
+                             [&](Bytes, Bytes n) {
+                                 expectActive(1);
+                                 r.timed_bytes += n;
+                             });
+        r.timed_ticks = env.kernel.now() - t0;
+        expectActive(0);
+    });
+    return r;
+}
+
+TEST(HostPerDrive, DriveOneReadsMatchDriveZeroOfOneDriveArray)
+{
+    const Bytes size = 37 * 4_KiB + 555;  // partial last page
+    std::vector<std::uint8_t> data(size);
+    for (std::size_t i = 0; i < size; ++i)
+        data[i] = static_cast<std::uint8_t>((i * 7 + i / 13) % 256);
+
+    sisc::Env two(ssd::testConfig(), 2);
+    two.array.drive(1).fs.populate("/d", data.data(), size);
+    sisc::Env one(ssd::testConfig(), 1);
+    one.fs.populate("/d", data.data(), size);
+
+    const DriveReads got = readFromDrive(two, 1, size);
+    const DriveReads want = readFromDrive(one, 0, size);
+    EXPECT_EQ(got.pread_bytes, data);
+    EXPECT_EQ(got.stream_bytes, data);
+    EXPECT_EQ(got.timed_bytes, size);
+    EXPECT_GT(got.pread_ticks, 0u);
+    EXPECT_EQ(got.pread_ticks, want.pread_ticks);
+    EXPECT_EQ(got.stream_ticks, want.stream_ticks);
+    EXPECT_EQ(got.timed_ticks, want.timed_ticks);
+    // Drive 0 of the two-drive array holds no "/d" at all.
+    EXPECT_FALSE(two.fs.exists("/d"));
+}
+
 // ----- Stream views on 4 KiB and 16 KiB pages -----
 
 /**
@@ -157,8 +237,7 @@ TEST_F(HostTest, StreamReadOverlapsComputeWithIo)
 class StreamView : public ::testing::TestWithParam<Bytes>
 {
   protected:
-    StreamView() : env_(config()), host_(env_.kernel, env_.device, env_.fs)
-    {}
+    StreamView() : env_(config(), 1), host_(env_.array) {}
 
     static ssd::SsdConfig
     config()
@@ -190,7 +269,7 @@ TEST_P(StreamView, StreamsTheSameBytesAsPeek)
         std::vector<Bytes> offsets;
         env_.run([&] {
             host_.streamRead(
-                "/v", start, size - start, 4 * page,
+                0, "/v", start, size - start, 4 * page,
                 [&](Bytes off, Bytes, const StreamPages &pages) {
                     offsets.push_back(off);
                     pages.forEach([&](Bytes, const sim::BufferView &v) {
@@ -229,7 +308,7 @@ TEST_P(StreamView, HostScanCountsAndTicksArePinned)
     GrepResult grep;
     env_.run([&] {
         wc = wordCount(host_, 0, "/weblog");
-        grep = grepConvOn(host_, 0, "/weblog", "sig_ndp");
+        grep = grepConv(host_, 0, "/weblog", "sig_ndp");
     });
     const ScanPins got{wc.words,   wc.lines,     wc.bytes_scanned,
                        wc.elapsed, grep.matches, grep.elapsed};
@@ -393,7 +472,7 @@ TEST_F(HostTest, GrepConvFindsPlantedNeedles)
     std::uint64_t ref = pm::count(all.data(), all.size(), "sig_ndp");
 
     GrepResult r;
-    env_.run([&] { r = grepConv(host_, "/weblog", "sig_ndp"); });
+    env_.run([&] { r = grepConv(host_, 0, "/weblog", "sig_ndp"); });
     EXPECT_EQ(r.matches, ref);
     EXPECT_EQ(r.bytes_scanned, size);
     EXPECT_GT(r.elapsed, 0u);
@@ -404,7 +483,7 @@ TEST_F(HostTest, GrepBiscuitMatchesConvModuloPageSeams)
     generateWebLog(env_.fs, "/weblog", 300 * 1024, "sig_ndp", 25, 11);
     GrepResult conv, ndp;
     env_.run([&] {
-        conv = grepConv(host_, "/weblog", "sig_ndp");
+        conv = grepConv(host_, 0, "/weblog", "sig_ndp");
         ndp = grepBiscuit(env_.runtime, "/weblog", "sig_ndp");
     });
     // The channel matcher scans page-granular streams; a needle
@@ -419,10 +498,10 @@ TEST_F(HostTest, GrepBiscuitIsFasterAndLoadInsensitive)
     generateWebLog(env_.fs, "/weblog", 512 * 1024, "sig_ndp", 50, 3);
     GrepResult conv0, conv24, ndp0, ndp24;
     env_.run([&] {
-        conv0 = grepConv(host_, "/weblog", "sig_ndp");
+        conv0 = grepConv(host_, 0, "/weblog", "sig_ndp");
         ndp0 = grepBiscuit(env_.runtime, "/weblog", "sig_ndp");
         StreamBench load(host_, 24);
-        conv24 = grepConv(host_, "/weblog", "sig_ndp");
+        conv24 = grepConv(host_, 0, "/weblog", "sig_ndp");
         ndp24 = grepBiscuit(env_.runtime, "/weblog", "sig_ndp");
     });
     // Conv degrades under load; Biscuit does not (Table V).

@@ -284,7 +284,7 @@ TEST(MatchMemo, UncorrectablePagesAreNeverMemoized)
         for (int pass = 0; pass < 2; ++pass) {
             for (ftl::Lpn lpn : env.fs.pagesOf("/data")) {
                 const ftl::ReadViewResult rv =
-                    dev.internalReadViewEx(lpn, 0, page);
+                    dev.internalReadView(lpn, 0, page);
                 const std::size_t entries = dev.matchMemoEntries();
                 const pm::MatchResult got = dev.matchView(
                     lpn, keys, rv.view.data(), rv.view.size(), true);

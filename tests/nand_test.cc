@@ -11,6 +11,7 @@
 
 #include "nand/geometry.h"
 #include "nand/nand.h"
+#include "ok_done.h"
 #include "sim/kernel.h"
 #include "util/common.h"
 
@@ -82,10 +83,10 @@ TEST_F(NandTest, ProgramThenReadRoundTrip)
 {
     std::vector<std::uint8_t> data(4_KiB);
     std::iota(data.begin(), data.end(), 0);
-    nand_.programPage(42, data.data(), data.size());
+    okDone(nand_.programPage(42, data.data(), data.size()));
 
     std::vector<std::uint8_t> out(4_KiB);
-    nand_.readPage(42, 0, out.size(), out.data());
+    okDone(nand_.readPage(42, 0, out.size(), out.data()));
     EXPECT_EQ(out, data);
 }
 
@@ -93,10 +94,10 @@ TEST_F(NandTest, PartialReadWithOffset)
 {
     std::vector<std::uint8_t> data(4_KiB);
     std::iota(data.begin(), data.end(), 0);
-    nand_.programPage(7, data.data(), data.size());
+    okDone(nand_.programPage(7, data.data(), data.size()));
 
     std::vector<std::uint8_t> out(16);
-    nand_.readPage(7, 100, out.size(), out.data());
+    okDone(nand_.readPage(7, 100, out.size(), out.data()));
     for (std::size_t i = 0; i < out.size(); ++i)
         EXPECT_EQ(out[i], data[100 + i]);
 }
@@ -104,7 +105,7 @@ TEST_F(NandTest, PartialReadWithOffset)
 TEST_F(NandTest, UnwrittenPageReadsZero)
 {
     std::vector<std::uint8_t> out(64, 0xff);
-    nand_.readPage(3, 0, out.size(), out.data());
+    okDone(nand_.readPage(3, 0, out.size(), out.data()));
     for (auto b : out)
         EXPECT_EQ(b, 0);
 }
@@ -112,7 +113,7 @@ TEST_F(NandTest, UnwrittenPageReadsZero)
 TEST_F(NandTest, ProgramOnceEnforced)
 {
     std::vector<std::uint8_t> data(16, 1);
-    nand_.programPage(5, data.data(), data.size());
+    okDone(nand_.programPage(5, data.data(), data.size()));
     EXPECT_DEATH(nand_.programPage(5, data.data(), data.size()),
                  "program-once");
 }
@@ -123,21 +124,22 @@ TEST_F(NandTest, EraseClearsBlockAndCounts)
     std::vector<std::uint8_t> data(16, 9);
     Pbn pbn = 3;
     for (std::uint32_t i = 0; i < g.pages_per_block; ++i)
-        nand_.programPage(g.pageOfBlock(pbn, i), data.data(),
-                          data.size());
+        okDone(nand_.programPage(g.pageOfBlock(pbn, i), data.data(),
+                                 data.size()));
     EXPECT_TRUE(nand_.isProgrammed(g.pageOfBlock(pbn, 0)));
-    nand_.eraseBlock(pbn);
+    okDone(nand_.eraseBlock(pbn));
     for (std::uint32_t i = 0; i < g.pages_per_block; ++i)
         EXPECT_FALSE(nand_.isProgrammed(g.pageOfBlock(pbn, i)));
     EXPECT_EQ(nand_.eraseCount(pbn), 1u);
     // Erase allows reprogramming.
-    nand_.programPage(g.pageOfBlock(pbn, 0), data.data(), data.size());
+    okDone(nand_.programPage(g.pageOfBlock(pbn, 0), data.data(),
+                             data.size()));
 }
 
 TEST_F(NandTest, ReadLatencyIsMediaPlusTransfer)
 {
     NandTiming t;  // defaults: 60us tR, 600 MB/s, 2us cmd
-    Tick done = nand_.readPage(0, 0, 4_KiB, nullptr);
+    Tick done = okDone(nand_.readPage(0, 0, 4_KiB, nullptr));
     Tick expect = t.read_page + t.channel_cmd +
                   transferTicks(4_KiB, t.channel_bw);
     EXPECT_EQ(done, expect);
@@ -149,8 +151,8 @@ TEST_F(NandTest, SameDieReadsSerialize)
     // Two pages on the same die (same slot, consecutive rows).
     Ppn a = 0;
     Ppn b = a + g.dies();
-    Tick d1 = nand_.readPage(a, 0, 512, nullptr);
-    Tick d2 = nand_.readPage(b, 0, 512, nullptr);
+    Tick d1 = okDone(nand_.readPage(a, 0, 512, nullptr));
+    Tick d2 = okDone(nand_.readPage(b, 0, 512, nullptr));
     EXPECT_GT(d2, d1);
     NandTiming t;
     EXPECT_GE(d2, 2 * t.read_page);
@@ -159,8 +161,8 @@ TEST_F(NandTest, SameDieReadsSerialize)
 TEST_F(NandTest, DifferentChannelsOverlap)
 {
     // Pages 0 and 1 sit on different channels: media + bus overlap.
-    Tick d1 = nand_.readPage(0, 0, 4_KiB, nullptr);
-    Tick d2 = nand_.readPage(1, 0, 4_KiB, nullptr);
+    Tick d1 = okDone(nand_.readPage(0, 0, 4_KiB, nullptr));
+    Tick d2 = okDone(nand_.readPage(1, 0, 4_KiB, nullptr));
     EXPECT_EQ(d1, d2);
 }
 
@@ -171,8 +173,8 @@ TEST_F(NandTest, SameChannelBusSerializes)
     Ppn a = 0;
     Ppn b = g.channels;  // way 1, channel 0
     NandTiming t;
-    Tick d1 = nand_.readPage(a, 0, 4_KiB, nullptr);
-    Tick d2 = nand_.readPage(b, 0, 4_KiB, nullptr);
+    Tick d1 = okDone(nand_.readPage(a, 0, 4_KiB, nullptr));
+    Tick d2 = okDone(nand_.readPage(b, 0, 4_KiB, nullptr));
     Tick xfer = t.channel_cmd + transferTicks(4_KiB, t.channel_bw);
     EXPECT_EQ(d2, d1 + xfer);
 }
@@ -180,17 +182,18 @@ TEST_F(NandTest, SameChannelBusSerializes)
 TEST_F(NandTest, EarliestParameterDelaysStart)
 {
     NandTiming t;
-    Tick done = nand_.readPage(0, 0, 512, nullptr, 1000 * kUsec);
+    Tick done =
+        okDone(nand_.readPage(0, 0, 512, nullptr, 1000 * kUsec));
     EXPECT_GE(done, 1000 * kUsec + t.read_page);
 }
 
 TEST_F(NandTest, StatsAccumulate)
 {
     std::vector<std::uint8_t> data(128, 3);
-    nand_.programPage(0, data.data(), data.size());
-    nand_.readPage(0, 0, 128, nullptr);
-    nand_.readPage(0, 0, 128, nullptr);
-    nand_.eraseBlock(0);
+    okDone(nand_.programPage(0, data.data(), data.size()));
+    okDone(nand_.readPage(0, 0, 128, nullptr));
+    okDone(nand_.readPage(0, 0, 128, nullptr));
+    okDone(nand_.eraseBlock(0));
     EXPECT_EQ(nand_.pageWrites(), 1u);
     EXPECT_EQ(nand_.pageReads(), 2u);
     EXPECT_EQ(nand_.blockErases(), 1u);

@@ -18,6 +18,7 @@
 #include "fs/file_system.h"
 #include "ftl/ftl.h"
 #include "nand/nand.h"
+#include "ok_done.h"
 #include "pm/pattern_matcher.h"
 #include "runtime/allocator.h"
 #include "sim/kernel.h"
@@ -126,7 +127,7 @@ TEST_P(FtlProperty, RandomTrafficPreservesData)
             ftl.trim(lpn);
             shadow.erase(lpn);
         } else {
-            ftl.read(lpn, 0, buf.size(), buf.data());
+            okDone(ftl.read(lpn, 0, buf.size(), buf.data()));
             auto it = shadow.find(lpn);
             std::uint8_t want =
                 it == shadow.end() ? 0 : it->second;
@@ -138,7 +139,7 @@ TEST_P(FtlProperty, RandomTrafficPreservesData)
     // GC must have run under this much churn, and data survives.
     EXPECT_GT(ftl.gcRuns(), 0u);
     for (const auto &[lpn, tag] : shadow) {
-        ftl.read(lpn, 0, buf.size(), buf.data());
+        okDone(ftl.read(lpn, 0, buf.size(), buf.data()));
         EXPECT_EQ(buf[0], tag) << "lpn " << lpn;
     }
     EXPECT_GT(ftl.freeBlocks(), 0u);
@@ -183,7 +184,7 @@ TEST_P(FsProperty, RandomIoMatchesReferenceFile)
             } else {
                 std::vector<std::uint8_t> out(len, 0xAB);
                 Tick done =
-                    fsys.read("/prop", off, len, out.data());
+                    okDone(fsys.read("/prop", off, len, out.data()));
                 sim::Kernel::current().sleepUntil(done);
                 Bytes avail = off < ref.size()
                                   ? std::min<Bytes>(len,

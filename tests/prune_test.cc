@@ -101,8 +101,8 @@ class PruneStatsTest : public ::testing::Test
 {
   protected:
     PruneStatsTest()
-        : env_(ssd::testConfig()),
-          host_(env_.kernel, env_.device, env_.fs), db_(env_, host_)
+        : env_(ssd::testConfig(), 1),
+          host_(env_.array), db_(env_, host_)
     {
         db_.planner.min_table_bytes = 8_KiB;
         db_.planner.sample_pages = 8;
@@ -269,8 +269,8 @@ TEST(PruneStats, StatsDigestIsPinned)
     EXPECT_EQ(tpch, tpchStatsDigest(4));
     EXPECT_EQ(tpch, 0x94a03830e024c13bull) << std::hex << tpch;
 
-    sisc::Env env(ssd::testConfig());
-    host::HostSystem host(env.kernel, env.device, env.fs);
+    sisc::Env env(ssd::testConfig(), 1);
+    host::HostSystem host(env.array);
     MiniDb db(env, host);
     Table &t = db.createTable("events", eventsSchema());
     t.loadRows(eventRows(1, 20000));

@@ -278,7 +278,7 @@ TEST_F(SnapshotForkTest, FaultSeedsReplayIdentically)
         ASSERT_FALSE(serial.rows.empty());
 
         sisc::Env lane(image);
-        host::HostSystem lhost(lane.kernel, lane.device, lane.fs);
+        host::HostSystem lhost(lane.array);
         db::MiniDb ldb(lane, lhost);
         ldb.attachTable("faulty", schema, t.rowCount());
         RunRecord fork = scan(lane, ldb);

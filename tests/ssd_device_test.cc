@@ -13,6 +13,7 @@
 #include "sim/kernel.h"
 #include "ssd/config.h"
 #include "ssd/device.h"
+#include "ok_done.h"
 #include "util/common.h"
 
 namespace bisc::ssd {
@@ -39,7 +40,7 @@ class DeviceTest : public ::testing::Test
 TEST_F(DeviceTest, InternalReadBeatsHostRead)
 {
     fillPage(0, "payload");
-    Tick internal = dev_.internalRead(0, 0, 4_KiB, nullptr);
+    Tick internal = okDone(dev_.internalRead(0, 0, 4_KiB, nullptr));
     // Fresh device state for a fair comparison on the same page: use a
     // second device.
     sim::Kernel k2;

@@ -12,6 +12,7 @@
 
 #include "fs/file_system.h"
 #include "nand/nand.h"
+#include "ok_done.h"
 #include "sim/kernel.h"
 #include "ssd/config.h"
 #include "ssd/device.h"
@@ -39,7 +40,8 @@ TEST_P(ChannelScaling, AggregateBandwidthScalesWithChannels)
         // Stream 512 pages; with enough ways, channel buses bind.
         Tick done = 0;
         for (nand::Ppn p = 0; p < 512; ++p)
-            done = std::max(done, nand.readPage(p, 0, 4_KiB, nullptr));
+            done = std::max(
+                done, okDone(nand.readPage(p, 0, 4_KiB, nullptr)));
         return done;
     };
     std::uint32_t n = GetParam();
@@ -69,10 +71,10 @@ TEST(TimingProps, ProgramsSerializePerDieAcrossOps)
     // Two programs to the same die serialize on tPROG; a read queued
     // behind them waits for both.
     nand::Ppn a = 0, b = a + geo.dies();
-    Tick p1 = nand.programPage(a, buf.data(), buf.size());
-    Tick p2 = nand.programPage(b, buf.data(), buf.size());
+    Tick p1 = okDone(nand.programPage(a, buf.data(), buf.size()));
+    Tick p2 = okDone(nand.programPage(b, buf.data(), buf.size()));
     EXPECT_GE(p2, p1 + nand::NandTiming{}.program_page);
-    Tick r = nand.readPage(a, 0, 16, nullptr);
+    Tick r = okDone(nand.readPage(a, 0, 16, nullptr));
     EXPECT_GE(r, p2);
 }
 
@@ -87,12 +89,12 @@ TEST(TimingProps, EraseBlocksReadsOnThatDieOnly)
     sim::Kernel k;
     nand::NandFlash nand(k, geo, nand::NandTiming{});
 
-    Tick e = nand.eraseBlock(0);  // die slot 0
+    Tick e = okDone(nand.eraseBlock(0));  // die slot 0
     // A read on the erased die queues behind tBERS...
-    Tick r_same = nand.readPage(0, 0, 16, nullptr);
+    Tick r_same = okDone(nand.readPage(0, 0, 16, nullptr));
     EXPECT_GE(r_same, e);
     // ...while the other die is untouched.
-    Tick r_other = nand.readPage(1, 0, 16, nullptr);
+    Tick r_other = okDone(nand.readPage(1, 0, 16, nullptr));
     EXPECT_LT(r_other, e);
 }
 
@@ -106,7 +108,7 @@ TEST(TimingProps, ConvLatencyIsInternalPlusHostInterface)
         std::vector<std::uint8_t> page(
             d1.config().geometry.page_size, 7);
         d1.ftl().install(0, page.data(), page.size());
-        Tick internal = d1.internalRead(0, 0, len, nullptr);
+        Tick internal = okDone(d1.internalRead(0, 0, len, nullptr));
 
         sim::Kernel k2;
         ssd::SsdDevice d2(k2, ssd::testConfig());
@@ -137,7 +139,7 @@ TEST(TimingProps, FsParallelReadBoundedByWidestResource)
                       [](Bytes, std::uint8_t *b, Bytes n) {
                           std::fill(b, b + n, 1);
                       });
-    Tick done = fsys.read("/f", 0, total, nullptr);
+    Tick done = okDone(fsys.read("/f", 0, total, nullptr));
 
     Bytes pages_per_channel = 64 / geo.channels;
     Tick xfer = nt.channel_cmd +
@@ -159,7 +161,7 @@ TEST(TimingProps, WritesAreSlowerThanReads)
     sim::Kernel k2;
     ssd::SsdDevice d2(k2, ssd::testConfig());
     d2.ftl().install(0, page.data(), page.size());
-    Tick r = d2.internalRead(0, 0, page.size(), nullptr);
+    Tick r = okDone(d2.internalRead(0, 0, page.size(), nullptr));
     EXPECT_GT(w, 2 * r) << "tPROG should dominate tR";
 }
 
