@@ -244,6 +244,10 @@ Ftl::allocPage(bool timed)
 {
     const auto &geo = nand_.geometry();
 
+    // Top up the free-block reserve. A drive whose logical space is
+    // fully mapped may have nothing to reclaim yet (its only invalid
+    // pages still in active blocks); it allocates from the free pool
+    // and collects once a sealed block holds an invalid page.
     if (timed && !in_gc_ && totalFreeBlocks() < gc_reserve_)
         gcOnce();
 
@@ -271,7 +275,8 @@ Ftl::allocPage(bool timed)
                    "device");
     }
     // All slots starved even after the reserve check; reclaim harder.
-    gcOnce();
+    BISC_ASSERT(gcOnce(),
+                "no free page and nothing to reclaim: device is full");
     return allocPage(timed);
 }
 
@@ -352,11 +357,9 @@ Ftl::relocateLpn(Lpn lpn)
     bindMapping(lpn, dst);
 }
 
-void
+bool
 Ftl::gcOnce()
 {
-    BISC_ASSERT(!sealed_.empty(),
-                "GC with no sealed blocks: device over-committed");
     // Greedy victim: the sealed block with the fewest valid pages.
     nand::Pbn victim = 0;
     std::uint32_t best = std::numeric_limits<std::uint32_t>::max();
@@ -369,8 +372,8 @@ Ftl::gcOnce()
         }
     }
     const auto &geo = nand_.geometry();
-    BISC_ASSERT(best < geo.pages_per_block,
-                "GC victim fully valid: device is full");
+    if (best >= geo.pages_per_block)
+        return false;  // no sealed blocks, or every one fully valid
     sealed_.erase(victim);
     ++gc_runs_;
     in_gc_ = true;
@@ -405,9 +408,10 @@ Ftl::gcOnce()
         // The reclaimed block refused to erase: retire it instead of
         // returning it to the free pool.
         retireBlock(victim);
-        return;
+        return true;
     }
     slots_[victim % geo.dies()].free.push_back(victim);
+    return true;
 }
 
 void

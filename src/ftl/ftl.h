@@ -295,8 +295,12 @@ class Ftl
     /** Rewrite @p lpn into a fresh block (wear/retry refresh). */
     void relocateLpn(Lpn lpn);
 
-    /** Reclaim one victim block (greedy: fewest valid pages). */
-    void gcOnce();
+    /**
+     * Reclaim one victim block (greedy: the sealed block with the
+     * fewest valid pages). False, having done nothing, when no sealed
+     * block holds an invalid page: there is nothing to reclaim yet.
+     */
+    bool gcOnce();
 
     /** Unmap whatever currently backs @p lpn. */
     void invalidate(Lpn lpn);
