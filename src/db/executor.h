@@ -91,8 +91,9 @@ struct ScanOutcome : ScanInfo
  * Rows returned satisfy @p pred exactly, in global row order.
  *
  * Rows come out under the table's schema followed by @p computed,
- * whose cells are zero for the caller to fill in place
- * (RowSet::fillColumn). A scan that asks for its computed columns
+ * whose cells the caller fills in place (RowSet::fillColumn): text
+ * cells come zeroed, numeric ones unwritten, and the rows refuse every
+ * operator until they are filled. A scan that asks for its computed columns
  * copies each matched row once, straight into its wider slot, where a
  * later RowSet::addColumn would move every row again.
  */
@@ -188,8 +189,10 @@ struct AggSpec
  * rows are [keys..., aggregates...]: the key columns keep their input
  * type and width (values from a group's first row); Count is Int64,
  * every other aggregate Double. Group identity is the valueToString()
- * of the keys (doubles group at "%.2f"), and groups come out ordered
- * by that key string. Charges per-row host CPU.
+ * of the keys (doubles group at "%.2f"), found from the key columns'
+ * slot bytes without formatting them (a key of at most 8 bytes as one
+ * uint64_t), and groups come out ordered by that key text, built once
+ * per group. Charges per-row host CPU.
  */
 RowSet groupBy(MiniDb &db, const RowSet &rows,
                const std::vector<int> &key_cols,

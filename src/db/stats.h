@@ -47,8 +47,8 @@ constexpr std::uint64_t kHistogramBuckets = 64;
 /**
  * Min/max of one column over one chunk. Numeric columns (Int64,
  * Double) use the num_* bounds — Int64 values are exact in a double
- * up to 2^53, and predicate evaluation (compareRawWithValue) compares
- * numerics as doubles anyway. String and Date columns use the
+ * up to 2^53, and predicate evaluation (BoundPred, like evalPred)
+ * compares numerics as doubles anyway. String and Date columns use the
  * lexicographic str_* bounds; ISO dates sort chronologically, so one
  * rule covers both. Fixed-width slots cannot hold NULLs, so
  * null_count is always 0 — kept for schema parity with engines that

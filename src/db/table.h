@@ -130,7 +130,7 @@ class Table
     /**
      * Functional whole-table iteration over packed row slots
      * (rowWidth() bytes each), valid for the callback's duration.
-     * Lets callers filter with evalPredRaw() and decode survivors
+     * Lets callers filter with a BoundPred and decode survivors
      * only. Templated so hot loops pay no per-slot indirect call.
      * Pages visit in global order regardless of sharding.
      */

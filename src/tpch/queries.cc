@@ -1,7 +1,6 @@
 #include "tpch/queries.h"
 
 #include <algorithm>
-#include <functional>
 #include <map>
 #include <set>
 #include <string_view>
@@ -34,10 +33,14 @@ dv(const Value &v)
                : std::get<double>(v);
 }
 
-/** Append a computed column to every row (charged per row). */
+/**
+ * Append a computed column to every row, written by the typed cell
+ * function @p fn (charged per row).
+ */
+template <class Fn>
 void
 addComputed(MiniDb &db, RowSet &rows, const db::Column &column,
-            const std::function<Value(RowRef)> &fn)
+            const Fn &fn)
 {
     rows.addColumn(column, fn);
     db.host().consumeCpu(db::kRowCpu * rows.size());
@@ -47,9 +50,9 @@ addComputed(MiniDb &db, RowSet &rows, const db::Column &column,
  * Fill computed column @p col, which the scan that made @p rows
  * reserved (charged per row, as addComputed is).
  */
+template <class Fn>
 void
-fillComputed(MiniDb &db, RowSet &rows, int col,
-             const std::function<Value(RowRef)> &fn)
+fillComputed(MiniDb &db, RowSet &rows, int col, const Fn &fn)
 {
     rows.fillColumn(col, fn);
     db.host().consumeCpu(db::kRowCpu * rows.size());
@@ -127,23 +130,23 @@ struct Ctx
 
     /**
      * l_extendedprice * (1 - l_discount), reading the lineitem columns
-     * at @p base.
+     * at @p base of @p s.
      */
-    std::function<Value(RowRef)>
-    revenueOf(int base)
+    auto
+    revenueOf(const db::Schema &s, int base)
     {
-        const int price = base + ix("lineitem", "l_extendedprice");
-        const int disc = base + ix("lineitem", "l_discount");
-        return [=](RowRef r) {
-            return Value(r.num(price) * (1.0 - r.num(disc)));
-        };
+        const db::NumColumn price(
+            s, base + ix("lineitem", "l_extendedprice"));
+        const db::NumColumn disc(s, base + ix("lineitem", "l_discount"));
+        return [=](RowRef r) { return price(r) * (1.0 - disc(r)); };
     }
 
     /** Append the revenue of the lineitem columns at @p base. */
     void
     addRevenue(RowSet &rows, int base)
     {
-        addComputed(db, rows, revenueColumn(), revenueOf(base));
+        addComputed(db, rows, revenueColumn(),
+                    revenueOf(rows.schema(), base));
     }
 
     /**
@@ -155,7 +158,7 @@ struct Ctx
     {
         fillComputed(db, rows,
                      static_cast<int>(t("lineitem").schema().size()),
-                     revenueOf(0));
+                     revenueOf(rows.schema(), 0));
     }
 };
 
@@ -456,7 +459,7 @@ q8(Ctx &c)
     // Group volume by order year.
     int o_date = os.indexOf("o_orderdate");
     j2.addColumn(db::col("year", db::Type::String, 4), [=](RowRef r) {
-        return Value(std::string(r.str(o_date).substr(0, 4)));
+        return r.str(o_date).substr(0, 4);
     });
     int year = lastCol(j2);
     int vol = year - 1;
@@ -489,13 +492,14 @@ q9(Ctx &c)
     auto &N = c.t("nation");
     auto j3 = c.join(j2, w2, s_nat, N, "n_nationkey");
     int base_l = static_cast<int>(ps.size());
-    const int price = base_l + c.ix("lineitem", "l_extendedprice");
-    const int disc = base_l + c.ix("lineitem", "l_discount");
-    const int qty = base_l + c.ix("lineitem", "l_quantity");
+    const auto &js = j3.schema();
+    const db::NumColumn price(
+        js, base_l + c.ix("lineitem", "l_extendedprice"));
+    const db::NumColumn disc(js, base_l + c.ix("lineitem", "l_discount"));
+    const db::NumColumn qty(js, base_l + c.ix("lineitem", "l_quantity"));
     addComputed(c.db, j3, db::col("profit", db::Type::Double),
                 [=](RowRef r) {
-                    return Value(r.num(price) * (1.0 - r.num(disc)) -
-                                 0.5 * r.num(qty));
+                    return price(r) * (1.0 - disc(r)) - 0.5 * qty(r);
                 });
     int n_name = static_cast<int>(ps.size() + L.schema().size() +
                                   S.schema().size()) +
@@ -578,12 +582,12 @@ q11(Ctx &c)
     auto &PS = c.t("partsupp");
     auto j2 = c.join(j1, w1, s_suppkey, PS, "ps_suppkey");
     int base_ps = static_cast<int>(ns.size() + S.schema().size());
-    const int cost = base_ps + c.ix("partsupp", "ps_supplycost");
-    const int avail = base_ps + c.ix("partsupp", "ps_availqty");
+    const db::NumColumn cost(
+        j2.schema(), base_ps + c.ix("partsupp", "ps_supplycost"));
+    const db::NumColumn avail(
+        j2.schema(), base_ps + c.ix("partsupp", "ps_availqty"));
     addComputed(c.db, j2, db::col("value", db::Type::Double),
-                [=](RowRef r) {
-                    return Value(r.num(cost) * r.num(avail));
-                });
+                [=](RowRef r) { return cost(r) * avail(r); });
     int ps_partkey = base_ps + c.ix("partsupp", "ps_partkey");
     auto grouped = db::groupBy(c.db, j2, {ps_partkey},
                                {{AggSpec::Op::Sum, lastCol(j2)}},
@@ -637,10 +641,10 @@ q12(Ctx &c)
         return p == "1-URGENT" || p == "2-HIGH";
     };
     j.addColumn(db::col("high", db::Type::Int64), [&](RowRef r) {
-        return Value(std::int64_t{high(r) ? 1 : 0});
+        return std::int64_t{high(r) ? 1 : 0};
     });
     j.addColumn(db::col("low", db::Type::Int64), [&](RowRef r) {
-        return Value(std::int64_t{high(r) ? 0 : 1});
+        return std::int64_t{high(r) ? 0 : 1};
     });
     int hi = lastCol(j) - 1;
     auto grouped = db::groupBy(
@@ -946,10 +950,7 @@ q22(Ctx &c)
     c.db.host().consumeCpu(db::kRowCpu * all.rows.size());
     (void)cust;
     eligible.addColumn(db::col("code", db::Type::String, 2),
-                       [=](RowRef r) {
-                           return Value(
-                               std::string(r.str(c_phone).substr(0, 2)));
-                       });
+                       [=](RowRef r) { return r.str(c_phone).substr(0, 2); });
     auto grouped = db::groupBy(c.db, eligible, {lastCol(eligible)},
                                {{AggSpec::Op::Count, -1},
                                 {AggSpec::Op::Sum, c_bal}},

@@ -352,8 +352,9 @@ std::vector<std::uint8_t>
 filtered(const db::Table &table, const db::Expr &pred)
 {
     std::vector<std::uint8_t> out;
+    const db::BoundPred match(pred, table.schema());
     table.forEachSlot([&](const std::uint8_t *slot) {
-        if (db::evalPredRaw(pred, slot, table.schema()))
+        if (match.matches(slot))
             out.insert(out.end(), slot, slot + table.rowWidth());
     });
     return out;
