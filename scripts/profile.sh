@@ -17,6 +17,14 @@
 #     GCC's clones (.part.N, .isra.N, .cold, ...) get rows of their
 #     own: gprof reads a renamed copy of the binary (see below).
 #
+#   scripts/profile.sh --graph <workload> [build-dir]
+#     The same profiled run and flat profile, then gprof's call-graph
+#     entry (callers above, callees below) of each of the 10 simulator
+#     functions (namespace bisc::) with the most self time in it.
+#     Attributes library time the flat profile shows under its own
+#     name (std::to_string, _Hash_bytes, ...) to the operator calling
+#     it.
+#
 #   scripts/profile.sh --copies <workload> [build-dir]
 #     Bytes copied and filled per call site. gprof shows memmove under
 #     its own name but cannot say who called it; this mode links the
@@ -38,10 +46,14 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-usage="usage: scripts/profile.sh [--copies] <workload> [build-dir]"
+usage="usage: scripts/profile.sh [--copies | --graph] <workload> [build-dir]"
 copies=0
+graph=0
 if [[ "${1:-}" == "--copies" ]]; then
     copies=1
+    shift
+elif [[ "${1:-}" == "--graph" ]]; then
+    graph=1
     shift
 fi
 workload=${1:?$usage}
@@ -79,12 +91,12 @@ RUSAGE
     # whose dotted symbols are renamed to .clone.K, one K per suffix,
     # then print each K as the suffix it stands for. A dotted alias of
     # an undotted symbol is left alone, so the plain name keeps its row.
-    python3 - "$harness" "$run_dir" <<'CLONES'
+    python3 - "$harness" "$run_dir" "$graph" <<'CLONES'
 import re
 import subprocess
 import sys
 
-harness, run_dir = sys.argv[1:3]
+harness, run_dir, graph = sys.argv[1:4]
 syms = [line.split() for line in subprocess.run(
     ["nm", harness], capture_output=True, text=True,
     check=True).stdout.splitlines()]
@@ -103,12 +115,55 @@ with open(f"{run_dir}/renames", "w") as f:
     f.writelines(f"{old} {new}\n" for old, new in renames.items())
 subprocess.run(["objcopy", f"--redefine-syms={run_dir}/renames",
                 harness, f"{run_dir}/harness"], check=True)
-flat = subprocess.run(["gprof", "-b", "-p", f"{run_dir}/harness",
-                       f"{run_dir}/gmon.out"], capture_output=True,
-                      text=True, check=True).stdout
 suffix_of = {str(k): s for s, k in suffixes.items()}
-print(re.sub(r"\.clone\.(\d+)", lambda m: suffix_of[m.group(1)], flat),
-      end="")
+
+
+def gprof(mode):
+    out = subprocess.run(["gprof", "-b", mode, f"{run_dir}/harness",
+                          f"{run_dir}/gmon.out"], capture_output=True,
+                         text=True, check=True).stdout
+    return re.sub(r"\.clone\.(\d+)", lambda m: suffix_of[m.group(1)],
+                  out)
+
+
+flat = gprof("-p")
+print(flat, end="")
+if graph != "1":
+    sys.exit(0)
+
+# A flat row is %, cumulative and self seconds, then calls and the
+# two per-call times when gprof counted calls, then the name. Keep the
+# first 10 of the simulator's own functions.
+TOP = 10
+ROW = re.compile(r"\s*([\d.]+)\s+[\d.]+\s+[\d.]+\s+"
+                 r"(?:\d+\s+[\d.]+\s+[\d.]+\s+)?(\S.*)$")
+top = []
+for line in flat.splitlines():
+    m = ROW.fullmatch(line)
+    if m and m.group(2).startswith("bisc::"):
+        top.append(m.groups())
+    if len(top) == TOP:
+        break
+
+# A call-graph entry is the block between dashed lines whose primary
+# line starts with "[index]".
+entries = {}
+for block in gprof("-q").split("-----------------------------------------------"):
+    for line in block.splitlines():
+        m = re.match(r"\[\d+\]\s+[\d.]+\s+[\d.]+\s+[\d.]+\s+(?:[\d+/]+\s+)?(.*?)\s+\[\d+\]$",
+                     line)
+        if m:
+            entries.setdefault(m.group(1), block.strip("\n"))
+            break
+
+print()
+print(f"call graph of the top {len(top)} simulator functions by self "
+      "time (callers above each function, callees below):")
+for pct, name in top:
+    print()
+    print(f"== {pct}% self: {name}")
+    print(entries.get(name, "   (no call-graph entry: never called "
+                      "through an instrumented call)"))
 CLONES
     exit 0
 fi
