@@ -156,6 +156,50 @@ TEST_F(FtlTest, GcReclaimsInvalidatedSpace)
     EXPECT_GT(ftl_.freeBlocks(), 0u);
 }
 
+TEST(FtlReserve, FullyMappedDriveWritesBeforeAnythingIsReclaimable)
+{
+    // Every logical page installed, so every sealed block is fully
+    // valid, and a reserve larger than the free pool puts the first
+    // timed write under it: GC finds nothing to reclaim yet and the
+    // write allocates from the free pool. Later overwrites give GC
+    // victims, and every page still reads back.
+    sim::Kernel kernel;
+    nand::Geometry geo = tinyGeo();
+    geo.blocks_per_die = 16;
+    nand::NandFlash nand(kernel, geo, nand::NandTiming{});
+    FtlParams params;
+    params.overprovision = 0.25;
+    params.gc_reserve_blocks = 64;
+    Ftl ftl(kernel, nand, params);
+    std::vector<std::uint8_t> page(ftl.pageSize());
+    auto fill = [&](Lpn l, int round) {
+        for (std::size_t i = 0; i < page.size(); ++i)
+            page[i] = static_cast<std::uint8_t>(l * 7 + round + i);
+    };
+    for (Lpn l = 0; l < ftl.logicalPages(); ++l) {
+        fill(l, 0);
+        ftl.install(l, page.data(), page.size());
+    }
+    ASSERT_EQ(ftl.mappedPages(), ftl.logicalPages());
+    ASSERT_LT(ftl.freeBlocks(), params.gc_reserve_blocks);
+
+    for (int round = 1; round <= 20; ++round) {
+        for (Lpn l = 0; l < ftl.logicalPages(); l += 3) {
+            fill(l, round);
+            ftl.write(l, page.data(), page.size());
+        }
+    }
+    EXPECT_GT(ftl.gcRuns(), 0u);
+    std::string why;
+    EXPECT_TRUE(ftl.auditMapping(&why)) << why;
+    std::vector<std::uint8_t> out(ftl.pageSize());
+    for (Lpn l = 0; l < ftl.logicalPages(); ++l) {
+        fill(l, l % 3 == 0 ? 20 : 0);
+        okDone(ftl.read(l, 0, out.size(), out.data()));
+        ASSERT_EQ(out, page) << "lpn " << l;
+    }
+}
+
 TEST_F(FtlTest, GcRelocatesOnlyValidPages)
 {
     auto data = pattern(2);
