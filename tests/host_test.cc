@@ -463,6 +463,49 @@ TEST_F(HostTest, WebLogGeneratorPlantsNeedles)
     EXPECT_LE(planted - ref, 1u);
 }
 
+/** FNV-1a over the bytes of @p path, then the planted count. */
+std::uint64_t
+webLogDigest(Bytes total, std::uint32_t period, std::uint64_t seed)
+{
+    sisc::Env env(ssd::testConfig(), 1);
+    const std::uint64_t planted =
+        generateWebLog(env.fs, "/weblog", total, "sig_ndp", period, seed);
+    std::vector<std::uint8_t> all(env.fs.size("/weblog"));
+    env.fs.peek("/weblog", 0, all.size(), all.data());
+    std::uint64_t h = 1469598103934665603ull;
+    for (std::uint8_t b : all) {
+        h ^= b;
+        h *= 1099511628211ull;
+    }
+    return (h ^ planted) * 1099511628211ull;
+}
+
+TEST(WebLog, GeneratedBytesArePinned)
+{
+    // Pins the generated bytes: any change to the line format, the
+    // RNG draw order or the page streaming moves these digests.
+    struct Case
+    {
+        Bytes total;
+        std::uint32_t period;
+        std::uint64_t seed;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        {1, 25, 11, 0x9b08ce00c5d06f35ull},
+        {4096, 0, 7, 0x57d94aae6b3de1adull},
+        {200 * 1024, 40, 7, 0x8ddbecc9eb88c919ull},
+        {3 * 1_MiB + 4321, 25, 0x1234abcd, 0x30aeabf17adb305bull},
+        {1_MiB, 1, 3, 0x7be5abaf83d51835ull},
+    };
+    for (const Case &c : cases) {
+        const std::uint64_t d = webLogDigest(c.total, c.period, c.seed);
+        EXPECT_EQ(d, c.digest)
+            << "total " << c.total << " period " << c.period << " seed "
+            << c.seed << ": 0x" << std::hex << d;
+    }
+}
+
 TEST_F(HostTest, GrepConvFindsPlantedNeedles)
 {
     generateWebLog(env_.fs, "/weblog", 300 * 1024, "sig_ndp", 25, 11);
