@@ -60,19 +60,6 @@ class OpTimer
 };
 
 /**
- * Append the "%.2f" text valueToString() gives @p v to @p key, cut
- * where valueToString() cuts it (31 bytes).
- */
-void
-appendDoubleText(std::string &key, double v)
-{
-    char buf[32];
-    const int n = std::snprintf(buf, sizeof(buf), "%.2f", v);
-    key.append(buf, std::min<std::size_t>(static_cast<std::size_t>(n),
-                                          sizeof(buf) - 1));
-}
-
-/**
  * Append valueToString() of one column, read straight from a packed
  * row slot, to @p key: groupBy's emit order, once per group.
  */

@@ -502,12 +502,6 @@ namespace {
 
 constexpr std::size_t kMinKeyLen = 3;
 
-bool
-isTextColumn(const Schema &s, int column)
-{
-    return isText(s.at(static_cast<std::size_t>(column)).type);
-}
-
 KeyDerivation
 reject(std::string reason)
 {
@@ -596,9 +590,13 @@ dateRangeKeys(const std::string &lo, const std::string &hi)
 KeyDerivation
 deriveKeys(const Expr &e, const Schema &schema)
 {
+    // The predicate's column type, for the kinds that name a column.
+    const Type type = e.column >= 0
+                          ? schema.at(static_cast<std::size_t>(e.column)).type
+                          : Type::Int64;
     switch (e.kind) {
       case Expr::Kind::Cmp: {
-        if (!isTextColumn(schema, e.column))
+        if (!isText(type))
             return reject("numeric predicate not key-expressible");
         if (e.op == CmpOp::Eq)
             return singleKey(std::get<std::string>(e.value));
@@ -607,14 +605,13 @@ deriveKeys(const Expr &e, const Schema &schema)
       case Expr::Kind::CmpCol:
         return reject("column-column compare not key-expressible");
       case Expr::Kind::Between: {
-        if (schema.at(static_cast<std::size_t>(e.column)).type !=
-            Type::Date)
+        if (type != Type::Date)
             return reject("BETWEEN only key-expressible on dates");
         return dateRangeKeys(std::get<std::string>(e.lo),
                              std::get<std::string>(e.hi));
       }
       case Expr::Kind::In: {
-        if (!isTextColumn(schema, e.column))
+        if (!isText(type))
             return reject("numeric IN not key-expressible");
         KeyDerivation k;
         for (const auto &v : e.set) {

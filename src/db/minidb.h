@@ -45,9 +45,6 @@ enum class PlaceForce { Auto, AllHost, AllDevice };
 
 struct PlannerConfig
 {
-    /** Master switch: false forces every scan down the Conv path. */
-    bool enable_ndp = true;
-
     /**
      * Offload only when the sampled fraction of matching pages is at
      * most this (paper: "determine whether the candidate table is

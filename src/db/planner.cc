@@ -194,10 +194,6 @@ decideOffload(MiniDb &db, Table &table, const ExprPtr &pred,
     PlanDecision d;
     const PlannerConfig &cfg = db.planner;
 
-    if (!cfg.enable_ndp) {
-        d.note = "NDP disabled";
-        return d;
-    }
     if (!pred) {
         d.note = "no filter predicate";
         return d;

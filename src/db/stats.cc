@@ -9,13 +9,6 @@ namespace bisc::db {
 
 namespace {
 
-bool
-isTextColumn(const Schema &s, int column)
-{
-    Type t = s.at(static_cast<std::size_t>(column)).type;
-    return t == Type::String || t == Type::Date;
-}
-
 /** One column's slot layout, resolved once per statistics build. */
 struct ColumnPlan
 {
@@ -23,27 +16,6 @@ struct ColumnPlan
     Bytes offset;
     Bytes width;
 };
-
-/** A numeric slot as a double (Int64 is exact up to 2^53). */
-template <class T>
-double
-loadNumber(const std::uint8_t *src)
-{
-    T v{};
-    std::memcpy(&v, src, sizeof v);
-    return static_cast<double>(v);
-}
-
-/** Text slot bytes up to the first NUL or the column width. */
-std::string_view
-slotText(const std::uint8_t *src, Bytes width)
-{
-    const auto *p = reinterpret_cast<const char *>(src);
-    const void *nul = std::memchr(p, '\0', width);
-    return {p, nul != nullptr ? static_cast<std::size_t>(
-                                    static_cast<const char *>(nul) - p)
-                              : width};
-}
 
 bool
 looksLikeDate(std::string_view t)
@@ -53,22 +25,22 @@ looksLikeDate(std::string_view t)
 
 /**
  * Fold rows [0, @p n) of one numeric column (slots @p stride bytes
- * apart from @p col) into @p z. @p fresh: the chunk has no rows yet,
- * so its bounds start at the first row.
+ * apart from @p col; Int64 when @p is_int, else Double) into @p z.
+ * @p fresh: the chunk has no rows yet, so its bounds start at the
+ * first row.
  */
-template <class T>
 void
 numericZone(const std::uint8_t *col, std::uint64_t n, Bytes stride,
-            bool fresh, ColumnZone &z)
+            bool is_int, bool fresh, ColumnZone &z)
 {
     std::uint64_t i = 0;
     double lo = z.num_min, hi = z.num_max;
     if (fresh && n > 0) {
-        lo = hi = loadNumber<T>(col);
+        lo = hi = cellNum(col, is_int);
         i = 1;
     }
     for (; i < n; ++i) {
-        const double v = loadNumber<T>(col + i * stride);
+        const double v = cellNum(col + i * stride, is_int);
         if (v < lo)
             lo = v;
         if (v > hi)
@@ -79,7 +51,7 @@ numericZone(const std::uint8_t *col, std::uint64_t n, Bytes stride,
 }
 
 /**
- * Three-way order of slotText(@p slot, @p width) against @p bound
+ * Three-way order of cellText(@p slot, @p width) against @p bound
  * (which holds no NUL), as unsigned bytes. A NUL in the slot sorts
  * below every bound byte, so one memcmp over the bound's length
  * decides unless the slot starts with the whole bound; then the slot
@@ -104,7 +76,7 @@ textZone(const std::uint8_t *col, std::uint64_t n, Bytes stride,
 {
     std::uint64_t i = 0;
     if (fresh && n > 0) {
-        const std::string_view t = slotText(col, width);
+        const std::string_view t = cellText(col, width);
         z.str_min.assign(t);
         z.str_max.assign(t);
         i = 1;
@@ -112,9 +84,9 @@ textZone(const std::uint8_t *col, std::uint64_t n, Bytes stride,
     for (; i < n; ++i) {
         const std::uint8_t *slot = col + i * stride;
         if (compareSlot(slot, width, z.str_min) < 0)
-            z.str_min.assign(slotText(slot, width));
+            z.str_min.assign(cellText(slot, width));
         else if (compareSlot(slot, width, z.str_max) > 0)
-            z.str_max.assign(slotText(slot, width));
+            z.str_max.assign(cellText(slot, width));
     }
 }
 
@@ -138,7 +110,7 @@ class DayMemo
         Entry &e = memo_[(h * 0x9e3779b97f4a7c15ull) >> 52];
         if (std::memcmp(e.key, slot, 10) != 0) {
             std::memcpy(e.key, slot, 10);
-            const std::string_view t = slotText(slot, 10);
+            const std::string_view t = cellText(slot, 10);
             e.is_date = looksLikeDate(t);
             e.days = e.is_date ? static_cast<double>(dateToDays(t)) : 0.0;
         }
@@ -406,10 +378,9 @@ buildTableStats(const Table &table)
             ColumnZone &z = chunk.cols[c];
             switch (cp.type) {
               case Type::Int64:
-                numericZone<std::int64_t>(col, n, stride, fresh, z);
-                break;
               case Type::Double:
-                numericZone<double>(col, n, stride, fresh, z);
+                numericZone(col, n, stride, cp.type == Type::Int64, fresh,
+                            z);
                 break;
               case Type::Date:
                 forEachDay(days, col, n, stride, cp.width,
@@ -455,12 +426,11 @@ buildTableStats(const Table &table)
             BucketFill fill(h);
             switch (cp.type) {
               case Type::Int64:
-                for (std::uint64_t i = 0; i < n; ++i)
-                    fill(loadNumber<std::int64_t>(col + i * stride));
-                break;
               case Type::Double:
-                for (std::uint64_t i = 0; i < n; ++i)
-                    fill(loadNumber<double>(col + i * stride));
+                for (std::uint64_t i = 0; i < n; ++i) {
+                    fill(cellNum(col + i * stride,
+                                 cp.type == Type::Int64));
+                }
                 break;
               case Type::Date:
                 forEachDay(days, col, n, stride, cp.width, fill);
@@ -482,11 +452,16 @@ bool
 zoneCanMatch(const Expr &e, const Schema &schema,
              const ChunkStats &chunk)
 {
+    // Whether the predicate's column (for the kinds that name one) is
+    // text.
+    const bool text =
+        e.column >= 0 &&
+        isText(schema.at(static_cast<std::size_t>(e.column)).type);
     switch (e.kind) {
       case Expr::Kind::Cmp: {
         const ColumnZone &z =
             chunk.cols.at(static_cast<std::size_t>(e.column));
-        if (isTextColumn(schema, e.column)) {
+        if (text) {
             const auto *v = std::get_if<std::string>(&e.value);
             if (v == nullptr)
                 return true;
@@ -500,7 +475,7 @@ zoneCanMatch(const Expr &e, const Schema &schema,
       case Expr::Kind::Between: {
         const ColumnZone &z =
             chunk.cols.at(static_cast<std::size_t>(e.column));
-        if (isTextColumn(schema, e.column)) {
+        if (text) {
             const auto *lo = std::get_if<std::string>(&e.lo);
             const auto *hi = std::get_if<std::string>(&e.hi);
             if (lo == nullptr || hi == nullptr)
@@ -517,7 +492,7 @@ zoneCanMatch(const Expr &e, const Schema &schema,
         const ColumnZone &z =
             chunk.cols.at(static_cast<std::size_t>(e.column));
         for (const Value &v : e.set) {
-            if (isTextColumn(schema, e.column)) {
+            if (text) {
                 const auto *t = std::get_if<std::string>(&v);
                 if (t == nullptr ||
                     zoneCmpHolds(CmpOp::Eq, z.str_min, z.str_max, *t))
@@ -532,7 +507,7 @@ zoneCanMatch(const Expr &e, const Schema &schema,
         return false;
       }
       case Expr::Kind::Like: {
-        if (!isTextColumn(schema, e.column))
+        if (!text)
             return true;
         const std::string prefix = likePrefix(e.pattern);
         if (prefix.empty())

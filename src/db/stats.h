@@ -115,7 +115,7 @@ struct TableStats : sim::FrozenAppStats
 /**
  * Build statistics for @p table with two functional passes over its
  * pages (zero simulated time — statistics construction is part of the
- * offline population, like Table::load itself). Each pass walks a
+ * offline population, like Table::Loader itself). Each pass walks a
  * page one column at a time and reads slots in place: the first folds
  * chunk zones (text bounds compared as unsigned bytes up to the first
  * NUL, copied out only when they move) and Date day domains

@@ -48,52 +48,42 @@ Table::Table(fs::FileSystem &fs, std::string name, Schema schema,
             std::move(schema), row_count)
 {}
 
-void
-Table::load(const std::function<bool(Row &)> &next)
+Table::Loader::Loader(Table &table)
+    : table_(table), width_(table.rowWidth()), page_(table.page_size_, 0)
 {
-    for (fs::FileSystem *s : shard_fs_) {
-        if (s->exists(file_))
-            s->remove(file_);
-        s->create(file_);
+    for (fs::FileSystem *s : table_.shard_fs_) {
+        if (s->exists(table_.file_))
+            s->remove(table_.file_);
+        s->create(table_.file_);
     }
+    table_.row_count_ = 0;
+}
 
-    std::vector<std::uint8_t> page(page_size_, 0);
-    Bytes used = 0;
-    std::uint64_t page_idx = 0;
-    row_count_ = 0;
+void
+Table::Loader::flushPage()
+{
+    const std::size_t shards = table_.shard_fs_.size();
+    fs::FileSystem &sfs = *table_.shard_fs_[page_idx_ % shards];
+    std::uint64_t local = page_idx_ / shards;
+    sfs.ensureSize(table_.file_, (local + 1) * page_.size());
+    ftl::Lpn lpn = sfs.lpnAt(table_.file_, local * page_.size());
+    sfs.device().ftl().install(lpn, page_.data(), page_.size());
+    ++page_idx_;
+    std::fill(page_.begin(), page_.end(), 0);
+    used_ = 0;
+}
 
-    // Stream rows into page-sized buffers, installing each packed
-    // page directly (zero time, offline population). Global page g
-    // lands on shard g % N at local offset g / N: row packing — and
-    // thus the logical page sequence — is shard-count invariant.
-    auto flushPage = [&] {
-        fs::FileSystem &sfs = *shard_fs_[page_idx % shard_fs_.size()];
-        std::uint64_t local = page_idx / shard_fs_.size();
-        sfs.ensureSize(file_, (local + 1) * page_size_);
-        ftl::Lpn lpn = sfs.lpnAt(file_, local * page_size_);
-        sfs.device().ftl().install(lpn, page.data(), page_size_);
-        ++page_idx;
-        std::fill(page.begin(), page.end(), 0);
-        used = 0;
-    };
-
-    Row row;
-    while (next(row)) {
-        if (used + schema_.rowWidth() > page_size_)
-            flushPage();
-        schema_.encodeRow(row, page.data() + used);
-        used += schema_.rowWidth();
-        ++row_count_;
-    }
-    if (used > 0)
+Table::Loader::~Loader()
+{
+    if (used_ > 0)
         flushPage();
-    page_count_ = page_idx;
+    table_.page_count_ = page_idx_;
 
     // Statistics ride the same offline population (two functional
     // passes, zero simulated time) but are built lazily by stats():
     // workloads that never consult them pay nothing.
-    stats_buildable_ = true;
-    stats_.reset();
+    table_.stats_buildable_ = true;
+    table_.stats_.reset();
 }
 
 std::shared_ptr<const TableStats>
@@ -107,13 +97,9 @@ Table::stats() const
 void
 Table::loadRows(const std::vector<Row> &rows)
 {
-    std::size_t i = 0;
-    load([&](Row &out) {
-        if (i >= rows.size())
-            return false;
-        out = rows[i++];
-        return true;
-    });
+    Loader load(*this);
+    for (const Row &row : rows)
+        schema_.encodeRow(row, load.slot());
 }
 
 Row

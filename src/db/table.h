@@ -108,14 +108,9 @@ class Table
         return page_count_ > s ? (page_count_ - 1 - s) / n + 1 : 0;
     }
 
-    /**
-     * Bulk load (zero time, like the paper's offline TPC-H
-     * population). @p next yields one row at a time; returns false at
-     * end of data. Replaces any previous contents.
-     */
-    void load(const std::function<bool(Row &)> &next);
+    class Loader;
 
-    /** Convenience bulk load from a materialized vector. */
+    /** Bulk load from a materialized vector (Loader + encodeRow). */
     void loadRows(const std::vector<Row> &rows);
 
     /** Functional row access (zero time; verification only). */
@@ -189,6 +184,47 @@ class Table
     // rebuilding).
     bool stats_buildable_ = false;
     mutable std::shared_ptr<const TableStats> stats_;
+};
+
+/**
+ * Bulk load (zero time, like the paper's offline TPC-H population),
+ * replacing the table's previous contents. The caller takes one slot
+ * per row and writes its cells (Schema::setCell); the loader packs the
+ * slots into pages and installs each full page on its shard: global
+ * page g lands on shard g % N at local page g / N, so row packing, and
+ * thus the logical page sequence, is shard-count invariant. The rows
+ * are the table's once the loader is destroyed.
+ */
+class Table::Loader
+{
+  public:
+    explicit Loader(Table &table);
+    ~Loader();
+
+    Loader(const Loader &) = delete;
+    Loader &operator=(const Loader &) = delete;
+
+    /** The next row's slot: rowWidth() zero bytes to fill. */
+    std::uint8_t *
+    slot()
+    {
+        if (used_ + width_ > page_.size())
+            flushPage();
+        std::uint8_t *s = page_.data() + used_;
+        used_ += width_;
+        ++table_.row_count_;
+        return s;
+    }
+
+  private:
+    /** Install the packed page and start a zeroed one. */
+    void flushPage();
+
+    Table &table_;
+    Bytes width_;
+    std::vector<std::uint8_t> page_;
+    Bytes used_ = 0;
+    std::uint64_t page_idx_ = 0;
 };
 
 }  // namespace bisc::db

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 namespace bisc::db {
@@ -128,11 +129,21 @@ valueToString(const Value &v)
     if (std::holds_alternative<std::int64_t>(v))
         return std::to_string(std::get<std::int64_t>(v));
     if (std::holds_alternative<double>(v)) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.2f", std::get<double>(v));
-        return buf;
+        std::string s;
+        appendDoubleText(s, std::get<double>(v));
+        return s;
     }
     return std::get<std::string>(v);
+}
+
+void
+appendDoubleText(std::string &out, double v)
+{
+    // Room for any finite double: a sign, 309 integer digits, the
+    // point, two decimals and the NUL.
+    char buf[std::numeric_limits<double>::max_exponent10 + 6];
+    const int n = std::snprintf(buf, sizeof(buf), "%.2f", v);
+    out.append(buf, static_cast<std::size_t>(n));
 }
 
 Schema::Schema(std::vector<Column> columns)
@@ -156,42 +167,12 @@ Schema::indexOf(const std::string &name) const
     BISC_PANIC("no such column: ", name);
 }
 
-namespace {
-
-/** Encode @p v as column @p c into zeroed storage at @p dst. */
-void
-encodeColumn(const Column &c, const Value &v, std::uint8_t *dst)
-{
-    switch (c.type) {
-      case Type::Int64: {
-        auto x = std::get<std::int64_t>(v);
-        std::memcpy(dst, &x, 8);
-        break;
-      }
-      case Type::Double: {
-        auto x = std::get<double>(v);
-        std::memcpy(dst, &x, 8);
-        break;
-      }
-      case Type::String:
-      case Type::Date: {
-        const auto &s = std::get<std::string>(v);
-        std::size_t n = std::min<std::size_t>(s.size(), c.width);
-        std::memcpy(dst, s.data(), n);
-        break;
-      }
-    }
-}
-
-}  // namespace
-
 void
 Schema::encodeRow(const std::vector<Value> &row, std::uint8_t *out) const
 {
     BISC_ASSERT(row.size() == columns_.size(), "row arity mismatch");
-    std::memset(out, 0, row_width_);
     for (std::size_t i = 0; i < columns_.size(); ++i)
-        encodeColumn(columns_[i], row[i], out + offsets_[i]);
+        std::visit([&](const auto &v) { setCell(out, i, v); }, row[i]);
 }
 
 std::vector<Value>

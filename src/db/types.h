@@ -57,6 +57,9 @@ int compareValues(const Value &a, const Value &b);
 /** Readable form for debugging and result dumps. */
 std::string valueToString(const Value &v);
 
+/** Append @p v's "%.2f" text (valueToString's), all of it, to @p out. */
+void appendDoubleText(std::string &out, double v);
+
 /** Whether @p t is stored as fixed-width text (String, Date). */
 inline bool
 isText(Type t)
@@ -68,11 +71,11 @@ isText(Type t)
 inline std::string_view
 cellText(const std::uint8_t *cell, Bytes width)
 {
-    const char *p = reinterpret_cast<const char *>(cell);
-    Bytes n = 0;
-    while (n < width && p[n] != '\0')
-        ++n;
-    return {p, n};
+    const auto *p = reinterpret_cast<const char *>(cell);
+    const void *nul = std::memchr(p, '\0', width);
+    return {p, nul != nullptr ? static_cast<std::size_t>(
+                                    static_cast<const char *>(nul) - p)
+                              : width};
 }
 
 /** An Int64 (@p is_int) or Double cell as a double, as RowRef::num. */
@@ -120,6 +123,52 @@ col(std::string name, Type type, Bytes width = 0)
     return c;
 }
 
+/**
+ * Write one cell, every byte of it: an std::int64_t into an Int64
+ * cell, a double into a Double cell, text into a String or Date cell
+ * of @p width bytes (cut to the width, NUL padded). The one way a
+ * value becomes cell bytes (Schema::setCell, RowSet::addColumn).
+ */
+inline void
+writeCell(Bytes, std::int64_t v, std::uint8_t *cell)
+{
+    std::memcpy(cell, &v, 8);
+}
+
+inline void
+writeCell(Bytes, double v, std::uint8_t *cell)
+{
+    std::memcpy(cell, &v, 8);
+}
+
+inline void
+writeCell(Bytes width, std::string_view v, std::uint8_t *cell)
+{
+    const std::size_t n = std::min<std::size_t>(v.size(), width);
+    std::memcpy(cell, v.data(), n);
+    std::memset(cell + n, 0, width - n);
+}
+
+/** Panic unless a cell of type @p T (writeCell's) fits column @p c. */
+template <class T>
+void
+checkCellType(const Column &c)
+{
+    using V = std::decay_t<T>;
+    if constexpr (std::is_same_v<V, std::int64_t>) {
+        BISC_ASSERT(c.type == Type::Int64, "an Int64 cell for column '",
+                    c.name, "'");
+    } else if constexpr (std::is_same_v<V, double>) {
+        BISC_ASSERT(c.type == Type::Double, "a Double cell for column '",
+                    c.name, "'");
+    } else {
+        static_assert(std::is_convertible_v<V, std::string_view>,
+                      "a cell is std::int64_t, double or text");
+        BISC_ASSERT(isText(c.type), "a text cell for column '", c.name,
+                    "'");
+    }
+}
+
 class Schema
 {
   public:
@@ -139,7 +188,20 @@ class Schema
     /** Total fixed row width. */
     Bytes rowWidth() const { return row_width_; }
 
-    /** Encode @p row into @p out (rowWidth() bytes). */
+    /**
+     * Write @p v into column @p col of @p slot (writeCell); panics
+     * unless @p v's type fits the column (checkCellType).
+     */
+    template <class T>
+    void
+    setCell(std::uint8_t *slot, std::size_t col, const T &v) const
+    {
+        const Column &c = columns_[col];
+        checkCellType<T>(c);
+        writeCell(c.width, v, slot + offsets_[col]);
+    }
+
+    /** Write every cell of @p row into @p out (setCell per column). */
     void encodeRow(const std::vector<Value> &row,
                    std::uint8_t *out) const;
 
@@ -246,32 +308,6 @@ class NumColumn
     Bytes off_;
     bool is_int_;
 };
-
-/**
- * Write one computed cell, every byte of it, from the value a typed
- * cell function returned: an std::int64_t into an Int64 cell, a
- * double into a Double cell, text into a String or Date cell of
- * @p width bytes (cut to the width, NUL padded).
- */
-inline void
-writeCell(Bytes, std::int64_t v, std::uint8_t *cell)
-{
-    std::memcpy(cell, &v, 8);
-}
-
-inline void
-writeCell(Bytes, double v, std::uint8_t *cell)
-{
-    std::memcpy(cell, &v, 8);
-}
-
-inline void
-writeCell(Bytes width, std::string_view v, std::uint8_t *cell)
-{
-    const std::size_t n = std::min<std::size_t>(v.size(), width);
-    std::memcpy(cell, v.data(), n);
-    std::memset(cell + n, 0, width - n);
-}
 
 /**
  * The rows that flow between host operators: a Schema plus one
@@ -422,27 +458,6 @@ class RowSet
     std::vector<Row> toRows() const;
 
   private:
-    /** Panic unless a cell function returning @p T fits column @p c. */
-    template <class T>
-    static void
-    checkCellType(const Column &c)
-    {
-        using V = std::decay_t<T>;
-        if constexpr (std::is_same_v<V, std::int64_t>) {
-            BISC_ASSERT(c.type == Type::Int64, "column '", c.name,
-                        "' is not Int64");
-        } else if constexpr (std::is_same_v<V, double>) {
-            BISC_ASSERT(c.type == Type::Double, "column '", c.name,
-                        "' is not Double");
-        } else {
-            static_assert(std::is_convertible_v<V, std::string_view>,
-                          "a cell function returns std::int64_t, "
-                          "double or text");
-            BISC_ASSERT(c.type == Type::String || c.type == Type::Date,
-                        "column '", c.name, "' is not text");
-        }
-    }
-
     /** This schema plus @p c, with the buffer grown to hold it. */
     Schema widenFor(const Column &c);
 

@@ -1,5 +1,6 @@
 #include "host/load_gen.h"
 
+#include <charconv>
 #include <cstring>
 
 #include "util/rng.h"
@@ -17,38 +18,43 @@ const char *const kAgents[] = {
     "Mozilla/5.0", "curl/7.38", "Wget/1.16", "spider/2.1",
 };
 
-/** One synthetic combined-log line for index @p i. */
-std::string
-logLine(std::uint64_t i, Rng &rng, const std::string &needle,
-        std::uint32_t needle_period)
+/** Append the decimal digits of @p v to @p out. */
+void
+appendNumber(std::string &out, std::uint64_t v)
 {
-    std::string line;
-    line.reserve(96);
-    line += "10.";
-    line += std::to_string(rng.below(256));
-    line += '.';
-    line += std::to_string(rng.below(256));
-    line += '.';
-    line += std::to_string(rng.below(256));
-    line += " - - [1995-";
-    line += std::to_string(1 + rng.below(12));
-    line += '-';
-    line += std::to_string(1 + rng.below(28));
-    line += "] \"";
-    line += kMethods[rng.below(4)];
-    line += ' ';
-    line += kPaths[rng.below(8)];
-    line += "\" ";
-    line += std::to_string(200 + 100 * rng.below(4));
-    line += ' ';
-    line += std::to_string(rng.below(100000));
-    line += ' ';
+    char buf[20];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+/** Append one synthetic combined-log line for index @p i to @p out. */
+void
+appendLogLine(std::string &out, std::uint64_t i, Rng &rng,
+              const std::string &needle, std::uint32_t needle_period)
+{
+    out += "10.";
+    appendNumber(out, rng.below(256));
+    out += '.';
+    appendNumber(out, rng.below(256));
+    out += '.';
+    appendNumber(out, rng.below(256));
+    out += " - - [1995-";
+    appendNumber(out, 1 + rng.below(12));
+    out += '-';
+    appendNumber(out, 1 + rng.below(28));
+    out += "] \"";
+    out += kMethods[rng.below(4)];
+    out += ' ';
+    out += kPaths[rng.below(8)];
+    out += "\" ";
+    appendNumber(out, 200 + 100 * rng.below(4));
+    out += ' ';
+    appendNumber(out, rng.below(100000));
+    out += ' ';
     if (needle_period != 0 && i % needle_period == 0)
-        line += needle;
+        out += needle;
     else
-        line += kAgents[rng.below(4)];
-    line += '\n';
-    return line;
+        out += kAgents[rng.below(4)];
+    out += '\n';
 }
 
 }  // namespace
@@ -73,8 +79,8 @@ generateWebLog(fs::FileSystem &fs, const std::string &path, Bytes total,
                             if (needle_period != 0 &&
                                 line_no % needle_period == 0)
                                 ++planted;
-                            pending += logLine(line_no++, rng, needle,
-                                               needle_period);
+                            appendLogLine(pending, line_no++, rng, needle,
+                                          needle_period);
                         }
                         std::memcpy(buf, pending.data(), n);
                         pending.erase(0, n);

@@ -10,14 +10,12 @@
 namespace bisc::tpch {
 
 using db::col;
-using db::Row;
 using db::Schema;
 using db::Type;
-using db::Value;
 
 namespace {
 
-// ----- Value pools (abridged from the TPC-H specification) -----
+// ----- Word and name pools (abridged from the TPC-H specification) -----
 
 const char *const kRegions[5] = {"AFRICA", "AMERICA", "ASIA", "EUROPE",
                                  "MIDDLE EAST"};
@@ -74,18 +72,6 @@ const char *const kCommentWords[12] = {
     "carefully", "quickly", "furiously", "deposits", "packages",
     "accounts",  "pending", "requests",  "ideas",    "foxes",
     "theodolites", "platelets"};
-
-/**
- * The string in a reused Row cell: generators assign into it, so a
- * cell's capacity carries over from row to row.
- */
-std::string &
-textCell(Value &cell)
-{
-    if (auto *s = std::get_if<std::string>(&cell))
-        return *s;
-    return cell.emplace<std::string>();
-}
 
 /** Write @p words random comment words into @p out. */
 void
@@ -169,10 +155,11 @@ buildTpch(db::MiniDb &db, const TpchConfig &cfg)
     TpchSizes n = TpchSizes::of(cfg.scale_factor);
     Rng rng(cfg.seed);
 
-    // Every generator below fills the one Row that Table::load hands
-    // it, cell by cell. The order of its RNG draws is part of the
-    // generated data (DbgenTest pins the page bytes): it is not
-    // always column order.
+    // Every generator below writes each row's cells straight into the
+    // slot its table's loader hands out. The order of its RNG draws is
+    // part of the generated data (DbgenTest pins the page bytes): it
+    // is not always column order.
+    std::string text;  // a text cell being built; reused row to row
 
     // ----- region -----
     auto &region = db.createTable(
@@ -180,17 +167,15 @@ buildTpch(db::MiniDb &db, const TpchConfig &cfg)
                           col("r_name", Type::String, 12),
                           col("r_comment", Type::String, 24)}));
     {
-        std::int64_t i = 0;
-        region.load([&](Row &row) {
-            if (i >= 5)
-                return false;
-            row.resize(3);
-            row[0] = i;
-            textCell(row[1]).assign(kRegions[i]);
-            randomComment(rng, 3, textCell(row[2]));
-            ++i;
-            return true;
-        });
+        const Schema &s = region.schema();
+        db::Table::Loader load(region);
+        for (std::int64_t i = 0; i < 5; ++i) {
+            std::uint8_t *row = load.slot();
+            s.setCell(row, 0, i);
+            s.setCell(row, 1, kRegions[i]);
+            randomComment(rng, 3, text);
+            s.setCell(row, 2, text);
+        }
     }
 
     // ----- nation -----
@@ -199,17 +184,15 @@ buildTpch(db::MiniDb &db, const TpchConfig &cfg)
                           col("n_name", Type::String, 16),
                           col("n_regionkey", Type::Int64)}));
     {
-        std::int64_t i = 0;
-        nation.load([&](Row &row) {
-            if (i >= 25)
-                return false;
-            row.resize(3);
-            row[0] = i;
-            textCell(row[1]).assign(kNations[i].name);
-            row[2] = static_cast<std::int64_t>(kNations[i].region);
-            ++i;
-            return true;
-        });
+        const Schema &s = nation.schema();
+        db::Table::Loader load(nation);
+        for (std::int64_t i = 0; i < 25; ++i) {
+            std::uint8_t *row = load.slot();
+            s.setCell(row, 0, i);
+            s.setCell(row, 1, kNations[i].name);
+            s.setCell(row, 2,
+                      static_cast<std::int64_t>(kNations[i].region));
+        }
     }
 
     // ----- supplier -----
@@ -221,28 +204,26 @@ buildTpch(db::MiniDb &db, const TpchConfig &cfg)
                             col("s_phone", Type::String, 12),
                             col("s_comment", Type::String, 36)}));
     {
-        std::uint64_t i = 0;
-        supplier.load([&](Row &row) {
-            if (i >= n.suppliers)
-                return false;
-            row.resize(6);
-            std::int64_t key = static_cast<std::int64_t>(++i);
-            row[0] = key;
+        const Schema &s = supplier.schema();
+        db::Table::Loader load(supplier);
+        for (std::uint64_t i = 1; i <= n.suppliers; ++i) {
+            std::uint8_t *row = load.slot();
+            const auto key = static_cast<std::int64_t>(i);
+            s.setCell(row, 0, key);
             char name[20];
             std::snprintf(name, sizeof(name), "Supplier#%09lld",
                           static_cast<long long>(key));
-            textCell(row[1]).assign(name);
-            std::int64_t nat =
-                static_cast<std::int64_t>(rng.below(25));
-            row[2] = nat;
-            std::string &comment = textCell(row[5]);
-            randomComment(rng, 3, comment);
+            s.setCell(row, 1, name);
+            const auto nat = static_cast<std::int64_t>(rng.below(25));
+            s.setCell(row, 2, nat);
+            randomComment(rng, 3, text);
             if (rng.below(100) < 2)  // Q16's complaints filter
-                comment = "Customer stuff Complaints";
-            row[3] = money(rng, -999.0, 9999.0);
-            phoneFor(rng, nat, textCell(row[4]));
-            return true;
-        });
+                text = "Customer stuff Complaints";
+            s.setCell(row, 5, text);
+            s.setCell(row, 3, money(rng, -999.0, 9999.0));
+            phoneFor(rng, nat, text);
+            s.setCell(row, 4, text);
+        }
     }
 
     // ----- part -----
@@ -256,39 +237,37 @@ buildTpch(db::MiniDb &db, const TpchConfig &cfg)
                         col("p_container", Type::String, 12),
                         col("p_retailprice", Type::Double)}));
     {
-        std::uint64_t i = 0;
-        part.load([&](Row &row) {
-            if (i >= n.parts)
-                return false;
-            row.resize(8);
-            row[0] = static_cast<std::int64_t>(++i);
+        const Schema &s = part.schema();
+        db::Table::Loader load(part);
+        for (std::uint64_t i = 1; i <= n.parts; ++i) {
+            std::uint8_t *row = load.slot();
+            s.setCell(row, 0, static_cast<std::int64_t>(i));
             // Multi-word names draw their words last to first.
             const char *color2 = kColors[rng.below(17)];
-            std::string &name = textCell(row[1]);
-            name.assign(kColors[rng.below(17)]);
-            name += ' ';
-            name += color2;
+            text.assign(kColors[rng.below(17)]);
+            text += ' ';
+            text += color2;
+            s.setCell(row, 1, text);
             int mfgr = 1 + static_cast<int>(rng.below(5));
             char mfgr_s[18], brand_s[12];
             std::snprintf(mfgr_s, sizeof(mfgr_s), "Manufacturer#%d",
                           mfgr);
             std::snprintf(brand_s, sizeof(brand_s), "Brand#%d%d",
                           mfgr, static_cast<int>(1 + rng.below(5)));
-            textCell(row[2]).assign(mfgr_s);
-            textCell(row[3]).assign(brand_s);
+            s.setCell(row, 2, mfgr_s);
+            s.setCell(row, 3, brand_s);
             const char *type3 = kTypes3[rng.below(5)];
             const char *type2 = kTypes2[rng.below(5)];
-            std::string &type = textCell(row[4]);
-            type.assign(kTypes1[rng.below(6)]);
-            type += ' ';
-            type += type2;
-            type += ' ';
-            type += type3;
-            row[5] = static_cast<std::int64_t>(1 + rng.below(50));
-            textCell(row[6]).assign(kContainers[rng.below(8)]);
-            row[7] = money(rng, 900.0, 2000.0);
-            return true;
-        });
+            text.assign(kTypes1[rng.below(6)]);
+            text += ' ';
+            text += type2;
+            text += ' ';
+            text += type3;
+            s.setCell(row, 4, text);
+            s.setCell(row, 5, static_cast<std::int64_t>(1 + rng.below(50)));
+            s.setCell(row, 6, kContainers[rng.below(8)]);
+            s.setCell(row, 7, money(rng, 900.0, 2000.0));
+        }
     }
 
     // ----- partsupp -----
@@ -298,20 +277,20 @@ buildTpch(db::MiniDb &db, const TpchConfig &cfg)
                             col("ps_availqty", Type::Int64),
                             col("ps_supplycost", Type::Double)}));
     {
-        std::uint64_t i = 0;
-        partsupp.load([&](Row &row) {
-            if (i >= n.partsupps)
-                return false;
-            row.resize(4);
-            row[0] = static_cast<std::int64_t>(i / 4 + 1);
-            row[1] = static_cast<std::int64_t>(
-                (i % 4) * (n.suppliers / 4) + rng.below(
-                    std::max<std::uint64_t>(1, n.suppliers / 4)) + 1);
-            ++i;
-            row[2] = static_cast<std::int64_t>(1 + rng.below(9999));
-            row[3] = money(rng, 1.0, 1000.0);
-            return true;
-        });
+        const Schema &s = partsupp.schema();
+        db::Table::Loader load(partsupp);
+        for (std::uint64_t i = 0; i < n.partsupps; ++i) {
+            std::uint8_t *row = load.slot();
+            s.setCell(row, 0, static_cast<std::int64_t>(i / 4 + 1));
+            s.setCell(row, 1,
+                      static_cast<std::int64_t>(
+                          (i % 4) * (n.suppliers / 4) +
+                          rng.below(std::max<std::uint64_t>(
+                              1, n.suppliers / 4)) +
+                          1));
+            s.setCell(row, 2, static_cast<std::int64_t>(1 + rng.below(9999)));
+            s.setCell(row, 3, money(rng, 1.0, 1000.0));
+        }
     }
 
     // ----- customer -----
@@ -324,26 +303,25 @@ buildTpch(db::MiniDb &db, const TpchConfig &cfg)
                             col("c_phone", Type::String, 12),
                             col("c_comment", Type::String, 30)}));
     {
-        std::uint64_t i = 0;
-        customer.load([&](Row &row) {
-            if (i >= n.customers)
-                return false;
-            row.resize(7);
-            std::int64_t key = static_cast<std::int64_t>(++i);
-            row[0] = key;
+        const Schema &s = customer.schema();
+        db::Table::Loader load(customer);
+        for (std::uint64_t i = 1; i <= n.customers; ++i) {
+            std::uint8_t *row = load.slot();
+            const auto key = static_cast<std::int64_t>(i);
+            s.setCell(row, 0, key);
             char name[22];
             std::snprintf(name, sizeof(name), "Customer#%09lld",
                           static_cast<long long>(key));
-            textCell(row[1]).assign(name);
-            std::int64_t nat =
-                static_cast<std::int64_t>(rng.below(25));
-            row[2] = nat;
-            textCell(row[3]).assign(kSegments[rng.below(5)]);
-            row[4] = money(rng, -999.0, 9999.0);
-            phoneFor(rng, nat, textCell(row[5]));
-            randomComment(rng, 3, textCell(row[6]));
-            return true;
-        });
+            s.setCell(row, 1, name);
+            const auto nat = static_cast<std::int64_t>(rng.below(25));
+            s.setCell(row, 2, nat);
+            s.setCell(row, 3, kSegments[rng.below(5)]);
+            s.setCell(row, 4, money(rng, -999.0, 9999.0));
+            phoneFor(rng, nat, text);
+            s.setCell(row, 5, text);
+            randomComment(rng, 3, text);
+            s.setCell(row, 6, text);
+        }
     }
 
     // ----- orders (o_orderdate monotone: warehouse load order) -----
@@ -362,38 +340,38 @@ buildTpch(db::MiniDb &db, const TpchConfig &cfg)
                           col("o_comment", Type::String, 30)}));
     const std::int64_t start_day = db::dateToDays(kStartDate);
     const std::int64_t end_day = db::dateToDays(kEndDate);
+    // Order i (from 0) is placed on this day.
+    auto orderDay = [&](std::uint64_t i) {
+        return start_day + static_cast<std::int64_t>(
+                               (end_day - start_day) *
+                               (static_cast<double>(i) /
+                                static_cast<double>(n.orders)));
+    };
     // Receipt dates run latest: at most 121 + 30 days past an order
     // placed on or before end_day.
     const DateText dates(start_day, end_day + 151);
     {
-        std::uint64_t i = 0;
-        orders.load([&](Row &row) {
-            if (i >= n.orders)
-                return false;
-            row.resize(8);
-            std::int64_t key = static_cast<std::int64_t>(++i);
-            row[0] = key;
-            std::int64_t day =
-                start_day +
-                static_cast<std::int64_t>(
-                    (end_day - start_day) *
-                    (static_cast<double>(i - 1) /
-                     static_cast<double>(n.orders)));
-            textCell(row[2]).assign(
-                day + 121 < end_day ? (rng.below(20) == 0 ? "P" : "F")
-                                    : "O");
-            std::string &comment = textCell(row[7]);
-            randomComment(rng, 3, comment);
+        const Schema &s = orders.schema();
+        db::Table::Loader load(orders);
+        for (std::uint64_t i = 0; i < n.orders; ++i) {
+            std::uint8_t *row = load.slot();
+            s.setCell(row, 0, static_cast<std::int64_t>(i + 1));
+            const std::int64_t day = orderDay(i);
+            s.setCell(row, 2,
+                      day + 121 < end_day
+                          ? (rng.below(20) == 0 ? "P" : "F")
+                          : "O");
+            randomComment(rng, 3, text);
             if (rng.below(100) < 2)
-                comment = "dogged special requests wake";
-            row[1] = static_cast<std::int64_t>(1 +
-                                               rng.below(n.customers));
-            row[3] = money(rng, 1000.0, 400000.0);
-            textCell(row[4]).assign(dates(day));
-            textCell(row[5]).assign(kPriorities[rng.below(5)]);
-            row[6] = std::int64_t{0};
-            return true;
-        });
+                text = "dogged special requests wake";
+            s.setCell(row, 7, text);
+            s.setCell(row, 1,
+                      static_cast<std::int64_t>(1 + rng.below(n.customers)));
+            s.setCell(row, 3, money(rng, 1000.0, 400000.0));
+            s.setCell(row, 4, dates(day));
+            s.setCell(row, 5, kPriorities[rng.below(5)]);
+            s.setCell(row, 6, std::int64_t{0});
+        }
     }
 
     // ----- lineitem -----
@@ -416,57 +394,48 @@ buildTpch(db::MiniDb &db, const TpchConfig &cfg)
                 col("l_shipmode", Type::String, 8),
                 col("l_comment", Type::String, 20)}));
     {
-        std::uint64_t order = 0;
-        std::uint64_t line = 0, lines_this_order = 0;
-        std::int64_t order_day = start_day;
-        lineitem.load([&](Row &row) {
-            while (line >= lines_this_order) {
-                if (order >= n.orders)
-                    return false;
-                ++order;
-                lines_this_order = 1 + rng.below(7);
-                line = 0;
-                order_day =
-                    start_day +
-                    static_cast<std::int64_t>(
-                        (end_day - start_day) *
-                        (static_cast<double>(order - 1) /
-                         static_cast<double>(n.orders)));
+        const Schema &s = lineitem.schema();
+        db::Table::Loader load(lineitem);
+        for (std::uint64_t order = 1; order <= n.orders; ++order) {
+            const std::uint64_t lines = 1 + rng.below(7);
+            const std::int64_t order_day = orderDay(order - 1);
+            for (std::uint64_t line = 1; line <= lines; ++line) {
+                std::uint8_t *row = load.slot();
+                std::int64_t ship =
+                    order_day + 1 +
+                    static_cast<std::int64_t>(rng.below(121));
+                std::int64_t commit =
+                    order_day + 30 +
+                    static_cast<std::int64_t>(rng.below(61));
+                std::int64_t receipt =
+                    ship + 1 + static_cast<std::int64_t>(rng.below(30));
+                double qty = 1.0 + static_cast<double>(rng.below(50));
+                double price = qty * money(rng, 900.0, 2000.0) / 10.0;
+                bool shipped = ship <= end_day;
+                s.setCell(row, 0, static_cast<std::int64_t>(order));
+                s.setCell(row, 1,
+                          static_cast<std::int64_t>(1 + rng.below(n.parts)));
+                s.setCell(row, 2, static_cast<std::int64_t>(
+                                      1 + rng.below(n.suppliers)));
+                s.setCell(row, 3, static_cast<std::int64_t>(line));
+                s.setCell(row, 4, qty);
+                s.setCell(row, 5, price);
+                s.setCell(row, 6, 0.01 * static_cast<double>(rng.below(11)));
+                s.setCell(row, 7, 0.01 * static_cast<double>(rng.below(9)));
+                s.setCell(row, 8,
+                          shipped && rng.below(4) == 0 ? "R"
+                          : shipped                    ? "A"
+                                                       : "N");
+                s.setCell(row, 9, shipped ? "F" : "O");
+                s.setCell(row, 10, dates(ship));
+                s.setCell(row, 11, dates(commit));
+                s.setCell(row, 12, dates(receipt));
+                s.setCell(row, 13, kInstructs[rng.below(4)]);
+                s.setCell(row, 14, kShipModes[rng.below(7)]);
+                randomComment(rng, 2, text);
+                s.setCell(row, 15, text);
             }
-            ++line;
-            row.resize(16);
-            std::int64_t ship =
-                order_day + 1 +
-                static_cast<std::int64_t>(rng.below(121));
-            std::int64_t commit =
-                order_day + 30 +
-                static_cast<std::int64_t>(rng.below(61));
-            std::int64_t receipt =
-                ship + 1 + static_cast<std::int64_t>(rng.below(30));
-            double qty = 1.0 + static_cast<double>(rng.below(50));
-            double price = qty * money(rng, 900.0, 2000.0) / 10.0;
-            bool shipped = ship <= end_day;
-            row[0] = static_cast<std::int64_t>(order);
-            row[1] = static_cast<std::int64_t>(1 + rng.below(n.parts));
-            row[2] =
-                static_cast<std::int64_t>(1 + rng.below(n.suppliers));
-            row[3] = static_cast<std::int64_t>(line);
-            row[4] = qty;
-            row[5] = price;
-            row[6] = 0.01 * static_cast<double>(rng.below(11));
-            row[7] = 0.01 * static_cast<double>(rng.below(9));
-            textCell(row[8]).assign(shipped && rng.below(4) == 0 ? "R"
-                                    : shipped                    ? "A"
-                                                                 : "N");
-            textCell(row[9]).assign(shipped ? "F" : "O");
-            textCell(row[10]).assign(dates(ship));
-            textCell(row[11]).assign(dates(commit));
-            textCell(row[12]).assign(dates(receipt));
-            textCell(row[13]).assign(kInstructs[rng.below(4)]);
-            textCell(row[14]).assign(kShipModes[rng.below(7)]);
-            randomComment(rng, 2, textCell(row[15]));
-            return true;
-        });
+        }
     }
 }
 

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -101,6 +103,61 @@ TEST(DbTypes, LongStringsTruncateToWidth)
     s.encodeRow(row, slot.data());
     Row back = s.decodeRow(slot.data());
     EXPECT_EQ(std::get<std::string>(back[0]), "abcd");
+}
+
+TEST(DbTypes, CellOfTheWrongTypeIsRefused)
+{
+    // A value of another type than its column's never reaches a slot:
+    // encodeRow, RowSet::appendRow and Table::loadRows all panic.
+    Schema s({col("k", Type::Int64), col("price", Type::Double),
+              col("name", Type::String, 4)});
+    std::vector<std::uint8_t> slot(s.rowWidth());
+    EXPECT_DEATH(s.encodeRow({1.5, 2.5, std::string("a")}, slot.data()),
+                 "a Double cell for column 'k'");
+    EXPECT_DEATH(s.encodeRow({std::int64_t{1}, std::string("2.5"),
+                              std::string("a")},
+                             slot.data()),
+                 "a text cell for column 'price'");
+    EXPECT_DEATH(s.encodeRow({std::int64_t{1}, std::int64_t{2},
+                              std::string("a")},
+                             slot.data()),
+                 "an Int64 cell for column 'price'");
+    EXPECT_DEATH(
+        s.encodeRow({std::int64_t{1}, 2.5, std::int64_t{3}}, slot.data()),
+        "an Int64 cell for column 'name'");
+    RowSet rows(s);
+    EXPECT_DEATH(rows.appendRow({std::int64_t{1}, 2.5, 3.5}),
+                 "a Double cell for column 'name'");
+
+    sisc::Env env(ssd::testConfig(), 1);
+    host::HostSystem host(env.array);
+    MiniDb db(env, host);
+    Table &t = db.createTable("typed", s);
+    EXPECT_DEATH(t.loadRows({{std::int64_t{1}, 2.5, std::string("a")},
+                             {std::string("2"), 2.5, std::string("b")}}),
+                 "a text cell for column 'k'");
+}
+
+TEST(DbTypes, DoubleTextIsPrintedInFull)
+{
+    // 2^104 and 10 * 2^104 share their first 31 "%.2f" digits.
+    const double a = std::ldexp(1.0, 104);
+    EXPECT_EQ(valueToString(a), "20282409603651670423947251286016.00");
+    EXPECT_EQ(valueToString(10 * a),
+              "202824096036516704239472512860160.00");
+    // The longest finite text: a sign, 309 digits, the point and two
+    // decimals.
+    const std::string lowest =
+        valueToString(std::numeric_limits<double>::lowest());
+    EXPECT_EQ(lowest.size(), 313u);
+    EXPECT_EQ(lowest.substr(0, 6), "-17976");
+    EXPECT_EQ(lowest.substr(307), "368.00");
+    // Text that fitted the old 32-byte buffer is unchanged.
+    for (double v : {-0.0, 1.005, 123456.785, -9.99e26, 9.99e27}) {
+        char buf[32];
+        ASSERT_LT(std::snprintf(buf, sizeof(buf), "%.2f", v), 32);
+        EXPECT_EQ(valueToString(v), buf);
+    }
 }
 
 TEST(DbExpr, LikeMatching)

@@ -217,7 +217,7 @@ fnv1a(std::uint64_t h, const std::uint8_t *p, std::size_t n)
 
 /**
  * FNV-1a over every page of every table (sorted by name), pages in
- * global order: the exact bytes dbgen and Table::load install.
+ * global order: the exact bytes dbgen and Table::Loader install.
  */
 std::uint64_t
 pageDigest(std::uint32_t drives)

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -322,6 +323,28 @@ TEST_F(GroupByOracle, ManyGroupsComeOutInKeyTextOrder)
     expectSame(rows, {0},
                {{AggSpec::Op::Sum, 1}, {AggSpec::Op::Count, -1}});
     EXPECT_GT(referenceGroupBy(rows, {0}, {}).size(), 10'000u);
+}
+
+TEST_F(GroupByOracle, DoubleKeysPastThirtyOneDigitsStayApart)
+{
+    // 2^104 and 10 * 2^104 share their first 31 "%.2f" digits: only
+    // the rest of their text tells the two groups apart.
+    const double a = std::ldexp(1.0, 104), b = 10 * a;
+    RowSet rows(Schema({col("k", Type::Double), col("v", Type::Int64)}));
+    for (std::int64_t i = 0; i < 6; ++i)
+        rows.appendRow({i % 3 == 0 ? a : b, i});
+    expectSame(rows, {0},
+               {{AggSpec::Op::Count, -1}, {AggSpec::Op::Sum, 1}});
+    const RowSet got = grouped(rows, {0}, {{AggSpec::Op::Count, -1}});
+    ASSERT_EQ(got.size(), 2u);
+    // Key-text order: "...016.00" sorts before "...0160.00".
+    EXPECT_EQ(got[0].num(0), a);
+    EXPECT_EQ(got[0].i64(1), 2);
+    EXPECT_EQ(got[1].num(0), b);
+    EXPECT_EQ(got[1].i64(1), 4);
+    const std::vector<Row> out = got.toRows();
+    EXPECT_EQ(valueToString(out[1][0]),
+              "202824096036516704239472512860160.00");
 }
 
 // ----- Slot predicates against evalPred over decoded rows -----

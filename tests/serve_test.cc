@@ -314,7 +314,6 @@ TEST(ServeSoak, PlannerConfigFromEnvironment)
     const db::PlannerConfig def;
     ScopedEnv u("BISCUIT_UNIFIED_PIPELINES", "1");
     const db::PlannerConfig p = serve::plannerConfigFromEnv();
-    EXPECT_EQ(p.enable_ndp, def.enable_ndp);
     EXPECT_EQ(p.page_selectivity_threshold,
               def.page_selectivity_threshold);
     EXPECT_EQ(p.place_seed, def.place_seed);

@@ -304,13 +304,11 @@ TEST(StatsOracle, BuilderMatchesPerRowFoldOnRandomTables)
                 MiniDb db(env, host);
                 Table &t = db.createShardedTable("odd", oddSchema());
                 Rng rng(seed);
-                std::int64_t i = 0;
-                t.load([&](Row &row) {
-                    if (i >= rows)
-                        return false;
-                    row = randomRow(rng, i++);
-                    return true;
-                });
+                {
+                    Table::Loader load(t);
+                    for (std::int64_t i = 0; i < rows; ++i)
+                        t.schema().encodeRow(randomRow(rng, i), load.slot());
+                }
                 if (rows == 5000) {
                     ASSERT_GT(t.pageCount(), kPagesPerChunk);
                     ASSERT_NE(t.rowCount() % t.rowsPerPage(), 0u);
