@@ -38,6 +38,11 @@
 #     call and the two frames above it, of a small call the calling
 #     address alone; both are symbolized with addr2line, and the report
 #     names the innermost frames in the simulator's own sources.
+#     Copies the compiler inlines (constant-size moves) make no call
+#     and are not counted. The report starts with the run's user and
+#     system CPU seconds, minor page faults and peak RSS (getrusage of
+#     the child process; the shim's two site tables add up to 3 MB to
+#     it).
 #
 # Workloads: tpch_suite, placed_batch, serve_mix. build-dir defaults
 # to .profile_build (gprof) or .copies_build (--copies); both are
@@ -184,8 +189,21 @@ cmake --build "$build" -j "$(nproc)" --target perfbench_harness \
 
 harness=$build/perfbench_harness
 BISCUIT_COPIES_OUT="$run_dir/copies.txt" \
-    "$harness" --workload "$workload" --seed 1 --seconds 0 --trace 0 \
-    >/dev/null
+    python3 - "$harness" "$workload" <<'RUSAGE'
+import resource
+import subprocess
+import sys
+
+harness, workload = sys.argv[1:3]
+subprocess.run([harness, "--workload", workload, "--seed", "1",
+                "--seconds", "0", "--trace", "0"],
+               stdout=subprocess.DEVNULL, check=True)
+ru = resource.getrusage(resource.RUSAGE_CHILDREN)
+print(f"{workload}, one run (copy tally): user {ru.ru_utime:.2f} s, "
+      f"system {ru.ru_stime:.2f} s, {ru.ru_minflt} minor page faults, "
+      f"peak RSS {ru.ru_maxrss / 1024:.1f} MB")
+print()
+RUSAGE
 
 python3 - "$harness" "$run_dir/copies.txt" "$workload" <<'REPORT'
 import subprocess

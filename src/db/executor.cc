@@ -505,14 +505,142 @@ RegisterSSDLet("minidb", "idSample", SampleLet);
 RegisterSSDLet("minidb", "idRecheck", RecheckLet);
 
 /**
+ * Copy @p n bytes as 8-, 4-, 2- and 1-byte moves of constant width,
+ * which the compiler inlines: no library call per cell. A copy of at
+ * least 8 bytes ends with one 8-byte move over its last word, which may
+ * overlap the word before it.
+ */
+inline void
+copyCells(std::uint8_t *dst, const std::uint8_t *src, Bytes n)
+{
+    if (n >= 8) {
+        for (Bytes at = 0; at + 8 < n; at += 8)
+            std::memcpy(dst + at, src + at, 8);
+        std::memcpy(dst + n - 8, src + n - 8, 8);
+    } else if (n >= 4) {
+        std::memcpy(dst, src, 4);
+        std::memcpy(dst + n - 4, src + n - 4, 4);
+    } else if (n >= 2) {
+        std::memcpy(dst, src, 2);
+        std::memcpy(dst + n - 2, src + n - 2, 2);
+    } else if (n == 1) {
+        *dst = *src;
+    }
+}
+
+/**
+ * A scan's result layout: the table columns it keeps
+ * (scanTablePacked's @p columns, in their order; every column when
+ * empty), then the computed columns it reserves. Kept columns that
+ * follow each other in the table as well copy as one segment.
+ */
+class Projection
+{
+  public:
+    Projection(const Table &table, const std::vector<int> &columns,
+               const std::vector<Column> &computed)
+        : in_w_(table.rowWidth())
+    {
+        const Schema &ts = table.schema();
+        std::vector<int> kept = columns;
+        if (kept.empty()) {
+            for (std::size_t c = 0; c < ts.size(); ++c)
+                kept.push_back(static_cast<int>(c));
+        }
+        std::vector<Column> cols;
+        std::vector<bool> seen(ts.size(), false);
+        Bytes to = 0;
+        for (int c : kept) {
+            BISC_ASSERT(c >= 0 && static_cast<std::size_t>(c) < ts.size(),
+                        "scan of table '", table.name(), "': column ", c,
+                        " out of range (", ts.size(), " columns)");
+            const auto i = static_cast<std::size_t>(c);
+            BISC_ASSERT(!seen[i], "scan of table '", table.name(),
+                        "' keeps column '", ts.at(i).name, "' twice");
+            seen[i] = true;
+            cols.push_back(ts.at(i));
+            const Bytes from = ts.offsetOf(i);
+            const Bytes len = ts.at(i).width;
+            if (!segments_.empty() &&
+                segments_.back().from + segments_.back().len == from)
+                segments_.back().len += len;
+            else
+                segments_.push_back({from, to, len});
+            to += len;
+        }
+        for (const Column &c : computed) {
+            if (isText(c.type))
+                zeroed_.emplace_back(to, c.width);
+            else
+                unwritten_.push_back(static_cast<int>(cols.size()));
+            cols.push_back(c);
+            to += c.width;
+        }
+        schema_ = Schema(std::move(cols));
+        whole_ = computed.empty() && segments_.size() == 1 &&
+                 segments_[0].len == in_w_;
+    }
+
+    const Schema &schema() const { return schema_; }
+
+    /**
+     * An empty row set of this layout whose reserved numeric cells
+     * count as unwritten until the caller fills them.
+     */
+    RowSet
+    rows() const
+    {
+        RowSet out(schema_);
+        for (int c : unwritten_)
+            out.markUnwritten(c);
+        return out;
+    }
+
+    /**
+     * Project @p n consecutive table rows at @p src into @p n slots of
+     * this layout at @p dst: the kept cells, and reserved text cells
+     * zeroed (reserved numeric cells are left for the caller's fill).
+     */
+    void
+    copy(std::uint8_t *dst, const std::uint8_t *src, std::size_t n) const
+    {
+        if (whole_) {
+            std::memcpy(dst, src, n * in_w_);
+            return;
+        }
+        const Bytes out_w = schema_.rowWidth();
+        for (std::size_t i = 0; i < n; ++i, src += in_w_, dst += out_w) {
+            for (const Segment &s : segments_)
+                copyCells(dst + s.to, src + s.from, s.len);
+            for (const auto &[off, width] : zeroed_)
+                std::memset(dst + off, 0, width);
+        }
+    }
+
+  private:
+    /** Table bytes [from, from + len) go to slot bytes [to, to + len). */
+    struct Segment
+    {
+        Bytes from, to, len;
+    };
+
+    Bytes in_w_;
+    Schema schema_;
+    std::vector<Segment> segments_;
+    std::vector<std::pair<Bytes, Bytes>> zeroed_;  // (offset, width)
+    std::vector<int> unwritten_;
+    bool whole_ = false;  ///< a slot is the table row, byte for byte
+};
+
+/**
  * One shard's matching rows, as runs of consecutive slots tagged with
  * their global page, so that assembleRows() can lay every shard's rows
  * out in global page order and results stay invariant in the drive
  * count. A host shard copies nothing while it scans: its runs point
  * into the streamed pages it records. A device or chained shard
  * receives its pages or rows in Packets it recycles
- * (rt::recyclePacket), so it copies its matches into rows and its runs
- * index that.
+ * (rt::recyclePacket), so it projects its matches into rows, already
+ * in the result layout, and its runs index that.
  */
 struct ShardRows
 {
@@ -543,7 +671,7 @@ struct ShardRows
         Bytes len;
     };
 
-    explicit ShardRows(const Schema &schema) : rows(schema) {}
+    explicit ShardRows(RowSet empty) : rows(std::move(empty)) {}
 
     /** The drive a host shard streamed pages from. */
     ssd::SsdDevice *dev = nullptr;
@@ -584,21 +712,20 @@ forEachMatchRun(Table &table, const BoundPred &pred,
 }
 
 /**
- * Copy the matching slots of one raw page, received from a drive,
+ * Project the matching slots of one raw page, received from a drive,
  * into @p out.rows as one run; true when at least one row matched.
  */
 bool
-copyMatches(Table &table, const BoundPred &pred, const std::uint8_t *data,
-            Bytes len, std::uint64_t page_idx, ShardRows &out,
-            DbStats &stats)
+copyMatches(Table &table, const BoundPred &pred, const Projection &proj,
+            const std::uint8_t *data, Bytes len, std::uint64_t page_idx,
+            ShardRows &out, DbStats &stats)
 {
     const Bytes row_width = table.rowWidth();
     const std::size_t first = out.rows.size();
     forEachMatchRun(table, pred, data, len, page_idx, stats,
                     [&](std::uint64_t slot, std::uint64_t n) {
-                        std::memcpy(out.rows.appendSlots(n),
-                                    data + slot * row_width,
-                                    n * row_width);
+                        proj.copy(out.rows.appendSlots(n),
+                                  data + slot * row_width, n);
                     });
     const std::size_t n = out.rows.size() - first;
     if (n == 0)
@@ -612,17 +739,15 @@ copyMatches(Table &table, const BoundPred &pred, const std::uint8_t *data,
  * Lay every shard's runs out in global page order, each row copied
  * once into an output sized exactly. Page indices are unique across
  * shards and a page's runs ascend, so (page, first) is a total order.
- * @p out_schema is @p schema, or @p schema followed by computed
- * columns: each row is then copied on its own into its wider slot.
- * Computed text cells are zeroed; computed numeric cells are left
- * unwritten (RowSet::markUnwritten) for the caller's fillColumn, which
- * writes them whole. A lone shard whose rows already sit in
- * its rows buffer in page order and layout (every single-drive device
- * or chained scan without computed columns) is moved as is.
+ * Rows a device or chained shard holds are already in @p proj's layout
+ * and copy whole; rows still in a streamed page are projected out of
+ * it. A lone shard whose rows already sit in its rows buffer in page
+ * order (every single-drive device or chained scan) is moved as is;
+ * @p stats.rows_assembled counts the rows copied here.
  */
 RowSet
-assembleRows(const Schema &schema, const Schema &out_schema,
-             std::vector<ShardRows> &per_shard)
+assembleRows(const Schema &schema, const Projection &proj,
+             std::vector<ShardRows> &per_shard, DbStats &stats)
 {
     struct At
     {
@@ -642,52 +767,34 @@ assembleRows(const Schema &schema, const Schema &out_schema,
         return a.run->page != b.run->page ? a.run->page < b.run->page
                                           : a.run->first < b.run->first;
     };
-    const Bytes w = schema.rowWidth();
-    const Bytes out_w = out_schema.rowWidth();
     const bool sorted = std::is_sorted(order.begin(), order.end(), before);
-    if (filled == 1 && sorted && out_w == w &&
-        order.front().shard->pages.empty())
+    if (filled == 1 && sorted && order.front().shard->pages.empty())
         return std::move(order.front().shard->rows);
     if (!sorted)
         std::sort(order.begin(), order.end(), before);
 
-    RowSet out(out_schema);
-    std::vector<std::pair<Bytes, Bytes>> zeroed;  // (offset, width)
-    for (std::size_t c = schema.size(); c < out_schema.size(); ++c) {
-        if (isText(out_schema.at(c).type))
-            zeroed.emplace_back(out_schema.offsetOf(c),
-                                out_schema.at(c).width);
-        else
-            out.markUnwritten(static_cast<int>(c));
-    }
+    const Bytes w = schema.rowWidth();
+    const Bytes out_w = proj.schema().rowWidth();
+    RowSet out = proj.rows();
     std::uint8_t *dst = out.appendSlots(total);
+    stats.rows_assembled += total;
     // A page's runs are adjacent in this order: resolve each streamed
     // page once, and hold its view only while copying from it.
     const ShardRows::StreamedPage *resolved = nullptr;
     sim::BufferView view;
     for (const At &a : order) {
         const ShardRows::Run &r = *a.run;
-        const std::uint8_t *src;
         if (r.source == ShardRows::kInRows) {
-            src = a.shard->rows.slot(r.first);
+            std::memcpy(dst, a.shard->rows.slot(r.first), r.n * out_w);
         } else {
             const ShardRows::StreamedPage &p = a.shard->pages[r.source];
             if (resolved != &p) {
                 view = a.shard->dev->pageView(p.lpn, p.offset, p.len);
                 resolved = &p;
             }
-            src = view.data() + r.first * w;
+            proj.copy(dst, view.data() + r.first * w, r.n);
         }
-        if (out_w == w) {
-            std::memcpy(dst, src, r.n * w);
-            dst += r.n * w;
-            continue;
-        }
-        for (std::uint32_t i = 0; i < r.n; ++i, src += w, dst += out_w) {
-            std::memcpy(dst, src, w);
-            for (const auto &[off, width] : zeroed)
-                std::memset(dst + off, 0, width);
-        }
+        dst += r.n * out_w;
     }
     return out;
 }
@@ -824,18 +931,19 @@ notePlacement(MiniDb &db, const PlacementPlan &plan, Tick measured)
  * Rows land in the result in global page order (assembleRows), so
  * results are byte-identical across shapes and drive counts. A host
  * shard's matching rows are copied once, from the streamed pages into
- * the result. A device or chained shard copies its rows out of the
+ * the result. A device or chained shard projects its rows out of the
  * received Packets first; that copy is the result itself when it is
- * the only shard with matches and @p computed is empty. A decision that carries a placed plan
- * (d.query, launched by the caller) also gets the planned-scan
- * extras: the placement trace, matched-page feedback for the next
- * plan and the db.place.* metrics.
+ * the only shard with matches. Either way only the cells of
+ * @p columns, then room for @p computed, are copied (Projection). A
+ * decision that carries a placed plan (d.query, launched by the
+ * caller) also gets the planned-scan extras: the placement trace,
+ * matched-page feedback for the next plan and the db.place.* metrics.
  */
 PackedScan
 runScan(MiniDb &db, Table &table, const ExprPtr &pred,
         const PlanDecision &d, const std::vector<Site> &sites,
         const char *op, const std::vector<Column> &computed,
-        DbStats &stats)
+        const std::vector<int> &columns, DbStats &stats)
 {
     OpTimer timer(db, stats, op);
     const Tick begin = db.env().kernel.now();
@@ -880,7 +988,11 @@ runScan(MiniDb &db, Table &table, const ExprPtr &pred,
     // shard.
     std::uint64_t matched_pages = 0;
     std::uint64_t selected_pages = 0;
-    std::vector<ShardRows> per_shard(nshards, ShardRows(table.schema()));
+    const Projection proj(table, columns, computed);
+    std::vector<ShardRows> per_shard;
+    per_shard.reserve(nshards);
+    for (std::uint32_t s = 0; s < nshards; ++s)
+        per_shard.emplace_back(proj.rows());
 
     auto hostShard = [&](std::uint32_t s) {
         per_shard[s].dev = &host.deviceOf(s);
@@ -958,7 +1070,7 @@ runScan(MiniDb &db, Table &table, const ExprPtr &pred,
                     table.globalPage(s, local_page);
                 host.consumeCpuPerByte(
                     len, host.config().db_scan_ns_per_byte);
-                if (copyMatches(table, match, data, len, page_idx,
+                if (copyMatches(table, match, proj, data, len, page_idx,
                                 per_shard[s], stats))
                     ++matched_pages;
                 ++stats.pages_to_host;
@@ -1012,8 +1124,9 @@ runScan(MiniDb &db, Table &table, const ExprPtr &pred,
                     host.config().db_scan_ns_per_byte);
                 mine.runs.push_back({page_idx, ShardRows::kInRows, n_rows,
                                      mine.rows.size()});
-                batch.getBytes(mine.rows.appendSlots(n_rows),
-                               static_cast<Bytes>(n_rows) * row_width);
+                proj.copy(mine.rows.appendSlots(n_rows),
+                          batch.take(static_cast<Bytes>(n_rows) * row_width),
+                          n_rows);
                 stats.rows_examined += n_rows;
                 // Only matched pages reach the host at all here, as
                 // row payloads rather than raw pages.
@@ -1035,12 +1148,7 @@ runScan(MiniDb &db, Table &table, const ExprPtr &pred,
         else
             hostShard(s);
     });
-    out.rows = assembleRows(
-        table.schema(),
-        computed.empty()
-            ? table.schema()
-            : Schema::concat(table.schema(), Schema(computed)),
-        per_shard);
+    out.rows = assembleRows(table.schema(), proj, per_shard, stats);
     if (sp.plan.usable)
         notePrune(db, stats, sp.plan);
     if (any_device)
@@ -1301,12 +1409,13 @@ noteSelectivity(MiniDb &db, const ScanInfo &out)
 PackedScan
 scanTablePacked(MiniDb &db, Table &table, const ExprPtr &pred,
                 EngineMode mode, DbStats &stats,
-                const std::vector<Column> &computed)
+                const std::vector<Column> &computed,
+                const std::vector<int> &columns)
 {
     if (mode != EngineMode::Biscuit) {
         PackedScan out =
             runScan(db, table, pred, PlanDecision{}, {}, "conv_scan",
-                    computed, stats);
+                    computed, columns, stats);
         out.note = "conventional scan";
         return out;
     }
@@ -1327,7 +1436,7 @@ scanTablePacked(MiniDb &db, Table &table, const ExprPtr &pred,
         op = "ndp_scan";
     }
     PackedScan out =
-        runScan(db, table, pred, d, sites, op, computed, stats);
+        runScan(db, table, pred, d, sites, op, computed, columns, stats);
     out.sampled_selectivity = d.sampled_selectivity;
     out.est_selectivity = d.est_selectivity;
     out.note = d.note;

@@ -72,7 +72,7 @@ struct ScanInfo
 /** A scan's matching rows as packed slots (host-operator input). */
 struct PackedScan : ScanInfo
 {
-    RowSet rows;  ///< table schema, global row order
+    RowSet rows;  ///< kept then computed columns, global row order
 };
 
 /** A scan's matching rows, decoded. */
@@ -90,16 +90,24 @@ struct ScanOutcome : ScanInfo
  * "ndp_scan", "placed_scan" or "pipelined_scan" after that decision.
  * Rows returned satisfy @p pred exactly, in global row order.
  *
- * Rows come out under the table's schema followed by @p computed,
- * whose cells the caller fills in place (RowSet::fillColumn): text
- * cells come zeroed, numeric ones unwritten, and the rows refuse every
- * operator until they are filled. A scan that asks for its computed columns
- * copies each matched row once, straight into its wider slot, where a
- * later RowSet::addColumn would move every row again.
+ * Rows come out projected: the table columns @p columns names, in that
+ * order (every column, in table order, when empty), followed by
+ * @p computed. Only the kept cells of a matched row are copied; the
+ * predicate still sees the whole row, and simulated time is charged in
+ * table bytes and rows whatever is kept. An entry out of range or a
+ * column named twice panics.
+ *
+ * The caller fills the computed cells in place (RowSet::fillColumn):
+ * text cells come zeroed, numeric ones unwritten, and the rows refuse
+ * every operator until they are filled. A scan that asks for its
+ * computed columns copies each matched row once, straight into its
+ * wider slot, where a later RowSet::addColumn would move every row
+ * again.
  */
 PackedScan scanTablePacked(MiniDb &db, Table &table, const ExprPtr &pred,
                            EngineMode mode, DbStats &stats,
-                           const std::vector<Column> &computed = {});
+                           const std::vector<Column> &computed = {},
+                           const std::vector<int> &columns = {});
 
 /** scanTablePacked() with its rows decoded (zero simulated time). */
 ScanOutcome scanTable(MiniDb &db, Table &table, const ExprPtr &pred,

@@ -118,6 +118,12 @@ struct DbStats
     std::uint64_t pages_scanned_device = 0;
     std::uint64_t sample_pages = 0;
     std::uint64_t rows_examined = 0;
+    /**
+     * Rows a scan copied into its result after its shards returned
+     * (its assembly); none when a lone device or chained shard's rows,
+     * projected as they arrived, are moved into the result as is.
+     */
+    std::uint64_t rows_assembled = 0;
     std::uint64_t ndp_scans = 0;
     std::uint64_t conv_scans = 0;
 

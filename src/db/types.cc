@@ -160,11 +160,17 @@ Schema::Schema(std::vector<Column> columns)
 int
 Schema::indexOf(const std::string &name) const
 {
+    int found = -1;
     for (std::size_t i = 0; i < columns_.size(); ++i) {
-        if (columns_[i].name == name)
-            return static_cast<int>(i);
+        if (columns_[i].name != name)
+            continue;
+        BISC_ASSERT(found < 0, "ambiguous column: ", name, " (columns ",
+                    found, " and ", i, ")");
+        found = static_cast<int>(i);
     }
-    BISC_PANIC("no such column: ", name);
+    if (found < 0)
+        BISC_PANIC("no such column: ", name);
+    return found;
 }
 
 void

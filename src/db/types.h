@@ -179,7 +179,10 @@ class Schema
     std::size_t size() const { return columns_.size(); }
     const Column &at(std::size_t i) const { return columns_.at(i); }
 
-    /** Column index by name; panics when absent. */
+    /**
+     * Column index by name; panics when absent, and when two columns
+     * share the name (a joined schema of tables that both have it).
+     */
     int indexOf(const std::string &name) const;
 
     /** Byte offset of column @p i within a row slot. */

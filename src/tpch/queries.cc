@@ -76,22 +76,28 @@ struct Ctx
 
     Table &t(const char *name) { return db.table(name); }
 
-    int
-    ix(const char *table, const char *column)
+    /** The table indices of @p names: a scan's projection. */
+    static std::vector<int>
+    columnsOf(const Table &table, std::initializer_list<const char *> names)
     {
-        return db.table(table).schema().indexOf(column);
+        std::vector<int> cols;
+        for (const char *name : names)
+            cols.push_back(table.schema().indexOf(name));
+        return cols;
     }
 
     /**
-     * The planner's candidate scan: its offload decision defines the
-     * query's Fig. 10 category.
+     * The planner's candidate scan, keeping @p columns: its offload
+     * decision defines the query's Fig. 10 category.
      */
     PackedScan
     primary(Table &table, const ExprPtr &pred,
+            std::initializer_list<const char *> columns,
             const std::vector<db::Column> &computed = {})
     {
-        PackedScan s = db::scanTablePacked(db, table, pred, mode,
-                                           out.stats, computed);
+        PackedScan s = db::scanTablePacked(db, table, pred, mode, out.stats,
+                                           computed,
+                                           columnsOf(table, columns));
         out.ndp_used = s.used_ndp;
         out.planner_note = s.note;
         out.sampled_selectivity = s.sampled_selectivity;
@@ -103,22 +109,32 @@ struct Ctx
         return s;
     }
 
-    /** A secondary scan (never the offload candidate). */
+    /**
+     * A secondary scan (never the offload candidate), keeping
+     * @p columns.
+     */
     PackedScan
-    scan(Table &table, const ExprPtr &pred)
+    scan(Table &table, const ExprPtr &pred,
+         std::initializer_list<const char *> columns)
     {
         return db::scanTablePacked(db, table, pred, EngineMode::Conv,
-                                   out.stats);
+                                   out.stats, {}, columnsOf(table, columns));
     }
 
+    /**
+     * Join @p outer on its column @p outer_col. @p outer_width is the
+     * outer rows' width in table bytes (the join buffer holds table
+     * rows), not the projected rows' own width.
+     */
     RowSet
-    join(const RowSet &outer, Bytes outer_width, int outer_col,
+    join(const RowSet &outer, Bytes outer_width, const char *outer_col,
          Table &inner, const char *inner_col,
          const ExprPtr &inner_pred = nullptr)
     {
-        return db::bnlJoin(db, outer, outer_width, outer_col, inner,
-                           inner.schema().indexOf(inner_col),
-                           inner_pred, out.stats);
+        return db::bnlJoin(db, outer, outer_width,
+                           outer.schema().indexOf(outer_col), inner,
+                           inner.schema().indexOf(inner_col), inner_pred,
+                           out.stats);
     }
 
     /** The column addRevenue appends. */
@@ -128,51 +144,48 @@ struct Ctx
         return db::col("revenue", db::Type::Double);
     }
 
-    /**
-     * l_extendedprice * (1 - l_discount), reading the lineitem columns
-     * at @p base of @p s.
-     */
-    auto
-    revenueOf(const db::Schema &s, int base)
+    /** l_extendedprice * (1 - l_discount) of rows under @p s. */
+    static auto
+    revenueOf(const db::Schema &s)
     {
-        const db::NumColumn price(
-            s, base + ix("lineitem", "l_extendedprice"));
-        const db::NumColumn disc(s, base + ix("lineitem", "l_discount"));
+        const db::NumColumn price(s, s.indexOf("l_extendedprice"));
+        const db::NumColumn disc(s, s.indexOf("l_discount"));
         return [=](RowRef r) { return price(r) * (1.0 - disc(r)); };
     }
 
-    /** Append the revenue of the lineitem columns at @p base. */
+    /** Append the revenue of each row's lineitem columns. */
     void
-    addRevenue(RowSet &rows, int base)
+    addRevenue(RowSet &rows)
     {
-        addComputed(db, rows, revenueColumn(),
-                    revenueOf(rows.schema(), base));
+        addComputed(db, rows, revenueColumn(), revenueOf(rows.schema()));
     }
 
     /**
-     * Fill the revenue cell a lineitem scan reserved after its columns
-     * (primary(..., {revenueColumn()})); charged as addRevenue is.
+     * Fill the revenue cell a lineitem scan reserved after its kept
+     * columns (primary(..., {revenueColumn()})); charged as addRevenue
+     * is.
      */
     void
     fillRevenue(RowSet &rows)
     {
-        fillComputed(db, rows,
-                     static_cast<int>(t("lineitem").schema().size()),
-                     revenueOf(rows.schema(), 0));
+        fillComputed(db, rows, rows.schema().indexOf("revenue"),
+                     revenueOf(rows.schema()));
     }
 };
 
-/** Index of the last column of @p rows (a just-computed one). */
+/** Column @p name of @p rows (panics unless exactly one has it). */
 int
-lastCol(const RowSet &rows)
+colOf(const RowSet &rows, const char *name)
 {
-    return static_cast<int>(rows.schema().size()) - 1;
+    return rows.schema().indexOf(name);
 }
 
 // =====================================================================
-// The 22 queries. Column index bookkeeping: joined rows concatenate
-// outer columns then inner columns; width variables track storage
-// bytes for the BNL buffer model.
+// The 22 queries. Each scan keeps the columns its query reads, and
+// every column is found by name in the row set at hand: joined rows
+// concatenate the outer's kept columns with the inner table's. Width
+// variables track *table* bytes per outer row for the BNL buffer
+// model, whatever the scans kept.
 // =====================================================================
 
 // Q1: pricing summary report. One-sided shipdate range: the planner
@@ -181,20 +194,21 @@ RowSet
 q1(Ctx &c)
 {
     auto &L = c.t("lineitem");
-    const auto &ls = L.schema();
     auto s = c.primary(
         L,
-        db::cmp(ls, "l_shipdate", CmpOp::Le, std::string("1998-06-15")),
+        db::cmp(L.schema(), "l_shipdate", CmpOp::Le,
+                std::string("1998-06-15")),
+        {"l_quantity", "l_extendedprice", "l_discount", "l_returnflag",
+         "l_linestatus"},
         {Ctx::revenueColumn()});
     c.fillRevenue(s.rows);
-    int disc_price = static_cast<int>(ls.size());
+    const RowSet &r = s.rows;
     auto grouped = db::groupBy(
-        c.db, s.rows,
-        {ls.indexOf("l_returnflag"), ls.indexOf("l_linestatus")},
-        {{AggSpec::Op::Sum, ls.indexOf("l_quantity")},
-         {AggSpec::Op::Sum, ls.indexOf("l_extendedprice")},
-         {AggSpec::Op::Sum, disc_price},
-         {AggSpec::Op::Avg, ls.indexOf("l_quantity")},
+        c.db, r, {colOf(r, "l_returnflag"), colOf(r, "l_linestatus")},
+        {{AggSpec::Op::Sum, colOf(r, "l_quantity")},
+         {AggSpec::Op::Sum, colOf(r, "l_extendedprice")},
+         {AggSpec::Op::Sum, colOf(r, "revenue")},
+         {AggSpec::Op::Avg, colOf(r, "l_quantity")},
          {AggSpec::Op::Count, -1}},
         c.out.stats);
     db::sortRows(grouped, {{0, false}, {1, false}});
@@ -208,31 +222,25 @@ q2(Ctx &c)
 {
     auto &P = c.t("part");
     const auto &ps = P.schema();
+    // The part rows reach the result whole.
     auto parts = c.primary(
-        P, db::exprAnd({db::like(ps, "p_type", "%BRASS"),
-                        db::cmp(ps, "p_size", CmpOp::Eq,
-                                std::int64_t{15})}));
-    auto j1 = c.join(parts.rows, P.rowWidth(),
-                     ps.indexOf("p_partkey"), c.t("partsupp"),
-                     "ps_partkey");
+        P,
+        db::exprAnd({db::like(ps, "p_type", "%BRASS"),
+                     db::cmp(ps, "p_size", CmpOp::Eq, std::int64_t{15})}),
+        {"p_partkey", "p_name", "p_mfgr", "p_brand", "p_type", "p_size",
+         "p_container", "p_retailprice"});
+    auto j1 = c.join(parts.rows, P.rowWidth(), "p_partkey",
+                     c.t("partsupp"), "ps_partkey");
     Bytes w1 = P.rowWidth() + c.t("partsupp").rowWidth();
-    int ps_suppkey = static_cast<int>(ps.size()) +
-                     c.ix("partsupp", "ps_suppkey");
-    auto j2 = c.join(j1, w1, ps_suppkey, c.t("supplier"), "s_suppkey");
+    auto j2 = c.join(j1, w1, "ps_suppkey", c.t("supplier"), "s_suppkey");
     Bytes w2 = w1 + c.t("supplier").rowWidth();
-    int s_nat = static_cast<int>(ps.size()) + 4 +
-                c.ix("supplier", "s_nationkey");
-    auto j3 = c.join(j2, w2, s_nat, c.t("nation"), "n_nationkey");
+    auto j3 = c.join(j2, w2, "s_nationkey", c.t("nation"), "n_nationkey");
     Bytes w3 = w2 + c.t("nation").rowWidth();
-    int n_reg = static_cast<int>(ps.size()) + 4 + 6 +
-                c.ix("nation", "n_regionkey");
     auto &R = c.t("region");
-    auto j4 = c.join(j3, w3, n_reg, R, "r_regionkey",
+    auto j4 = c.join(j3, w3, "n_regionkey", R, "r_regionkey",
                      db::cmp(R.schema(), "r_name", CmpOp::Eq,
                              std::string("EUROPE")));
-    int s_acctbal = static_cast<int>(ps.size()) + 4 +
-                    c.ix("supplier", "s_acctbal");
-    db::sortRows(j4, {{s_acctbal, true}});
+    db::sortRows(j4, {{colOf(j4, "s_acctbal"), true}});
     j4.truncate(100);
     return j4;
 }
@@ -242,30 +250,23 @@ RowSet
 q3(Ctx &c)
 {
     auto &C = c.t("customer");
-    const auto &cs = C.schema();
-    auto cust = c.primary(C, db::cmp(cs, "c_mktsegment", CmpOp::Eq,
-                                     std::string("BUILDING")));
+    auto cust = c.primary(C,
+                          db::cmp(C.schema(), "c_mktsegment", CmpOp::Eq,
+                                  std::string("BUILDING")),
+                          {"c_custkey"});
     auto &O = c.t("orders");
-    auto j1 = c.join(cust.rows, C.rowWidth(),
-                     cs.indexOf("c_custkey"), O, "o_custkey",
+    auto j1 = c.join(cust.rows, C.rowWidth(), "c_custkey", O, "o_custkey",
                      db::cmp(O.schema(), "o_orderdate", CmpOp::Lt,
                              std::string("1995-03-15")));
     Bytes w1 = C.rowWidth() + O.rowWidth();
-    int o_orderkey = static_cast<int>(cs.size()) +
-                     c.ix("orders", "o_orderkey");
     auto &L = c.t("lineitem");
-    auto j2 = c.join(j1, w1, o_orderkey, L, "l_orderkey",
+    auto j2 = c.join(j1, w1, "o_orderkey", L, "l_orderkey",
                      db::cmp(L.schema(), "l_shipdate", CmpOp::Gt,
                              std::string("1995-03-15")));
-    int base = static_cast<int>(cs.size() + O.schema().size());
-    c.addRevenue(j2, base);
-    int rev = static_cast<int>(cs.size() + O.schema().size() +
-                               L.schema().size());
+    c.addRevenue(j2);
     auto grouped = db::groupBy(
-        c.db, j2,
-        {o_orderkey,
-         static_cast<int>(cs.size()) + c.ix("orders", "o_orderdate")},
-        {{AggSpec::Op::Sum, rev}}, c.out.stats);
+        c.db, j2, {colOf(j2, "o_orderkey"), colOf(j2, "o_orderdate")},
+        {{AggSpec::Op::Sum, colOf(j2, "revenue")}}, c.out.stats);
     db::sortRows(grouped, {{2, true}});
     grouped.truncate(10);
     return grouped;
@@ -277,25 +278,26 @@ RowSet
 q4(Ctx &c)
 {
     auto &O = c.t("orders");
-    const auto &os = O.schema();
     auto orders = c.primary(
-        O, db::between(os, "o_orderdate", std::string("1993-07-01"),
-                       std::string("1993-09-30")));
+        O,
+        db::between(O.schema(), "o_orderdate", std::string("1993-07-01"),
+                    std::string("1993-09-30")),
+        {"o_orderkey", "o_orderpriority"});
     auto &L = c.t("lineitem");
-    auto j = c.join(orders.rows, O.rowWidth(),
-                    os.indexOf("o_orderkey"), L, "l_orderkey",
+    auto j = c.join(orders.rows, O.rowWidth(), "o_orderkey", L,
+                    "l_orderkey",
                     db::cmpCols(L.schema(), "l_commitdate", CmpOp::Lt,
                                 "l_receiptdate"));
     // EXISTS semantics: one hit per order.
     std::set<std::int64_t> seen;
     RowSet exists(j.schema());
-    int o_orderkey = os.indexOf("o_orderkey");
+    int o_orderkey = colOf(j, "o_orderkey");
     for (std::size_t i = 0; i < j.size(); ++i) {
         if (seen.insert(j[i].i64(o_orderkey)).second)
             exists.append(j.slot(i));
     }
     auto grouped = db::groupBy(c.db, exists,
-                               {os.indexOf("o_orderpriority")},
+                               {colOf(exists, "o_orderpriority")},
                                {{AggSpec::Op::Count, -1}},
                                c.out.stats);
     db::sortRows(grouped, {{0, false}});
@@ -315,62 +317,43 @@ q5(Ctx &c)
     auto &C = c.t("customer");
     auto &N = c.t("nation");
     auto &R = c.t("region");
-    const auto &os = O.schema();
-    auto date_pred = db::between(os, "o_orderdate",
+    auto date_pred = db::between(O.schema(), "o_orderdate",
                                  std::string("1994-01-01"),
                                  std::string("1994-12-31"));
     auto asia = db::cmp(R.schema(), "r_name", CmpOp::Eq,
                         std::string("ASIA"));
 
-    RowSet j4;
-    int base_l, base_n;
+    RowSet j3;
+    Bytes w3;
     if (c.mode == EngineMode::Biscuit) {
         // NDP plan: filtered orders first. Layout [O, L, C, N, R].
-        auto orders = c.primary(O, date_pred);
-        auto j1 = c.join(orders.rows, O.rowWidth(),
-                         os.indexOf("o_orderkey"), L, "l_orderkey");
+        auto orders = c.primary(O, date_pred, {"o_orderkey", "o_custkey"});
+        auto j1 = c.join(orders.rows, O.rowWidth(), "o_orderkey", L,
+                         "l_orderkey");
         Bytes w1 = O.rowWidth() + L.rowWidth();
-        auto j2 = c.join(j1, w1, os.indexOf("o_custkey"), C,
-                         "c_custkey");
+        auto j2 = c.join(j1, w1, "o_custkey", C, "c_custkey");
         Bytes w2 = w1 + C.rowWidth();
-        int c_nat = static_cast<int>(os.size() + L.schema().size()) +
-                    c.ix("customer", "c_nationkey");
-        auto j3 = c.join(j2, w2, c_nat, N, "n_nationkey");
-        Bytes w3 = w2 + N.rowWidth();
-        base_n = static_cast<int>(os.size() + L.schema().size() +
-                                  C.schema().size());
-        int n_reg = base_n + c.ix("nation", "n_regionkey");
-        j4 = c.join(j3, w3, n_reg, R, "r_regionkey", asia);
-        base_l = static_cast<int>(os.size());
+        j3 = c.join(j2, w2, "c_nationkey", N, "n_nationkey");
+        w3 = w2 + N.rowWidth();
     } else {
         // MariaDB plan: customer drives; orders/lineitem are BNL
         // inners re-scanned per block. Layout [C, O, L, N, R].
         c.out.planner_note =
             "conventional plan (customer-outer BNL)";
-        const auto &cs = C.schema();
-        auto cust = c.scan(C, nullptr);
-        auto j1 = c.join(cust.rows, C.rowWidth(),
-                         cs.indexOf("c_custkey"), O, "o_custkey",
-                         date_pred);
+        auto cust = c.scan(C, nullptr, {"c_custkey", "c_nationkey"});
+        auto j1 = c.join(cust.rows, C.rowWidth(), "c_custkey", O,
+                         "o_custkey", date_pred);
         Bytes w1 = C.rowWidth() + O.rowWidth();
-        int o_orderkey = static_cast<int>(cs.size()) +
-                         c.ix("orders", "o_orderkey");
-        auto j2 = c.join(j1, w1, o_orderkey, L, "l_orderkey");
+        auto j2 = c.join(j1, w1, "o_orderkey", L, "l_orderkey");
         Bytes w2 = w1 + L.rowWidth();
-        int c_nat = cs.indexOf("c_nationkey");
-        auto j3 = c.join(j2, w2, c_nat, N, "n_nationkey");
-        Bytes w3 = w2 + N.rowWidth();
-        base_n = static_cast<int>(cs.size() + os.size() +
-                                  L.schema().size());
-        int n_reg = base_n + c.ix("nation", "n_regionkey");
-        j4 = c.join(j3, w3, n_reg, R, "r_regionkey", asia);
-        base_l = static_cast<int>(cs.size() + os.size());
+        j3 = c.join(j2, w2, "c_nationkey", N, "n_nationkey");
+        w3 = w2 + N.rowWidth();
     }
+    auto j4 = c.join(j3, w3, "n_regionkey", R, "r_regionkey", asia);
 
-    c.addRevenue(j4, base_l);
-    int n_name = base_n + c.ix("nation", "n_name");
-    auto grouped = db::groupBy(c.db, j4, {n_name},
-                               {{AggSpec::Op::Sum, lastCol(j4)}},
+    c.addRevenue(j4);
+    auto grouped = db::groupBy(c.db, j4, {colOf(j4, "n_name")},
+                               {{AggSpec::Op::Sum, colOf(j4, "revenue")}},
                                c.out.stats);
     db::sortRows(grouped, {{1, true}});
     return grouped;
@@ -384,17 +367,21 @@ q6(Ctx &c)
     auto &L = c.t("lineitem");
     const auto &ls = L.schema();
     auto s = c.primary(
-        L, db::exprAnd(
-               {db::between(ls, "l_shipdate",
-                            std::string("1994-01-01"),
-                            std::string("1994-12-31")),
-                db::between(ls, "l_discount", 0.05, 0.07),
-                db::cmp(ls, "l_quantity", CmpOp::Lt, 24.0)}));
-    const int price = ls.indexOf("l_extendedprice");
-    const int disc = ls.indexOf("l_discount");
+        L,
+        db::exprAnd({db::between(ls, "l_shipdate",
+                                 std::string("1994-01-01"),
+                                 std::string("1994-12-31")),
+                     db::between(ls, "l_discount", 0.05, 0.07),
+                     db::cmp(ls, "l_quantity", CmpOp::Lt, 24.0)}),
+        {"l_extendedprice", "l_discount"});
+    const db::Schema &rs = s.rows.schema();
+    const db::NumColumn price(rs, colOf(s.rows, "l_extendedprice"));
+    const db::NumColumn disc(rs, colOf(s.rows, "l_discount"));
     double revenue = 0;
-    for (std::size_t i = 0; i < s.rows.size(); ++i)
-        revenue += s.rows[i].num(price) * s.rows[i].num(disc);
+    for (std::size_t i = 0; i < s.rows.size(); ++i) {
+        const std::uint8_t *slot = s.rows.slot(i);
+        revenue += price(slot) * disc(slot);
+    }
     c.db.host().consumeCpu(db::kRowCpu * s.rows.size());
     return scalar(revenue);
 }
@@ -405,21 +392,19 @@ RowSet
 q7(Ctx &c)
 {
     auto &N = c.t("nation");
-    const auto &ns = N.schema();
     auto nations = c.primary(
-        N, db::inSet(ns, "n_name",
-                     {std::string("FRANCE"), std::string("GERMANY")}));
+        N,
+        db::inSet(N.schema(), "n_name",
+                  {std::string("FRANCE"), std::string("GERMANY")}),
+        {"n_nationkey", "n_name"});
     auto &S = c.t("supplier");
-    auto j1 = c.join(nations.rows, N.rowWidth(),
-                     ns.indexOf("n_nationkey"), S, "s_nationkey");
+    auto j1 = c.join(nations.rows, N.rowWidth(), "n_nationkey", S,
+                     "s_nationkey");
     Bytes w1 = N.rowWidth() + S.rowWidth();
-    int s_suppkey = static_cast<int>(ns.size()) +
-                    c.ix("supplier", "s_suppkey");
     auto &L = c.t("lineitem");
-    auto j2 = c.join(j1, w1, s_suppkey, L, "l_suppkey");
+    auto j2 = c.join(j1, w1, "s_suppkey", L, "l_suppkey");
     // The date window applies after the join (not the NDP candidate).
-    int base_l = static_cast<int>(ns.size() + S.schema().size());
-    const int ship = base_l + c.ix("lineitem", "l_shipdate");
+    const int ship = colOf(j2, "l_shipdate");
     RowSet filtered(j2.schema());
     for (std::size_t i = 0; i < j2.size(); ++i) {
         std::string_view d = j2[i].str(ship);
@@ -427,11 +412,10 @@ q7(Ctx &c)
             filtered.append(j2.slot(i));
     }
     c.db.host().consumeCpu(db::kRowCpu * j2.size());
-    c.addRevenue(filtered, base_l);
-    int n_name = ns.indexOf("n_name");
-    auto grouped = db::groupBy(c.db, filtered, {n_name},
-                               {{AggSpec::Op::Sum, lastCol(filtered)}},
-                               c.out.stats);
+    c.addRevenue(filtered);
+    auto grouped = db::groupBy(
+        c.db, filtered, {colOf(filtered, "n_name")},
+        {{AggSpec::Op::Sum, colOf(filtered, "revenue")}}, c.out.stats);
     db::sortRows(grouped, {{0, false}});
     return grouped;
 }
@@ -441,30 +425,27 @@ RowSet
 q8(Ctx &c)
 {
     auto &O = c.t("orders");
-    const auto &os = O.schema();
     auto orders = c.primary(
-        O, db::between(os, "o_orderdate", std::string("1995-01-01"),
-                       std::string("1996-12-31")));
+        O,
+        db::between(O.schema(), "o_orderdate", std::string("1995-01-01"),
+                    std::string("1996-12-31")),
+        {"o_orderkey", "o_orderdate"});
     auto &L = c.t("lineitem");
-    auto j1 = c.join(orders.rows, O.rowWidth(),
-                     os.indexOf("o_orderkey"), L, "l_orderkey");
+    auto j1 = c.join(orders.rows, O.rowWidth(), "o_orderkey", L,
+                     "l_orderkey");
     Bytes w1 = O.rowWidth() + L.rowWidth();
-    int l_partkey = static_cast<int>(os.size()) +
-                    c.ix("lineitem", "l_partkey");
     auto &P = c.t("part");
-    auto j2 = c.join(j1, w1, l_partkey, P, "p_partkey",
+    auto j2 = c.join(j1, w1, "l_partkey", P, "p_partkey",
                      db::cmp(P.schema(), "p_type", CmpOp::Eq,
                              std::string("ECONOMY ANODIZED STEEL")));
-    c.addRevenue(j2, static_cast<int>(os.size()));
+    c.addRevenue(j2);
     // Group volume by order year.
-    int o_date = os.indexOf("o_orderdate");
+    int o_date = colOf(j2, "o_orderdate");
     j2.addColumn(db::col("year", db::Type::String, 4), [=](RowRef r) {
         return r.str(o_date).substr(0, 4);
     });
-    int year = lastCol(j2);
-    int vol = year - 1;
-    auto grouped = db::groupBy(c.db, j2, {year},
-                               {{AggSpec::Op::Sum, vol}},
+    auto grouped = db::groupBy(c.db, j2, {colOf(j2, "year")},
+                               {{AggSpec::Op::Sum, colOf(j2, "revenue")}},
                                c.out.stats);
     db::sortRows(grouped, {{0, false}});
     return grouped;
@@ -475,37 +456,27 @@ RowSet
 q9(Ctx &c)
 {
     auto &P = c.t("part");
-    const auto &ps = P.schema();
-    auto parts =
-        c.primary(P, db::like(ps, "p_name", "%green%"));
+    auto parts = c.primary(P, db::like(P.schema(), "p_name", "%green%"),
+                           {"p_partkey"});
     auto &L = c.t("lineitem");
-    auto j1 = c.join(parts.rows, P.rowWidth(),
-                     ps.indexOf("p_partkey"), L, "l_partkey");
+    auto j1 = c.join(parts.rows, P.rowWidth(), "p_partkey", L,
+                     "l_partkey");
     Bytes w1 = P.rowWidth() + L.rowWidth();
-    int l_suppkey = static_cast<int>(ps.size()) +
-                    c.ix("lineitem", "l_suppkey");
     auto &S = c.t("supplier");
-    auto j2 = c.join(j1, w1, l_suppkey, S, "s_suppkey");
+    auto j2 = c.join(j1, w1, "l_suppkey", S, "s_suppkey");
     Bytes w2 = w1 + S.rowWidth();
-    int s_nat = static_cast<int>(ps.size() + L.schema().size()) +
-                c.ix("supplier", "s_nationkey");
     auto &N = c.t("nation");
-    auto j3 = c.join(j2, w2, s_nat, N, "n_nationkey");
-    int base_l = static_cast<int>(ps.size());
+    auto j3 = c.join(j2, w2, "s_nationkey", N, "n_nationkey");
     const auto &js = j3.schema();
-    const db::NumColumn price(
-        js, base_l + c.ix("lineitem", "l_extendedprice"));
-    const db::NumColumn disc(js, base_l + c.ix("lineitem", "l_discount"));
-    const db::NumColumn qty(js, base_l + c.ix("lineitem", "l_quantity"));
+    const db::NumColumn price(js, colOf(j3, "l_extendedprice"));
+    const db::NumColumn disc(js, colOf(j3, "l_discount"));
+    const db::NumColumn qty(js, colOf(j3, "l_quantity"));
     addComputed(c.db, j3, db::col("profit", db::Type::Double),
                 [=](RowRef r) {
                     return price(r) * (1.0 - disc(r)) - 0.5 * qty(r);
                 });
-    int n_name = static_cast<int>(ps.size() + L.schema().size() +
-                                  S.schema().size()) +
-                 c.ix("nation", "n_name");
-    auto grouped = db::groupBy(c.db, j3, {n_name},
-                               {{AggSpec::Op::Sum, lastCol(j3)}},
+    auto grouped = db::groupBy(c.db, j3, {colOf(j3, "n_name")},
+                               {{AggSpec::Op::Sum, colOf(j3, "profit")}},
                                c.out.stats);
     db::sortRows(grouped, {{0, false}});
     return grouped;
@@ -519,46 +490,34 @@ q10(Ctx &c)
     auto &O = c.t("orders");
     auto &L = c.t("lineitem");
     auto &C = c.t("customer");
-    const auto &os = O.schema();
-    auto date_pred = db::between(os, "o_orderdate",
+    auto date_pred = db::between(O.schema(), "o_orderdate",
                                  std::string("1993-10-01"),
                                  std::string("1993-12-31"));
     auto returned = db::cmp(L.schema(), "l_returnflag", CmpOp::Eq,
                             std::string("R"));
 
     RowSet j2;
-    int base_l, c_name;
     if (c.mode == EngineMode::Biscuit) {
         // NDP plan: filtered orders first. Layout [O, L, C].
-        auto orders = c.primary(O, date_pred);
-        auto j1 = c.join(orders.rows, O.rowWidth(),
-                         os.indexOf("o_orderkey"), L, "l_orderkey",
-                         returned);
+        auto orders = c.primary(O, date_pred, {"o_orderkey", "o_custkey"});
+        auto j1 = c.join(orders.rows, O.rowWidth(), "o_orderkey", L,
+                         "l_orderkey", returned);
         Bytes w1 = O.rowWidth() + L.rowWidth();
-        j2 = c.join(j1, w1, os.indexOf("o_custkey"), C, "c_custkey");
-        base_l = static_cast<int>(os.size());
-        c_name = static_cast<int>(os.size() + L.schema().size()) +
-                 c.ix("customer", "c_name");
+        j2 = c.join(j1, w1, "o_custkey", C, "c_custkey");
     } else {
         // MariaDB plan: customer-outer BNL. Layout [C, O, L].
         c.out.planner_note =
             "conventional plan (customer-outer BNL)";
-        const auto &cs = C.schema();
-        auto cust = c.scan(C, nullptr);
-        auto j1 = c.join(cust.rows, C.rowWidth(),
-                         cs.indexOf("c_custkey"), O, "o_custkey",
-                         date_pred);
+        auto cust = c.scan(C, nullptr, {"c_custkey", "c_name"});
+        auto j1 = c.join(cust.rows, C.rowWidth(), "c_custkey", O,
+                         "o_custkey", date_pred);
         Bytes w1 = C.rowWidth() + O.rowWidth();
-        int o_orderkey = static_cast<int>(cs.size()) +
-                         c.ix("orders", "o_orderkey");
-        j2 = c.join(j1, w1, o_orderkey, L, "l_orderkey", returned);
-        base_l = static_cast<int>(cs.size() + os.size());
-        c_name = cs.indexOf("c_name");
+        j2 = c.join(j1, w1, "o_orderkey", L, "l_orderkey", returned);
     }
 
-    c.addRevenue(j2, base_l);
-    auto grouped = db::groupBy(c.db, j2, {c_name},
-                               {{AggSpec::Op::Sum, lastCol(j2)}},
+    c.addRevenue(j2);
+    auto grouped = db::groupBy(c.db, j2, {colOf(j2, "c_name")},
+                               {{AggSpec::Op::Sum, colOf(j2, "revenue")}},
                                c.out.stats);
     db::sortRows(grouped, {{1, true}});
     grouped.truncate(20);
@@ -570,27 +529,22 @@ RowSet
 q11(Ctx &c)
 {
     auto &N = c.t("nation");
-    const auto &ns = N.schema();
-    auto nations = c.primary(N, db::cmp(ns, "n_name", CmpOp::Eq,
-                                        std::string("GERMANY")));
+    auto nations = c.primary(N,
+                             db::cmp(N.schema(), "n_name", CmpOp::Eq,
+                                     std::string("GERMANY")),
+                             {"n_nationkey"});
     auto &S = c.t("supplier");
-    auto j1 = c.join(nations.rows, N.rowWidth(),
-                     ns.indexOf("n_nationkey"), S, "s_nationkey");
+    auto j1 = c.join(nations.rows, N.rowWidth(), "n_nationkey", S,
+                     "s_nationkey");
     Bytes w1 = N.rowWidth() + S.rowWidth();
-    int s_suppkey = static_cast<int>(ns.size()) +
-                    c.ix("supplier", "s_suppkey");
     auto &PS = c.t("partsupp");
-    auto j2 = c.join(j1, w1, s_suppkey, PS, "ps_suppkey");
-    int base_ps = static_cast<int>(ns.size() + S.schema().size());
-    const db::NumColumn cost(
-        j2.schema(), base_ps + c.ix("partsupp", "ps_supplycost"));
-    const db::NumColumn avail(
-        j2.schema(), base_ps + c.ix("partsupp", "ps_availqty"));
+    auto j2 = c.join(j1, w1, "s_suppkey", PS, "ps_suppkey");
+    const db::NumColumn cost(j2.schema(), colOf(j2, "ps_supplycost"));
+    const db::NumColumn avail(j2.schema(), colOf(j2, "ps_availqty"));
     addComputed(c.db, j2, db::col("value", db::Type::Double),
                 [=](RowRef r) { return cost(r) * avail(r); });
-    int ps_partkey = base_ps + c.ix("partsupp", "ps_partkey");
-    auto grouped = db::groupBy(c.db, j2, {ps_partkey},
-                               {{AggSpec::Op::Sum, lastCol(j2)}},
+    auto grouped = db::groupBy(c.db, j2, {colOf(j2, "ps_partkey")},
+                               {{AggSpec::Op::Sum, colOf(j2, "value")}},
                                c.out.stats);
     db::sortRows(grouped, {{1, true}});
     grouped.truncate(50);
@@ -607,7 +561,6 @@ q12(Ctx &c)
     auto &L = c.t("lineitem");
     auto &O = c.t("orders");
     const auto &ls = L.schema();
-    const auto &os = O.schema();
     auto pred = db::exprAnd(
         {db::between(ls, "l_receiptdate", std::string("1994-01-01"),
                      std::string("1994-12-31")),
@@ -617,25 +570,21 @@ q12(Ctx &c)
          db::cmpCols(ls, "l_shipdate", CmpOp::Lt, "l_commitdate")});
 
     RowSet j;
-    int l_base, o_base;
     if (c.mode == EngineMode::Biscuit) {
         // NDP plan: filtered lineitem first. Layout [L, O].
-        auto lines = c.primary(L, pred);
-        j = c.join(lines.rows, L.rowWidth(),
-                   ls.indexOf("l_orderkey"), O, "o_orderkey");
-        l_base = 0;
-        o_base = static_cast<int>(ls.size());
+        auto lines = c.primary(L, pred, {"l_orderkey", "l_shipmode"});
+        j = c.join(lines.rows, L.rowWidth(), "l_orderkey", O,
+                   "o_orderkey");
     } else {
         // MariaDB plan: orders-outer BNL. Layout [O, L].
         c.out.planner_note = "conventional plan (orders-outer BNL)";
-        auto orders = c.scan(O, nullptr);
-        j = c.join(orders.rows, O.rowWidth(),
-                   os.indexOf("o_orderkey"), L, "l_orderkey", pred);
-        o_base = 0;
-        l_base = static_cast<int>(os.size());
+        auto orders =
+            c.scan(O, nullptr, {"o_orderkey", "o_orderpriority"});
+        j = c.join(orders.rows, O.rowWidth(), "o_orderkey", L,
+                   "l_orderkey", pred);
     }
 
-    int o_prio = o_base + c.ix("orders", "o_orderpriority");
+    int o_prio = colOf(j, "o_orderpriority");
     auto high = [o_prio](RowRef r) {
         std::string_view p = r.str(o_prio);
         return p == "1-URGENT" || p == "2-HIGH";
@@ -646,11 +595,10 @@ q12(Ctx &c)
     j.addColumn(db::col("low", db::Type::Int64), [&](RowRef r) {
         return std::int64_t{high(r) ? 0 : 1};
     });
-    int hi = lastCol(j) - 1;
-    auto grouped = db::groupBy(
-        c.db, j, {l_base + ls.indexOf("l_shipmode")},
-        {{AggSpec::Op::Sum, hi}, {AggSpec::Op::Sum, hi + 1}},
-        c.out.stats);
+    auto grouped = db::groupBy(c.db, j, {colOf(j, "l_shipmode")},
+                               {{AggSpec::Op::Sum, colOf(j, "high")},
+                                {AggSpec::Op::Sum, colOf(j, "low")}},
+                               c.out.stats);
     db::sortRows(grouped, {{0, false}});
     return grouped;
 }
@@ -660,11 +608,11 @@ RowSet
 q13(Ctx &c)
 {
     auto &O = c.t("orders");
-    const auto &os = O.schema();
     auto orders = c.primary(
-        O, db::notLike(os, "o_comment", "%special%requests%"));
+        O, db::notLike(O.schema(), "o_comment", "%special%requests%"),
+        {"o_custkey"});
     auto grouped = db::groupBy(c.db, orders.rows,
-                               {os.indexOf("o_custkey")},
+                               {colOf(orders.rows, "o_custkey")},
                                {{AggSpec::Op::Count, -1}},
                                c.out.stats);
     // Distribution of counts.
@@ -682,43 +630,40 @@ q14(Ctx &c)
 {
     auto &L = c.t("lineitem");
     auto &P = c.t("part");
-    const auto &ls = L.schema();
-    auto pred = db::between(ls, "l_shipdate",
+    auto pred = db::between(L.schema(), "l_shipdate",
                             std::string("1995-09-01"),
                             std::string("1995-09-30"));
 
     RowSet joined;
-    int l_base, p_base;
     if (c.mode == EngineMode::Biscuit) {
         // NDP plan: filter lineitem on the device, then put the
         // (small) filtered row set first in the join order — the
         // paper's query-planning heuristic for offloaded filters.
-        auto lines = c.primary(L, pred);
-        joined = c.join(lines.rows, L.rowWidth(),
-                        ls.indexOf("l_partkey"), P, "p_partkey");
-        l_base = 0;
-        p_base = static_cast<int>(ls.size());
+        auto lines = c.primary(
+            L, pred, {"l_partkey", "l_extendedprice", "l_discount"});
+        joined = c.join(lines.rows, L.rowWidth(), "l_partkey", P,
+                        "p_partkey");
     } else {
         // MariaDB default: smallest table (part) drives the BNL; the
         // big lineitem table is re-scanned once per buffer block,
         // evaluating the date filter on the host each pass.
         c.out.planner_note = "conventional plan (part-outer BNL)";
-        auto parts = c.scan(P, nullptr);
-        joined = c.join(parts.rows, P.rowWidth(),
-                        P.schema().indexOf("p_partkey"), L,
+        auto parts = c.scan(P, nullptr, {"p_partkey", "p_type"});
+        joined = c.join(parts.rows, P.rowWidth(), "p_partkey", L,
                         "l_partkey", pred);
-        p_base = 0;
-        l_base = static_cast<int>(P.schema().size());
     }
-    const int price = l_base + c.ix("lineitem", "l_extendedprice");
-    const int disc = l_base + c.ix("lineitem", "l_discount");
-    const int type = p_base + c.ix("part", "p_type");
+    const db::Schema &js = joined.schema();
+    const db::NumColumn price(js, colOf(joined, "l_extendedprice"));
+    const db::NumColumn disc(js, colOf(joined, "l_discount"));
+    const auto type = static_cast<std::size_t>(colOf(joined, "p_type"));
+    const Bytes type_off = js.offsetOf(type);
+    const Bytes type_w = js.at(type).width;
     double promo = 0, total = 0;
     for (std::size_t i = 0; i < joined.size(); ++i) {
-        const RowRef r = joined[i];
-        double rev = r.num(price) * (1.0 - r.num(disc));
+        const std::uint8_t *slot = joined.slot(i);
+        double rev = price(slot) * (1.0 - disc(slot));
         total += rev;
-        if (r.str(type).starts_with("PROMO"))
+        if (db::cellText(slot + type_off, type_w).starts_with("PROMO"))
             promo += rev;
     }
     c.db.host().consumeCpu(db::kRowCpu * joined.size());
@@ -730,23 +675,22 @@ RowSet
 q15(Ctx &c)
 {
     auto &L = c.t("lineitem");
-    const auto &ls = L.schema();
     auto lines = c.primary(
         L,
-        db::between(ls, "l_shipdate", std::string("1996-01-01"),
+        db::between(L.schema(), "l_shipdate", std::string("1996-01-01"),
                     std::string("1996-03-31")),
+        {"l_suppkey", "l_extendedprice", "l_discount"},
         {Ctx::revenueColumn()});
     c.fillRevenue(lines.rows);
-    int rev = static_cast<int>(ls.size());
-    auto grouped = db::groupBy(c.db, lines.rows,
-                               {ls.indexOf("l_suppkey")},
-                               {{AggSpec::Op::Sum, rev}},
+    const RowSet &r = lines.rows;
+    auto grouped = db::groupBy(c.db, r, {colOf(r, "l_suppkey")},
+                               {{AggSpec::Op::Sum, colOf(r, "revenue")}},
                                c.out.stats);
     db::sortRows(grouped, {{1, true}});
     grouped.truncate(1);
     // Attach the supplier record.
     auto &S = c.t("supplier");
-    return c.join(grouped, 16, 0, S, "s_suppkey");
+    return c.join(grouped, 16, "l_suppkey", S, "s_suppkey");
 }
 
 // Q16: part/supplier relationship (simplified: the spec's negated
@@ -757,16 +701,16 @@ RowSet
 q16(Ctx &c)
 {
     auto &P = c.t("part");
-    const auto &ps = P.schema();
-    auto parts = c.primary(P, db::cmp(ps, "p_brand", CmpOp::Eq,
-                                      std::string("Brand#35")));
+    auto parts = c.primary(P,
+                           db::cmp(P.schema(), "p_brand", CmpOp::Eq,
+                                   std::string("Brand#35")),
+                           {"p_partkey", "p_brand", "p_type", "p_size"});
     auto &PS = c.t("partsupp");
-    auto j = c.join(parts.rows, P.rowWidth(),
-                    ps.indexOf("p_partkey"), PS, "ps_partkey");
+    auto j = c.join(parts.rows, P.rowWidth(), "p_partkey", PS,
+                    "ps_partkey");
     auto grouped = db::groupBy(
         c.db, j,
-        {ps.indexOf("p_brand"), ps.indexOf("p_type"),
-         ps.indexOf("p_size")},
+        {colOf(j, "p_brand"), colOf(j, "p_type"), colOf(j, "p_size")},
         {{AggSpec::Op::Count, -1}}, c.out.stats);
     db::sortRows(grouped, {{3, true}});
     grouped.truncate(40);
@@ -781,17 +725,18 @@ q17(Ctx &c)
     auto &P = c.t("part");
     const auto &ps = P.schema();
     auto parts = c.primary(
-        P, db::exprAnd({db::cmp(ps, "p_brand", CmpOp::Eq,
-                                std::string("Brand#23")),
-                        db::cmp(ps, "p_container", CmpOp::Eq,
-                                std::string("MED BOX"))}));
+        P,
+        db::exprAnd({db::cmp(ps, "p_brand", CmpOp::Eq,
+                             std::string("Brand#23")),
+                     db::cmp(ps, "p_container", CmpOp::Eq,
+                             std::string("MED BOX"))}),
+        {"p_partkey"});
     auto &L = c.t("lineitem");
-    auto j = c.join(parts.rows, P.rowWidth(),
-                    ps.indexOf("p_partkey"), L, "l_partkey");
+    auto j = c.join(parts.rows, P.rowWidth(), "p_partkey", L,
+                    "l_partkey");
     // avg quantity per part, then the below-20% slice.
-    int l_qty = static_cast<int>(ps.size()) +
-                c.ix("lineitem", "l_quantity");
-    int p_key = ps.indexOf("p_partkey");
+    int l_qty = colOf(j, "l_quantity");
+    int p_key = colOf(j, "p_partkey");
     std::map<std::int64_t, std::pair<double, int>> avg;
     for (std::size_t i = 0; i < j.size(); ++i) {
         auto &acc = avg[j[i].i64(p_key)];
@@ -799,8 +744,7 @@ q17(Ctx &c)
         acc.second += 1;
     }
     double total = 0;
-    int l_price = static_cast<int>(ps.size()) +
-                  c.ix("lineitem", "l_extendedprice");
+    int l_price = colOf(j, "l_extendedprice");
     for (std::size_t i = 0; i < j.size(); ++i) {
         auto &acc = avg[j[i].i64(p_key)];
         if (j[i].num(l_qty) < 0.2 * acc.first / acc.second)
@@ -815,11 +759,11 @@ RowSet
 q18(Ctx &c)
 {
     auto &L = c.t("lineitem");
-    const auto &ls = L.schema();
-    auto lines = c.primary(L, nullptr);
+    auto lines = c.primary(L, nullptr, {"l_orderkey", "l_quantity"});
+    const RowSet &r = lines.rows;
     auto per_order = db::groupBy(
-        c.db, lines.rows, {ls.indexOf("l_orderkey")},
-        {{AggSpec::Op::Sum, ls.indexOf("l_quantity")}}, c.out.stats);
+        c.db, r, {colOf(r, "l_orderkey")},
+        {{AggSpec::Op::Sum, colOf(r, "l_quantity")}}, c.out.stats);
     RowSet big(per_order.schema());
     for (std::size_t i = 0; i < per_order.size(); ++i) {
         if (per_order[i].num(1) > 270.0)
@@ -827,7 +771,7 @@ q18(Ctx &c)
     }
     c.db.host().consumeCpu(db::kRowCpu * per_order.size());
     auto &O = c.t("orders");
-    auto j = c.join(big, 16, 0, O, "o_orderkey");
+    auto j = c.join(big, 16, "l_orderkey", O, "o_orderkey");
     db::sortRows(j, {{1, true}});
     j.truncate(100);
     return j;
@@ -841,25 +785,24 @@ q19(Ctx &c)
     auto &L = c.t("lineitem");
     const auto &ls = L.schema();
     auto lines = c.primary(
-        L, db::exprOr(
-               {db::exprAnd({db::between(ls, "l_quantity", 1.0, 11.0),
-                             db::cmp(ls, "l_shipmode", CmpOp::Eq,
-                                     std::string("AIR"))}),
-                db::exprAnd({db::between(ls, "l_quantity", 10.0,
-                                         20.0),
-                             db::cmp(ls, "l_shipmode", CmpOp::Eq,
-                                     std::string("AIR"))}),
-                db::exprAnd(
-                    {db::between(ls, "l_quantity", 20.0, 30.0),
-                     db::cmp(ls, "l_shipinstruct", CmpOp::Eq,
-                             std::string("DELIVER IN PERSON"))})}));
+        L,
+        db::exprOr(
+            {db::exprAnd({db::between(ls, "l_quantity", 1.0, 11.0),
+                          db::cmp(ls, "l_shipmode", CmpOp::Eq,
+                                  std::string("AIR"))}),
+             db::exprAnd({db::between(ls, "l_quantity", 10.0, 20.0),
+                          db::cmp(ls, "l_shipmode", CmpOp::Eq,
+                                  std::string("AIR"))}),
+             db::exprAnd({db::between(ls, "l_quantity", 20.0, 30.0),
+                          db::cmp(ls, "l_shipinstruct", CmpOp::Eq,
+                                  std::string("DELIVER IN PERSON"))})}),
+        {"l_partkey", "l_extendedprice", "l_discount"});
     auto &P = c.t("part");
-    auto j = c.join(lines.rows, L.rowWidth(),
-                    ls.indexOf("l_partkey"), P, "p_partkey",
+    auto j = c.join(lines.rows, L.rowWidth(), "l_partkey", P, "p_partkey",
                     db::cmp(P.schema(), "p_brand", CmpOp::Eq,
                             std::string("Brand#12")));
-    const int price = c.ix("lineitem", "l_extendedprice");
-    const int disc = c.ix("lineitem", "l_discount");
+    const int price = colOf(j, "l_extendedprice");
+    const int disc = colOf(j, "l_discount");
     double rev = 0;
     for (std::size_t i = 0; i < j.size(); ++i)
         rev += j[i].num(price) * (1.0 - j[i].num(disc));
@@ -872,19 +815,15 @@ RowSet
 q20(Ctx &c)
 {
     auto &P = c.t("part");
-    const auto &ps = P.schema();
-    auto parts = c.primary(P, db::like(ps, "p_name", "forest%"));
+    auto parts = c.primary(P, db::like(P.schema(), "p_name", "forest%"),
+                           {"p_partkey"});
     auto &PS = c.t("partsupp");
-    auto j1 = c.join(parts.rows, P.rowWidth(),
-                     ps.indexOf("p_partkey"), PS, "ps_partkey");
+    auto j1 = c.join(parts.rows, P.rowWidth(), "p_partkey", PS,
+                     "ps_partkey");
     Bytes w1 = P.rowWidth() + PS.rowWidth();
-    int ps_suppkey = static_cast<int>(ps.size()) +
-                     c.ix("partsupp", "ps_suppkey");
     auto &S = c.t("supplier");
-    auto j2 = c.join(j1, w1, ps_suppkey, S, "s_suppkey");
-    int s_name = static_cast<int>(ps.size() + PS.schema().size()) +
-                 c.ix("supplier", "s_name");
-    auto grouped = db::groupBy(c.db, j2, {s_name},
+    auto j2 = c.join(j1, w1, "ps_suppkey", S, "s_suppkey");
+    auto grouped = db::groupBy(c.db, j2, {colOf(j2, "s_name")},
                                {{AggSpec::Op::Count, -1}},
                                c.out.stats);
     db::sortRows(grouped, {{0, false}});
@@ -898,22 +837,19 @@ RowSet
 q21(Ctx &c)
 {
     auto &O = c.t("orders");
-    const auto &os = O.schema();
-    auto orders = c.primary(O, db::cmp(os, "o_orderstatus", CmpOp::Eq,
-                                       std::string("F")));
+    auto orders = c.primary(O,
+                            db::cmp(O.schema(), "o_orderstatus", CmpOp::Eq,
+                                    std::string("F")),
+                            {"o_orderkey"});
     auto &L = c.t("lineitem");
-    auto j1 = c.join(orders.rows, O.rowWidth(),
-                     os.indexOf("o_orderkey"), L, "l_orderkey",
-                     db::cmpCols(L.schema(), "l_receiptdate",
-                                 CmpOp::Gt, "l_commitdate"));
+    auto j1 = c.join(orders.rows, O.rowWidth(), "o_orderkey", L,
+                     "l_orderkey",
+                     db::cmpCols(L.schema(), "l_receiptdate", CmpOp::Gt,
+                                 "l_commitdate"));
     Bytes w1 = O.rowWidth() + L.rowWidth();
-    int l_suppkey = static_cast<int>(os.size()) +
-                    c.ix("lineitem", "l_suppkey");
     auto &S = c.t("supplier");
-    auto j2 = c.join(j1, w1, l_suppkey, S, "s_suppkey");
-    int s_name = static_cast<int>(os.size() + L.schema().size()) +
-                 c.ix("supplier", "s_name");
-    auto grouped = db::groupBy(c.db, j2, {s_name},
+    auto j2 = c.join(j1, w1, "l_suppkey", S, "s_suppkey");
+    auto grouped = db::groupBy(c.db, j2, {colOf(j2, "s_name")},
                                {{AggSpec::Op::Count, -1}},
                                c.out.stats);
     db::sortRows(grouped, {{1, true}});
@@ -927,17 +863,19 @@ RowSet
 q22(Ctx &c)
 {
     auto &C = c.t("customer");
-    const auto &cs = C.schema();
-    auto cust = c.primary(
-        C, db::inSet(cs, "c_phone",
-                     {std::string("13"), std::string("31"),
-                      std::string("23")}));
+    // Only the planner's decision on this scan is used (the Fig. 10
+    // category); it keeps the one column its predicate tests.
+    c.primary(C,
+              db::inSet(C.schema(), "c_phone",
+                        {std::string("13"), std::string("31"),
+                         std::string("23")}),
+              {"c_phone"});
     // Custom predicate: phone prefix in the code set and positive
     // balance (the IN above intentionally fails to match whole
     // fields; re-filter by prefix here).
-    int c_phone = cs.indexOf("c_phone");
-    int c_bal = cs.indexOf("c_acctbal");
-    auto all = c.scan(C, nullptr);
+    auto all = c.scan(C, nullptr, {"c_phone", "c_acctbal"});
+    int c_phone = colOf(all.rows, "c_phone");
+    int c_bal = colOf(all.rows, "c_acctbal");
     RowSet eligible(all.rows.schema());
     for (std::size_t i = 0; i < all.rows.size(); ++i) {
         const RowRef r = all.rows[i];
@@ -948,10 +886,9 @@ q22(Ctx &c)
             eligible.append(r.data());
     }
     c.db.host().consumeCpu(db::kRowCpu * all.rows.size());
-    (void)cust;
     eligible.addColumn(db::col("code", db::Type::String, 2),
                        [=](RowRef r) { return r.str(c_phone).substr(0, 2); });
-    auto grouped = db::groupBy(c.db, eligible, {lastCol(eligible)},
+    auto grouped = db::groupBy(c.db, eligible, {colOf(eligible, "code")},
                                {{AggSpec::Op::Count, -1},
                                 {AggSpec::Op::Sum, c_bal}},
                                c.out.stats);

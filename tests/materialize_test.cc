@@ -4,7 +4,8 @@
  * reference re-layout, and table scans whose rows must come out
  * byte-identical whatever mix of host, device and chained shards
  * produced them, at 1-4 drives, with and without a reserved computed
- * column, and while the FTL relocates and garbage-collects under them.
+ * column, and while the FTL relocates and garbage-collects under them;
+ * projected scans, whose rows must be the full scan's kept cells.
  */
 
 #include <gtest/gtest.h>
@@ -317,6 +318,7 @@ struct ScanResult
     std::vector<std::uint8_t> bytes;
     std::size_t rows = 0;
     std::string placement;
+    std::uint64_t assembled = 0;  ///< DbStats::rows_assembled
 };
 
 /** The column scanAll reserves and fills when asked to. */
@@ -334,13 +336,29 @@ scoreOf(RowRef r)
 }
 
 /**
- * Every predicate scanned once, in order, on one fresh system; with
- * @p score, each scan reserves scoreColumn() after the table's
- * columns and its caller fills it, as a query does.
+ * The score of a projected row, whatever cells it kept: the sum of
+ * its first @p width bytes.
+ */
+double
+keptSum(const std::uint8_t *slot, Bytes width)
+{
+    double sum = 0;
+    for (Bytes i = 0; i < width; ++i)
+        sum += slot[i];
+    return sum;
+}
+
+/**
+ * Every predicate scanned once, in order, on one fresh system, keeping
+ * @p columns (every column when empty); with @p score, each scan
+ * reserves scoreColumn() after the kept columns and its caller fills
+ * it, as a query does: scoreOf() of a whole row, keptSum() of a
+ * projected one.
  */
 std::vector<ScanResult>
 scanAll(const Placement &pl, std::uint32_t drives,
-        const std::vector<ExprPtr> &preds, bool score = false)
+        const std::vector<ExprPtr> &preds, bool score = false,
+        const std::vector<int> &columns = {})
 {
     sisc::Env env(ssd::testConfig(), drives);
     host::HostSystem host(env.array);
@@ -378,15 +396,22 @@ scanAll(const Placement &pl, std::uint32_t drives,
                 pl.cost_model ? EngineMode::Biscuit : EngineMode::Conv,
                 stats,
                 score ? std::vector<Column>{scoreColumn()}
-                      : std::vector<Column>{});
-            if (score) {
+                      : std::vector<Column>{},
+                columns);
+            if (score && columns.empty()) {
                 r.rows.fillColumn(
                     static_cast<int>(eventsSchema().size()), scoreOf);
+            } else if (score) {
+                const Bytes kept = r.rows.rowWidth() - scoreColumn().width;
+                r.rows.fillColumn(
+                    static_cast<int>(columns.size()),
+                    [kept](RowRef x) { return keptSum(x.data(), kept); });
             }
             ScanResult res;
             res.rows = r.rows.size();
             res.bytes = bytesOf(r.rows);
             res.placement = r.placement;
+            res.assembled = stats.rows_assembled;
             out.push_back(std::move(res));
             for (sim::FiberId f : cotenants)
                 env.kernel.join(f);
@@ -491,6 +516,105 @@ TEST(ScanMaterialization, RowsAreIdenticalForEveryShardMixAndDriveCount)
 }
 
 /**
+ * The cells @p columns keeps of each events row in @p full, in that
+ * order; with @p score, each followed by its keptSum() score cell.
+ */
+std::vector<std::uint8_t>
+projected(const std::vector<std::uint8_t> &full,
+          const std::vector<int> &columns, bool score = false)
+{
+    const Schema s = eventsSchema();
+    std::vector<std::uint8_t> out;
+    for (std::size_t at = 0; at < full.size(); at += s.rowWidth()) {
+        const std::size_t first = out.size();
+        for (int c : columns) {
+            const auto i = static_cast<std::size_t>(c);
+            const std::uint8_t *cell = full.data() + at + s.offsetOf(i);
+            out.insert(out.end(), cell, cell + s.at(i).width);
+        }
+        if (score) {
+            const double v = keptSum(out.data() + first, out.size() - first);
+            const auto *cell = reinterpret_cast<const std::uint8_t *>(&v);
+            out.insert(out.end(), cell, cell + 8);
+        }
+    }
+    return out;
+}
+
+TEST(ScanMaterialization, ProjectedRowsAreTheFullScansKeptCells)
+{
+    const std::vector<ExprPtr> preds = randomPredicates(0x9e07, 8);
+    const std::vector<ScanResult> full = scanAll(kPlacements[0], 1, preds);
+    // One column; two out of table order; two adjacent ones (one
+    // segment); every column in table order (the identity).
+    const std::vector<std::vector<int>> projections = {
+        {2}, {3, 0}, {1, 2}, {0, 1, 2, 3}};
+    for (std::uint32_t drives : {1u, 2u, 4u}) {
+        for (const Placement &pl : kPlacements) {
+            for (const std::vector<int> &cols : projections) {
+                for (bool score : {false, true}) {
+                    const std::vector<ScanResult> got =
+                        scanAll(pl, drives, preds, score, cols);
+                    ASSERT_EQ(got.size(), preds.size());
+                    for (std::size_t p = 0; p < preds.size(); ++p) {
+                        SCOPED_TRACE(std::string(pl.name) + " drives=" +
+                                     std::to_string(drives) + " columns=" +
+                                     std::to_string(cols.size()) +
+                                     " score=" + std::to_string(score) +
+                                     " predicate " + std::to_string(p));
+                        EXPECT_EQ(got[p].rows, full[p].rows);
+                        EXPECT_TRUE(got[p].bytes ==
+                                    projected(full[p].bytes, cols, score));
+                        // A lone drive's device or chained shard
+                        // projects rows as they arrive, and those rows
+                        // are the result: the scan copies none again.
+                        if (drives == 1 &&
+                            pl.force == PlaceForce::AllDevice) {
+                            EXPECT_EQ(got[p].assembled, 0u);
+                        }
+                        // Host shards are copied once, in assembly.
+                        if (!pl.cost_model) {
+                            EXPECT_EQ(got[p].assembled, got[p].rows);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(ScanMaterialization, BadProjectionsAndAmbiguousNamesPanic)
+{
+    sisc::Env env(ssd::testConfig(), 1);
+    host::HostSystem host(env.array);
+    MiniDb db(env, host);
+    Table &table = db.createShardedTable("events", eventsSchema());
+    table.loadRows(eventRows(200));
+    auto scan = [&](const std::vector<int> &columns) {
+        env.run([&] {
+            DbStats stats;
+            scanTablePacked(db, table, nullptr, EngineMode::Conv, stats, {},
+                            columns);
+        });
+    };
+    EXPECT_DEATH(scan({0, 4}),
+                 "scan of table 'events': column 4 out of range");
+    EXPECT_DEATH(scan({-1}), "scan of table 'events': column -1 out of range");
+    EXPECT_DEATH(scan({1, 3, 1}),
+                 "scan of table 'events' keeps column 'day' twice");
+
+    // A joined schema whose sides share a name: by-name lookups of the
+    // shared name refuse to guess, others resolve.
+    const Schema joined = Schema::concat(
+        eventsSchema(),
+        Schema({col("tag", Type::String, 4), col("x", Type::Int64)}));
+    EXPECT_EQ(joined.indexOf("qty"), 2);
+    EXPECT_EQ(joined.indexOf("x"), 5);
+    EXPECT_DEATH(joined.indexOf("tag"), "ambiguous column: tag");
+    EXPECT_DEATH(joined.indexOf("nope"), "no such column: nope");
+}
+
+/**
  * Media noisy enough that most reads decode only after one or two
  * re-senses, so the FTL rewrites about half the pages a scan reads
  * (relocate_retry_threshold = 2), and blocks that stay in service.
@@ -550,10 +674,12 @@ TEST(ScanMaterialization, ReservedCellsAreRefusedUntilFilled)
  * 1 MiB window ahead of the one it visits, so from the third window of
  * a shard on, GC can erase blocks holding pages the scan has already
  * visited. The table is about 5 MiB: five windows at one drive, three
- * per shard at two.
+ * per shard at two. The scans keep @p columns (every column when
+ * empty).
  */
 void
-expectHostRowsSurviveRelocationAndGc(std::uint64_t spare_blocks)
+expectHostRowsSurviveRelocationAndGc(std::uint64_t spare_blocks,
+                                     const std::vector<int> &columns = {})
 {
     const std::vector<ExprPtr> preds = {nullptr,
                                         randomPredicates(0x9c, 1)[0]};
@@ -589,7 +715,8 @@ expectHostRowsSurviveRelocationAndGc(std::uint64_t spare_blocks)
                     filtered.insert(filtered.end(), slot,
                                     slot + table.rowWidth());
             });
-            want.push_back(std::move(filtered));
+            want.push_back(columns.empty() ? std::move(filtered)
+                                           : projected(filtered, columns));
         }
 
         std::uint64_t gc_before = 0, relocations_before = 0;
@@ -603,7 +730,8 @@ expectHostRowsSurviveRelocationAndGc(std::uint64_t spare_blocks)
             for (const ExprPtr &pred : preds) {
                 DbStats stats;
                 PackedScan r = scanTablePacked(db, table, pred,
-                                               EngineMode::Conv, stats);
+                                               EngineMode::Conv, stats, {},
+                                               columns);
                 EXPECT_FALSE(r.used_ndp);
                 got.push_back(bytesOf(r.rows));
             }
@@ -629,6 +757,14 @@ TEST(ScanMaterialization, HostRowsSurviveRelocationAndGcMidScan)
     // Two spare blocks: the scan's first relocations use them up and
     // the rest run GC.
     expectHostRowsSurviveRelocationAndGc(2);
+}
+
+TEST(ScanMaterialization, ProjectedHostRowsSurviveRelocationAndGcMidScan)
+{
+    // As above, keeping three columns out of table order: each row is
+    // projected out of the page a streamed page's address resolves to
+    // after the relocations.
+    expectHostRowsSurviveRelocationAndGc(2, {3, 0, 2});
 }
 
 TEST(ScanMaterialization, HostRowsSurviveRelocationOnAFullyMappedDrive)
