@@ -301,6 +301,22 @@ class PageBatcher
 };
 
 /**
+ * The matcher key set of @p keys, which the host derived (deriveKeys)
+ * and a minidb SSDlet received; a key the matcher rejects panics, so
+ * the sampler and the scan refuse the same keys.
+ */
+pm::KeySet
+keySetOf(const std::vector<std::string> &keys)
+{
+    pm::KeySet set;
+    for (const auto &k : keys) {
+        const bool ok = set.addKey(k);
+        BISC_ASSERT(ok, "scan key rejected by matcher: ", k);
+    }
+    return set;
+}
+
+/**
  * The scan/filter SSDlet of the "minidb" module: streams the requested
  * page runs of its table file — flattened (first, count) local-page
  * pairs; a full-shard scan is the one run (0, shardPageCount) and a
@@ -320,15 +336,9 @@ class ScanFilterRunsLet
     run() override
     {
         auto &file = arg<0>();
-        const auto &key_strings = arg<1>();
+        const pm::KeySet keys = keySetOf(arg<1>());
         std::uint64_t page_size = arg<2>();
         const auto &runs = arg<3>();  // (first, count)* local pages
-
-        pm::KeySet keys;
-        for (const auto &k : key_strings) {
-            bool ok = keys.addKey(k);
-            BISC_ASSERT(ok, "scan key rejected by matcher: ", k);
-        }
 
         // Matches arrive inline in issue order (runs ascend, offsets
         // ascend within a run), so batch contents are deterministic;
@@ -363,13 +373,9 @@ class SampleLet
     run() override
     {
         auto &file = arg<0>();
-        const auto &key_strings = arg<1>();
+        const pm::KeySet keys = keySetOf(arg<1>());
         std::uint64_t page_size = arg<2>();
         const auto &pages = arg<3>();
-
-        pm::KeySet keys;
-        for (const auto &k : key_strings)
-            keys.addKey(k);
 
         // Issue every probe, then wait once: the sampled pages
         // stream through the matchers in parallel across channels.
@@ -531,14 +537,13 @@ copyCells(std::uint8_t *dst, const std::uint8_t *src, Bytes n)
 /**
  * A scan's result layout: the table columns it keeps
  * (scanTablePacked's @p columns, in their order; every column when
- * empty), then the computed columns it reserves. Kept columns that
- * follow each other in the table as well copy as one segment.
+ * empty). Kept columns that follow each other in the table as well
+ * copy as one segment.
  */
 class Projection
 {
   public:
-    Projection(const Table &table, const std::vector<int> &columns,
-               const std::vector<Column> &computed)
+    Projection(const Table &table, const std::vector<int> &columns)
         : in_w_(table.rowWidth())
     {
         const Schema &ts = table.schema();
@@ -568,38 +573,15 @@ class Projection
                 segments_.push_back({from, to, len});
             to += len;
         }
-        for (const Column &c : computed) {
-            if (isText(c.type))
-                zeroed_.emplace_back(to, c.width);
-            else
-                unwritten_.push_back(static_cast<int>(cols.size()));
-            cols.push_back(c);
-            to += c.width;
-        }
         schema_ = Schema(std::move(cols));
-        whole_ = computed.empty() && segments_.size() == 1 &&
-                 segments_[0].len == in_w_;
+        whole_ = segments_.size() == 1 && segments_[0].len == in_w_;
     }
 
     const Schema &schema() const { return schema_; }
 
     /**
-     * An empty row set of this layout whose reserved numeric cells
-     * count as unwritten until the caller fills them.
-     */
-    RowSet
-    rows() const
-    {
-        RowSet out(schema_);
-        for (int c : unwritten_)
-            out.markUnwritten(c);
-        return out;
-    }
-
-    /**
      * Project @p n consecutive table rows at @p src into @p n slots of
-     * this layout at @p dst: the kept cells, and reserved text cells
-     * zeroed (reserved numeric cells are left for the caller's fill).
+     * this layout at @p dst.
      */
     void
     copy(std::uint8_t *dst, const std::uint8_t *src, std::size_t n) const
@@ -612,8 +594,6 @@ class Projection
         for (std::size_t i = 0; i < n; ++i, src += in_w_, dst += out_w) {
             for (const Segment &s : segments_)
                 copyCells(dst + s.to, src + s.from, s.len);
-            for (const auto &[off, width] : zeroed_)
-                std::memset(dst + off, 0, width);
         }
     }
 
@@ -627,9 +607,7 @@ class Projection
     Bytes in_w_;
     Schema schema_;
     std::vector<Segment> segments_;
-    std::vector<std::pair<Bytes, Bytes>> zeroed_;  // (offset, width)
-    std::vector<int> unwritten_;
-    bool whole_ = false;  ///< a slot is the table row, byte for byte
+    bool whole_ = false;  ///< one segment as wide as the table row
 };
 
 /**
@@ -775,7 +753,7 @@ assembleRows(const Schema &schema, const Projection &proj,
 
     const Bytes w = schema.rowWidth();
     const Bytes out_w = proj.schema().rowWidth();
-    RowSet out = proj.rows();
+    RowSet out(proj.schema());
     std::uint8_t *dst = out.appendSlots(total);
     stats.rows_assembled += total;
     // A page's runs are adjacent in this order: resolve each streamed
@@ -934,16 +912,15 @@ notePlacement(MiniDb &db, const PlacementPlan &plan, Tick measured)
  * the result. A device or chained shard projects its rows out of the
  * received Packets first; that copy is the result itself when it is
  * the only shard with matches. Either way only the cells of
- * @p columns, then room for @p computed, are copied (Projection). A
- * decision that carries a placed plan (d.query, launched by the
- * caller) also gets the planned-scan extras: the placement trace,
- * matched-page feedback for the next plan and the db.place.* metrics.
+ * @p columns are copied (Projection). A decision that carries a placed
+ * plan (d.query, launched by the caller) also gets the planned-scan
+ * extras: the placement trace, matched-page feedback for the next plan
+ * and the db.place.* metrics.
  */
 PackedScan
 runScan(MiniDb &db, Table &table, const ExprPtr &pred,
         const PlanDecision &d, const std::vector<Site> &sites,
-        const char *op, const std::vector<Column> &computed,
-        const std::vector<int> &columns, DbStats &stats)
+        const char *op, const std::vector<int> &columns, DbStats &stats)
 {
     OpTimer timer(db, stats, op);
     const Tick begin = db.env().kernel.now();
@@ -988,11 +965,11 @@ runScan(MiniDb &db, Table &table, const ExprPtr &pred,
     // shard.
     std::uint64_t matched_pages = 0;
     std::uint64_t selected_pages = 0;
-    const Projection proj(table, columns, computed);
+    const Projection proj(table, columns);
     std::vector<ShardRows> per_shard;
     per_shard.reserve(nshards);
     for (std::uint32_t s = 0; s < nshards; ++s)
-        per_shard.emplace_back(proj.rows());
+        per_shard.emplace_back(RowSet(proj.schema()));
 
     auto hostShard = [&](std::uint32_t s) {
         per_shard[s].dev = &host.deviceOf(s);
@@ -1409,13 +1386,12 @@ noteSelectivity(MiniDb &db, const ScanInfo &out)
 PackedScan
 scanTablePacked(MiniDb &db, Table &table, const ExprPtr &pred,
                 EngineMode mode, DbStats &stats,
-                const std::vector<Column> &computed,
                 const std::vector<int> &columns)
 {
     if (mode != EngineMode::Biscuit) {
         PackedScan out =
             runScan(db, table, pred, PlanDecision{}, {}, "conv_scan",
-                    computed, columns, stats);
+                    columns, stats);
         out.note = "conventional scan";
         return out;
     }
@@ -1436,7 +1412,7 @@ scanTablePacked(MiniDb &db, Table &table, const ExprPtr &pred,
         op = "ndp_scan";
     }
     PackedScan out =
-        runScan(db, table, pred, d, sites, op, computed, columns, stats);
+        runScan(db, table, pred, d, sites, op, columns, stats);
     out.sampled_selectivity = d.sampled_selectivity;
     out.est_selectivity = d.est_selectivity;
     out.note = d.note;
@@ -1631,7 +1607,6 @@ bnlJoin(MiniDb &db, const RowSet &outer, Bytes outer_width,
         const ExprPtr &inner_pred, DbStats &stats)
 {
     OpTimer timer(db, stats, "bnl_join");
-    outer.requireWritten("bnlJoin");
     if (outer.empty())
         return RowSet(Schema::concat(outer.schema(), inner.schema()));
     auto &host = db.host();
@@ -1718,7 +1693,6 @@ groupBy(MiniDb &db, const RowSet &rows, const std::vector<int> &key_cols,
         const std::vector<AggSpec> &aggs, DbStats &stats)
 {
     OpTimer timer(db, stats, "group_by");
-    rows.requireWritten("groupBy");
     const Schema &in = rows.schema();
     const std::size_t naggs = aggs.size();
     struct AggInput
@@ -1861,7 +1835,6 @@ sortRows(RowSet &rows, const std::vector<std::pair<int, bool>> &keys)
     // Sort row indices, then permute the slots once. std::sort's moves
     // depend only on comparison outcomes, so tied rows end up exactly
     // where sorting the rows themselves would put them.
-    rows.requireWritten("sortRows");
     const Schema &s = rows.schema();
     std::vector<std::uint32_t> order(rows.size());
     for (std::size_t i = 0; i < order.size(); ++i)
@@ -1887,7 +1860,6 @@ filterRows(MiniDb &db, const RowSet &rows, const ExprPtr &pred,
            DbStats &stats)
 {
     OpTimer timer(db, stats, "filter");
-    rows.requireWritten("filterRows");
     const BoundPred match(pred, rows.schema());
     RowSet out(rows.schema());
     for (std::size_t i = 0; i < rows.size(); ++i) {

@@ -72,7 +72,7 @@ struct ScanInfo
 /** A scan's matching rows as packed slots (host-operator input). */
 struct PackedScan : ScanInfo
 {
-    RowSet rows;  ///< kept then computed columns, global row order
+    RowSet rows;  ///< kept columns, global row order
 };
 
 /** A scan's matching rows, decoded. */
@@ -91,22 +91,15 @@ struct ScanOutcome : ScanInfo
  * Rows returned satisfy @p pred exactly, in global row order.
  *
  * Rows come out projected: the table columns @p columns names, in that
- * order (every column, in table order, when empty), followed by
- * @p computed. Only the kept cells of a matched row are copied; the
- * predicate still sees the whole row, and simulated time is charged in
- * table bytes and rows whatever is kept. An entry out of range or a
- * column named twice panics.
- *
- * The caller fills the computed cells in place (RowSet::fillColumn):
- * text cells come zeroed, numeric ones unwritten, and the rows refuse
- * every operator until they are filled. A scan that asks for its
- * computed columns copies each matched row once, straight into its
- * wider slot, where a later RowSet::addColumn would move every row
- * again.
+ * order (every column, in table order, when empty). Only the kept
+ * cells of a matched row are copied; the predicate still sees the
+ * whole row, and simulated time is charged in table bytes and rows
+ * whatever is kept. An entry out of range or a column named twice
+ * panics. A caller that needs a computed column adds it to the result
+ * (RowSet::addColumn).
  */
 PackedScan scanTablePacked(MiniDb &db, Table &table, const ExprPtr &pred,
                            EngineMode mode, DbStats &stats,
-                           const std::vector<Column> &computed = {},
                            const std::vector<int> &columns = {});
 
 /** scanTablePacked() with its rows decoded (zero simulated time). */

@@ -202,11 +202,6 @@ class MiniDb
         return *it->second;
     }
 
-    bool hasTable(const std::string &name) const
-    {
-        return tables_.count(name) != 0;
-    }
-
     /** All table names, sorted (catalog capture for lane forks). */
     std::vector<std::string>
     tableNames() const

@@ -229,8 +229,7 @@ RowSet::RowSet(RowSet &&other) noexcept
     : schema_(std::move(other.schema_)),
       data_(std::exchange(other.data_, nullptr)),
       cap_(std::exchange(other.cap_, 0)),
-      rows_(std::exchange(other.rows_, 0)),
-      unwritten_(std::exchange(other.unwritten_, 0))
+      rows_(std::exchange(other.rows_, 0))
 {}
 
 RowSet &
@@ -240,7 +239,6 @@ RowSet::operator=(RowSet other) noexcept
     std::swap(data_, other.data_);
     std::swap(cap_, other.cap_);
     std::swap(rows_, other.rows_);
-    std::swap(unwritten_, other.unwritten_);
     return *this;
 }
 
@@ -258,7 +256,6 @@ void
 RowSet::append(const RowSet &other, std::size_t first, std::size_t n)
 {
     BISC_ASSERT(other.rowWidth() == rowWidth(), "row layout mismatch");
-    other.requireWritten("append");
     if (n > 0)
         std::memcpy(appendSlots(n), other.slot(first), n * rowWidth());
 }
@@ -283,7 +280,6 @@ RowSet::widenFor(const Column &c)
 std::vector<Row>
 RowSet::toRows() const
 {
-    requireWritten("toRows");
     std::vector<Row> rows;
     rows.reserve(rows_);
     for (std::size_t i = 0; i < rows_; ++i)

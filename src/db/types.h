@@ -397,7 +397,6 @@ class RowSet
     addColumn(const Column &c, const Fn &fn)
     {
         checkCellType<std::invoke_result_t<const Fn &, RowRef>>(c);
-        requireWritten("addColumn");
         Schema wider = widenFor(c);
         const Bytes old_w = rowWidth();
         const Bytes new_w = wider.rowWidth();
@@ -409,52 +408,6 @@ class RowSet
             writeCell(c.width, fn(RowRef(dst, schema_)), dst + old_w);
         }
         schema_ = std::move(wider);
-    }
-
-    /**
-     * Write column @p col of every row in place, computed by the typed
-     * cell function @p fn (as addColumn's): the slots already hold the
-     * column (a scan reserved it, see scanTablePacked's @p computed),
-     * so nothing moves. The column counts as written afterwards.
-     */
-    template <class Fn>
-    void
-    fillColumn(int col, const Fn &fn)
-    {
-        const auto i_col = static_cast<std::size_t>(col);
-        const Column &c = schema_.at(i_col);
-        checkCellType<std::invoke_result_t<const Fn &, RowRef>>(c);
-        const Bytes off = schema_.offsetOf(i_col);
-        const Bytes w = rowWidth();
-        for (std::size_t i = 0; i < rows_; ++i) {
-            std::uint8_t *slot = data_ + i * w;
-            writeCell(c.width, fn(RowRef(slot, schema_)), slot + off);
-        }
-        if (i_col < 64)
-            unwritten_ &= ~(std::uint64_t{1} << i_col);
-    }
-
-    /**
-     * Mark column @p col's cells as not yet written: a scan reserved
-     * them for the caller's fillColumn and left their bytes as they
-     * were. Until that fill, every operator that reads the rows
-     * refuses them (requireWritten).
-     */
-    void
-    markUnwritten(int col)
-    {
-        BISC_ASSERT(col >= 0 && col < 64, "reserved column ", col,
-                    " out of range");
-        unwritten_ |= std::uint64_t{1} << col;
-    }
-
-    /** Panic when a reserved cell is still unwritten; @p op reads. */
-    void
-    requireWritten(const char *op) const
-    {
-        BISC_ASSERT(unwritten_ == 0, op,
-                    " of rows whose reserved column was never filled "
-                    "(unwritten mask ", unwritten_, ")");
     }
 
     /** Decode every row (the query-output boundary). */
@@ -475,7 +428,6 @@ class RowSet
     std::uint8_t *data_ = nullptr;  ///< malloc'd slot buffer
     std::size_t cap_ = 0;           ///< bytes allocated at data_
     std::size_t rows_ = 0;
-    std::uint64_t unwritten_ = 0;  ///< bit i: column i's cells reserved
 };
 
 }  // namespace bisc::db

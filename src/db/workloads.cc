@@ -34,24 +34,24 @@ workloadStatKey(const WorkloadSpec &spec)
 // ----- device word count / join semi-scan ("minidb" module) -----
 
 /**
- * Device word count: stream the file chunk-wise off the NAND through
- * the same tally host::wordCount runs (host::WordTally), charging the
- * (pre-slowdown-scaled) tokenizer cost per chunk on the device core.
- * Emits two counters — words, then lines.
+ * A minidb SSDlet that streams its file (argument 0) off the NAND in
+ * 32 KiB chunks, charging the (pre-slowdown-scaled) ns per byte of
+ * argument 1 for each chunk on the device core.
  */
-class WordCountLet
+class FileStreamLet
     : public slet::SSDLet<slet::In<>, slet::Out<std::uint64_t>,
                           slet::Arg<slet::File, double>>
 {
-  public:
+  protected:
+    /** Stream the file, handing each chunk to @p visit(data, n). */
+    template <class Visit>
     void
-    run() override
+    streamFile(const Visit &visit)
     {
         auto &file = arg<0>();
         const double cpu_ns_per_byte = arg<1>();
         const Bytes size = file.size();
         std::vector<std::uint8_t> chunk(32_KiB);
-        host::WordTally tally;
         for (Bytes off = 0; off < size;) {
             const Bytes want =
                 std::min<Bytes>(chunk.size(), size - off);
@@ -60,9 +60,26 @@ class WordCountLet
                 break;
             consumeCpu(static_cast<Tick>(
                 static_cast<double>(n) * cpu_ns_per_byte));
-            tally.scan(chunk.data(), n);
+            visit(chunk.data(), n);
             off += n;
         }
+    }
+};
+
+/**
+ * Device word count: the file through the same tally host::wordCount
+ * runs (host::WordTally). Emits two counters — words, then lines.
+ */
+class WordCountLet : public FileStreamLet
+{
+  public:
+    void
+    run() override
+    {
+        host::WordTally tally;
+        streamFile([&](const std::uint8_t *data, Bytes n) {
+            tally.scan(data, n);
+        });
         out<0>().put(tally.words);
         out<0>().put(tally.lines);
     }
@@ -70,36 +87,19 @@ class WordCountLet
 
 /**
  * Join prefilter semi-scan: one timed streaming pass over the inner
- * shard on its drive, charging the scan cost per byte on the device
- * core. The functional join already knows the matched rows (the
- * prefilter is exact); this SSDlet models the device-side pass that
- * replaces the host's per-block inner re-reads. Emits the bytes
- * scanned.
+ * shard on its drive, charged at the scan cost per byte. The
+ * functional join already knows the matched rows (the prefilter is
+ * exact); this SSDlet models the device-side pass that replaces the
+ * host's per-block inner re-reads. Emits the bytes scanned.
  */
-class SemiScanLet
-    : public slet::SSDLet<slet::In<>, slet::Out<std::uint64_t>,
-                          slet::Arg<slet::File, double>>
+class SemiScanLet : public FileStreamLet
 {
   public:
     void
     run() override
     {
-        auto &file = arg<0>();
-        const double cpu_ns_per_byte = arg<1>();
-        const Bytes size = file.size();
-        std::vector<std::uint8_t> chunk(32_KiB);
         Bytes scanned = 0;
-        for (Bytes off = 0; off < size;) {
-            const Bytes want =
-                std::min<Bytes>(chunk.size(), size - off);
-            const Bytes n = file.read(off, chunk.data(), want);
-            if (n == 0)
-                break;
-            consumeCpu(static_cast<Tick>(
-                static_cast<double>(n) * cpu_ns_per_byte));
-            scanned += n;
-            off += n;
-        }
+        streamFile([&](const std::uint8_t *, Bytes n) { scanned += n; });
         out<0>().put(scanned);
     }
 };

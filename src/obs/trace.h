@@ -157,9 +157,6 @@ class TraceSession
     void activate(const std::string &path);
     void deactivate();
 
-    /** Per-event trace capacity (env BISCUIT_TRACE_CAP, default 2^18). */
-    std::size_t eventCapacity() const { return capacity_; }
-
   private:
     TraceSession();
 
@@ -167,7 +164,7 @@ class TraceSession
     std::vector<std::shared_ptr<TraceBuffer>> buffers_;
     bool active_ = false;
     std::string path_;
-    std::size_t capacity_;
+    std::size_t capacity_;  ///< events per buffer (BISCUIT_TRACE_CAP, 2^18)
     std::uint64_t next_seq_ = 0;
 };
 

@@ -12,8 +12,7 @@ Runtime::Runtime(sim::Kernel &kernel, ssd::SsdDevice &device,
     : kernel_(kernel), device_(device), fs_(fs),
       metric_scope_(kernel.obs().metrics().scope()),
       system_alloc_("system", device.config().system_mem_bytes),
-      user_alloc_("user", device.config().user_mem_bytes),
-      core_active_(device.coreCount(), 0)
+      user_alloc_("user", device.config().user_mem_bytes)
 {}
 
 void
@@ -194,9 +193,6 @@ Runtime::startApp(AppId app_id)
         return;
     }
     ++active_apps_;
-    if (active_apps_ > peak_active_apps_)
-        peak_active_apps_ = active_apps_;
-    ++core_active_[a.core];
     for (InstanceId iid : a.instances) {
         Instance *ins = instances_.at(iid).get();
         kernel_.spawn(
@@ -477,7 +473,6 @@ Runtime::finishInstance(Instance &ins)
     --a.running;
     if (a.running == 0) {
         --active_apps_;
-        --core_active_[a.core];
         a.done->notifyAll();
     }
 }

@@ -107,16 +107,6 @@ class Runtime
     /** Applications currently started and not yet finished. */
     std::uint32_t activeApps() const { return active_apps_; }
 
-    /** High-water mark of activeApps() over the runtime's lifetime. */
-    std::uint32_t peakActiveApps() const { return peak_active_apps_; }
-
-    /** Active applications pinned to device core @p core. */
-    std::uint32_t
-    activeOnCore(std::uint32_t core) const
-    {
-        return core < core_active_.size() ? core_active_[core] : 0;
-    }
-
     // ----- Port wiring -----
 
     /** Inter-SSDlet connection within one application. */
@@ -141,7 +131,6 @@ class Runtime
 
     std::size_t liveInstances() const { return instances_.size(); }
     std::size_t loadedModules() const { return modules_.size(); }
-    std::size_t liveApps() const { return apps_.size(); }
 
     /**
      * Human-readable runtime state: loaded modules, applications and
@@ -211,8 +200,6 @@ class Runtime
     std::uint32_t next_core_ = 0;
 
     std::uint32_t active_apps_ = 0;
-    std::uint32_t peak_active_apps_ = 0;
-    std::vector<std::uint32_t> core_active_;
 };
 
 }  // namespace bisc::rt

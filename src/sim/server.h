@@ -35,8 +35,6 @@ class Server
 
     const std::string &name() const { return name_; }
 
-    double speedFactor() const { return speed_factor_; }
-
     /** Change the speed factor (e.g., load-dependent contention). */
     void setSpeedFactor(double f) { speed_factor_ = f; }
 
@@ -94,14 +92,6 @@ class Server
 
     /** Total requests served. */
     std::uint64_t requests() const { return requests_; }
-
-    /** Reset accounting (not the busy-until horizon). */
-    void
-    resetStats()
-    {
-        busy_ticks_ = 0;
-        requests_ = 0;
-    }
 
   private:
     Kernel &kernel_;

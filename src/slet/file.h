@@ -48,7 +48,6 @@ class File
         /** True once the device has completed the operation. */
         bool done() const;
 
-        Tick readyAt() const { return ready_; }
         Bytes bytes() const { return bytes_; }
 
         /**

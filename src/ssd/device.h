@@ -59,20 +59,13 @@ class SsdDevice
     /**
      * Publish the device's reliability and media counters into @p st
      * (absolute values under "nand." / "ftl." prefixes, qualified by
-     * statsScope() — "drive2.nand.page_reads" on drive 2 of an array
-     * — so a multi-drive export never sums or collides counters).
+     * the drive's metrics scope — "drive2.nand.page_reads" on drive 2
+     * of an array — so a multi-drive export never sums or collides
+     * counters).
      * Pair with Stats::snapshot()/snapshotDelta() to assert what one
      * operation charged.
      */
     void exportStats(sim::Stats &st) const;
-
-    /**
-     * The drive qualifier of this device's exported stats and
-     * registered metrics: the metrics-registry scope in force when
-     * the device was constructed ("drive<k>." inside a multi-drive
-     * sisc::DriveArray, empty for a single-drive system).
-     */
-    const std::string &statsScope() const { return stats_scope_; }
 
     // ----- Internal datapath (SSDlet-visible) -----
 

@@ -46,18 +46,6 @@ addComputed(MiniDb &db, RowSet &rows, const db::Column &column,
     db.host().consumeCpu(db::kRowCpu * rows.size());
 }
 
-/**
- * Fill computed column @p col, which the scan that made @p rows
- * reserved (charged per row, as addComputed is).
- */
-template <class Fn>
-void
-fillComputed(MiniDb &db, RowSet &rows, int col, const Fn &fn)
-{
-    rows.fillColumn(col, fn);
-    db.host().consumeCpu(db::kRowCpu * rows.size());
-}
-
 /** A one-row, one-column Double result. */
 RowSet
 scalar(double v)
@@ -92,11 +80,9 @@ struct Ctx
      */
     PackedScan
     primary(Table &table, const ExprPtr &pred,
-            std::initializer_list<const char *> columns,
-            const std::vector<db::Column> &computed = {})
+            std::initializer_list<const char *> columns)
     {
         PackedScan s = db::scanTablePacked(db, table, pred, mode, out.stats,
-                                           computed,
                                            columnsOf(table, columns));
         out.ndp_used = s.used_ndp;
         out.planner_note = s.note;
@@ -118,7 +104,7 @@ struct Ctx
          std::initializer_list<const char *> columns)
     {
         return db::scanTablePacked(db, table, pred, EngineMode::Conv,
-                                   out.stats, {}, columnsOf(table, columns));
+                                   out.stats, columnsOf(table, columns));
     }
 
     /**
@@ -137,13 +123,6 @@ struct Ctx
                            out.stats);
     }
 
-    /** The column addRevenue appends. */
-    static db::Column
-    revenueColumn()
-    {
-        return db::col("revenue", db::Type::Double);
-    }
-
     /** l_extendedprice * (1 - l_discount) of rows under @p s. */
     static auto
     revenueOf(const db::Schema &s)
@@ -157,19 +136,8 @@ struct Ctx
     void
     addRevenue(RowSet &rows)
     {
-        addComputed(db, rows, revenueColumn(), revenueOf(rows.schema()));
-    }
-
-    /**
-     * Fill the revenue cell a lineitem scan reserved after its kept
-     * columns (primary(..., {revenueColumn()})); charged as addRevenue
-     * is.
-     */
-    void
-    fillRevenue(RowSet &rows)
-    {
-        fillComputed(db, rows, rows.schema().indexOf("revenue"),
-                     revenueOf(rows.schema()));
+        addComputed(db, rows, db::col("revenue", db::Type::Double),
+                    revenueOf(rows.schema()));
     }
 };
 
@@ -199,9 +167,8 @@ q1(Ctx &c)
         db::cmp(L.schema(), "l_shipdate", CmpOp::Le,
                 std::string("1998-06-15")),
         {"l_quantity", "l_extendedprice", "l_discount", "l_returnflag",
-         "l_linestatus"},
-        {Ctx::revenueColumn()});
-    c.fillRevenue(s.rows);
+         "l_linestatus"});
+    c.addRevenue(s.rows);
     const RowSet &r = s.rows;
     auto grouped = db::groupBy(
         c.db, r, {colOf(r, "l_returnflag"), colOf(r, "l_linestatus")},
@@ -679,9 +646,8 @@ q15(Ctx &c)
         L,
         db::between(L.schema(), "l_shipdate", std::string("1996-01-01"),
                     std::string("1996-03-31")),
-        {"l_suppkey", "l_extendedprice", "l_discount"},
-        {Ctx::revenueColumn()});
-    c.fillRevenue(lines.rows);
+        {"l_suppkey", "l_extendedprice", "l_discount"});
+    c.addRevenue(lines.rows);
     const RowSet &r = lines.rows;
     auto grouped = db::groupBy(c.db, r, {colOf(r, "l_suppkey")},
                                {{AggSpec::Op::Sum, colOf(r, "revenue")}},

@@ -1,11 +1,12 @@
 /**
  * @file
- * Row materialization: RowSet::addColumn and fillColumn against a
- * reference re-layout, and table scans whose rows must come out
+ * Row materialization: RowSet::addColumn against a reference
+ * re-layout, RowSet copies, and table scans whose rows must come out
  * byte-identical whatever mix of host, device and chained shards
- * produced them, at 1-4 drives, with and without a reserved computed
- * column, and while the FTL relocates and garbage-collects under them;
- * projected scans, whose rows must be the full scan's kept cells.
+ * produced them, at 1-4 drives, with and without a computed column
+ * added after the scan, and while the FTL relocates and
+ * garbage-collects under them; projected scans, whose rows must be the
+ * full scan's kept cells.
  */
 
 #include <gtest/gtest.h>
@@ -72,12 +73,6 @@ void
 addColumn(RowSet &rows, const Column &c, const ColumnFn &fn)
 {
     std::visit([&](const auto &f) { rows.addColumn(c, f); }, fn);
-}
-
-void
-fillColumn(RowSet &rows, int col, const ColumnFn &fn)
-{
-    std::visit([&](const auto &f) { rows.fillColumn(col, f); }, fn);
 }
 
 /**
@@ -184,30 +179,6 @@ TEST(RowSetAddColumn, ChainedColumnsSeeEarlierComputedColumns)
         EXPECT_TRUE(bytesOf(rows) == want);
         if (n > 0) {
             EXPECT_EQ(rows[n - 1].str(4).size(), 4u);
-        }
-    }
-}
-
-TEST(RowSetFillColumn, MatchesAddColumnInReservedSlots)
-{
-    for (std::size_t n : {std::size_t{0}, std::size_t{1},
-                          std::size_t{80'000}}) {
-        for (const ComputedColumn &cc : computedColumns()) {
-            const RowSet rows = randomRows(n + 29, n);
-            const auto want = referenceLayout(rows, cc.column, cc.fn);
-            // The layout a scan with a computed column returns: each
-            // slot followed by a reserved cell, which the fill must
-            // write whole (a scan leaves numeric ones unwritten).
-            RowSet wide(Schema::concat(rows.schema(), Schema({cc.column})));
-            for (std::size_t i = 0; i < n; ++i) {
-                std::uint8_t *dst = wide.appendSlots(1);
-                std::memcpy(dst, rows.slot(i), rows.rowWidth());
-                std::memset(dst + rows.rowWidth(), 0xa5, cc.column.width);
-            }
-            fillColumn(wide, static_cast<int>(baseSchema().size()), cc.fn);
-            SCOPED_TRACE(cc.column.name + " x " + std::to_string(n));
-            ASSERT_EQ(wide.size(), n);
-            EXPECT_TRUE(bytesOf(wide) == want);
         }
     }
 }
@@ -321,14 +292,14 @@ struct ScanResult
     std::uint64_t assembled = 0;  ///< DbStats::rows_assembled
 };
 
-/** The column scanAll reserves and fills when asked to. */
+/** The column scanAll adds when asked to. */
 Column
 scoreColumn()
 {
     return col("score", Type::Double);
 }
 
-/** What scanAll fills the score column with: a function of the row. */
+/** What scanAll adds as the score of a whole row. */
 double
 scoreOf(RowRef r)
 {
@@ -350,10 +321,9 @@ keptSum(const std::uint8_t *slot, Bytes width)
 
 /**
  * Every predicate scanned once, in order, on one fresh system, keeping
- * @p columns (every column when empty); with @p score, each scan
- * reserves scoreColumn() after the kept columns and its caller fills
- * it, as a query does: scoreOf() of a whole row, keptSum() of a
- * projected one.
+ * @p columns (every column when empty); with @p score, scoreColumn()
+ * is added to each scan's rows, as a query adds a computed column:
+ * scoreOf() of a whole row, keptSum() of a projected one.
  */
 std::vector<ScanResult>
 scanAll(const Placement &pl, std::uint32_t drives,
@@ -394,18 +364,14 @@ scanAll(const Placement &pl, std::uint32_t drives,
             PackedScan r = scanTablePacked(
                 db, table, pred,
                 pl.cost_model ? EngineMode::Biscuit : EngineMode::Conv,
-                stats,
-                score ? std::vector<Column>{scoreColumn()}
-                      : std::vector<Column>{},
-                columns);
+                stats, columns);
             if (score && columns.empty()) {
-                r.rows.fillColumn(
-                    static_cast<int>(eventsSchema().size()), scoreOf);
+                r.rows.addColumn(scoreColumn(), scoreOf);
             } else if (score) {
-                const Bytes kept = r.rows.rowWidth() - scoreColumn().width;
-                r.rows.fillColumn(
-                    static_cast<int>(columns.size()),
-                    [kept](RowRef x) { return keptSum(x.data(), kept); });
+                const Bytes kept = r.rows.rowWidth();
+                r.rows.addColumn(scoreColumn(), [kept](RowRef x) {
+                    return keptSum(x.data(), kept);
+                });
             }
             ScanResult res;
             res.rows = r.rows.size();
@@ -466,8 +432,8 @@ TEST(ScanMaterialization, RowsAreIdenticalForEveryShardMixAndDriveCount)
     EXPECT_GT(empty, 0u) << "no predicate that matches nothing";
     EXPECT_LT(empty, preds.size()) << "every predicate matches nothing";
 
-    // The same scans with a computed column reserved and filled: each
-    // row is followed by its score cell, and the plans do not change.
+    // The same scans with a computed column added: each row is
+    // followed by its score cell, and the plans do not change.
     const Schema events = eventsSchema();
     const Bytes row_w = events.rowWidth();
     auto widened = [&](const std::vector<std::uint8_t> &bytes) {
@@ -593,7 +559,7 @@ TEST(ScanMaterialization, BadProjectionsAndAmbiguousNamesPanic)
     auto scan = [&](const std::vector<int> &columns) {
         env.run([&] {
             DbStats stats;
-            scanTablePacked(db, table, nullptr, EngineMode::Conv, stats, {},
+            scanTablePacked(db, table, nullptr, EngineMode::Conv, stats,
                             columns);
         });
     };
@@ -615,6 +581,84 @@ TEST(ScanMaterialization, BadProjectionsAndAmbiguousNamesPanic)
 }
 
 /**
+ * Check that @p copy holds @p src's schema and bytes, and that
+ * rewriting the source or growing and widening the copy leaves the
+ * other as it was. @p src ends as it began.
+ */
+void
+expectIndependentCopy(RowSet &src, RowSet &copy)
+{
+    const std::size_t cols = src.schema().size();
+    const std::size_t n = src.size();
+    ASSERT_EQ(copy.schema().size(), cols);
+    ASSERT_EQ(copy.rowWidth(), src.rowWidth());
+    ASSERT_EQ(copy.size(), n);
+    const std::vector<std::uint8_t> bytes = bytesOf(src);
+    ASSERT_TRUE(bytesOf(copy) == bytes);
+
+    src.truncate(0);
+    if (n > 0)
+        std::memset(src.appendSlots(n), 0x3c, bytes.size());
+    EXPECT_TRUE(bytesOf(copy) == bytes);
+
+    std::memset(copy.appendSlots(1), 0x5a, copy.rowWidth());
+    copy.addColumn(col("seven", Type::Int64),
+                   [](RowRef) { return std::int64_t{7}; });
+    EXPECT_EQ(src.schema().size(), cols);
+    EXPECT_EQ(src.size(), n);
+    EXPECT_TRUE(bytesOf(src) ==
+                std::vector<std::uint8_t>(bytes.size(), 0x3c));
+
+    src.truncate(0);
+    if (n > 0)
+        std::memcpy(src.appendSlots(n), bytes.data(), bytes.size());
+}
+
+TEST(RowSetCopy, CopiesAreByteIdenticalAndIndependent)
+{
+    sisc::Env env(ssd::testConfig(), 2);
+    host::HostSystem host(env.array);
+    MiniDb db(env, host);
+    Table &table = db.createShardedTable("events", eventsSchema());
+    table.loadRows(eventRows(2000));
+    const Schema s = eventsSchema();
+    PackedScan projected, none;
+    env.run([&] {
+        DbStats stats;
+        projected = scanTablePacked(
+            db, table, cmp(s, "tag", CmpOp::Eq, std::string("beta")),
+            EngineMode::Conv, stats, {3, 0});
+        none = scanTablePacked(
+            db, table, cmp(s, "tag", CmpOp::Eq, std::string("delta")),
+            EngineMode::Conv, stats, {2});
+    });
+    ASSERT_GT(projected.rows.size(), 0u);
+    ASSERT_EQ(none.rows.size(), 0u);
+    RowSet widened = projected.rows;
+    widened.addColumn(col("twice", Type::Int64),
+                      [](RowRef r) { return 2 * r.i64(1); });
+
+    struct Case
+    {
+        const char *name;
+        RowSet *src;
+    };
+    RowSet empty(s);
+    for (const Case &c : {Case{"projected scan", &projected.rows},
+                          Case{"empty scan", &none.rows},
+                          Case{"empty set", &empty},
+                          Case{"widened", &widened}}) {
+        SCOPED_TRACE(c.name);
+        RowSet constructed(*c.src);
+        expectIndependentCopy(*c.src, constructed);
+        // Assigned over a set of another layout that holds rows.
+        RowSet assigned = randomRows(5, 40);
+        assigned = *c.src;
+        expectIndependentCopy(*c.src, assigned);
+    }
+}
+
+/**
  * Media noisy enough that most reads decode only after one or two
  * re-senses, so the FTL rewrites about half the pages a scan reads
  * (relocate_retry_threshold = 2), and blocks that stay in service.
@@ -631,40 +675,6 @@ noisyConfig()
     c.fault.raw_ber = 0.007;
     c.ftl_params.bad_block_read_events = 1'000'000;
     return c;
-}
-
-TEST(ScanMaterialization, ReservedCellsAreRefusedUntilFilled)
-{
-    // A scan zeroes a reserved text cell and leaves a reserved numeric
-    // one unwritten for the caller's fill, which writes it whole; until
-    // every numeric one is filled, the rows refuse their readers.
-    sisc::Env env(ssd::testConfig(), 1);
-    host::HostSystem host(env.array);
-    MiniDb db(env, host);
-    Table &table = db.createShardedTable("events", eventsSchema());
-    table.loadRows(eventRows(2000));
-    const int base = static_cast<int>(eventsSchema().size());
-    PackedScan r;
-    env.run([&] {
-        DbStats stats;
-        r = scanTablePacked(db, table, nullptr, EngineMode::Conv, stats,
-                            {scoreColumn(), col("note", Type::String, 5),
-                             col("n", Type::Int64)});
-    });
-    ASSERT_EQ(r.rows.size(), 2000u);
-    for (std::size_t i = 0; i < r.rows.size(); ++i)
-        ASSERT_EQ(r.rows[i].str(base + 1), "");
-    EXPECT_DEATH(r.rows.toRows(), "never filled");
-    r.rows.fillColumn(base, scoreOf);
-    EXPECT_DEATH(r.rows.toRows(), "never filled");
-    r.rows.fillColumn(base + 2, [](RowRef x) { return 3 * x.i64(0); });
-    const std::vector<Row> back = r.rows.toRows();
-    ASSERT_EQ(back.size(), 2000u);
-    for (std::size_t i = 0; i < back.size(); ++i) {
-        EXPECT_EQ(std::get<double>(back[i][base]), scoreOf(r.rows[i]));
-        EXPECT_EQ(std::get<std::int64_t>(back[i][base + 2]),
-                  3 * static_cast<std::int64_t>(i));
-    }
 }
 
 /**
@@ -730,7 +740,7 @@ expectHostRowsSurviveRelocationAndGc(std::uint64_t spare_blocks,
             for (const ExprPtr &pred : preds) {
                 DbStats stats;
                 PackedScan r = scanTablePacked(db, table, pred,
-                                               EngineMode::Conv, stats, {},
+                                               EngineMode::Conv, stats,
                                                columns);
                 EXPECT_FALSE(r.used_ndp);
                 got.push_back(bytesOf(r.rows));
