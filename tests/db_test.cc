@@ -747,6 +747,83 @@ TEST(RowSetTest, ComputedNumericAndStringColumns)
     EXPECT_DOUBLE_EQ(rows[1].num(4), 20.0);
 }
 
+TEST(RowSetTest, AddColumnMatchesAReferenceRelayout)
+{
+    // Row i moves from i * old_w to i * new_w: the first rows' old and
+    // new slots overlap, later ones do not. Sizes straddle that
+    // boundary for a narrow (4 B), a middling (28 B) and a lineitem-
+    // wide (144 B) row, widened by an 8-byte and a 2-byte column.
+    const std::vector<Schema> layouts = {
+        Schema({col("s", Type::String, 4)}),
+        Schema({col("a", Type::Int64), col("b", Type::Double),
+                col("s", Type::String, 12)}),
+        Schema({col("a", Type::Int64), col("b", Type::Int64),
+                col("c", Type::Double), col("d", Type::Double),
+                col("e", Type::Date), col("s", Type::String, 102)})};
+    const std::vector<Column> added = {col("n", Type::Int64),
+                                       col("t", Type::String, 2)};
+    for (const Schema &s : layouts) {
+        const Bytes old_w = s.rowWidth();
+        // A pure function of the old row's bytes.
+        auto hash = [old_w](RowRef r) {
+            std::uint64_t h = 1469598103934665603ull;
+            for (Bytes b = 0; b < old_w; ++b)
+                h = (h ^ r.data()[b]) * 1099511628211ull;
+            return h;
+        };
+        for (const Column &c : added) {
+            for (std::size_t n : {0u, 1u, 3u, 4u, 5u, 1000u}) {
+                RowSet rows(s);
+                std::uint8_t *slots = rows.appendSlots(n);
+                for (std::size_t b = 0; b < n * old_w; ++b)
+                    slots[b] = static_cast<std::uint8_t>(b * 131 + n);
+
+                RowSet want(Schema::concat(s, Schema({c})));
+                for (std::size_t i = 0; i < n; ++i) {
+                    std::uint8_t *dst = want.appendSlots(1);
+                    std::memcpy(dst, rows.slot(i), old_w);
+                    const std::uint64_t h = hash(rows[i]);
+                    if (c.type == Type::Int64) {
+                        writeCell(c.width, static_cast<std::int64_t>(h),
+                                  dst + old_w);
+                    } else {
+                        const char t[2] = {static_cast<char>('a' + h % 26),
+                                           static_cast<char>('a' + h % 7)};
+                        writeCell(c.width, std::string_view(t, 2),
+                                  dst + old_w);
+                    }
+                }
+
+                if (c.type == Type::Int64) {
+                    rows.addColumn(c, [&](RowRef r) {
+                        return static_cast<std::int64_t>(hash(r));
+                    });
+                } else {
+                    rows.addColumn(c, [&](RowRef r) {
+                        const std::uint64_t h = hash(r);
+                        return std::string{static_cast<char>('a' + h % 26),
+                                           static_cast<char>('a' + h % 7)};
+                    });
+                }
+                const std::string where = "old width " +
+                                          std::to_string(old_w) + ", " +
+                                          c.name + ", " +
+                                          std::to_string(n) + " rows";
+                ASSERT_EQ(rows.size(), n) << where;
+                ASSERT_EQ(rows.rowWidth(), old_w + c.width) << where;
+                ASSERT_EQ(rows.schema().size(), s.size() + 1) << where;
+                EXPECT_EQ(rows.schema().at(s.size()).name, c.name);
+                if (n > 0) {
+                    EXPECT_EQ(std::memcmp(rows.slot(0), want.slot(0),
+                                          n * want.rowWidth()),
+                              0)
+                        << where;
+                }
+            }
+        }
+    }
+}
+
 TEST_F(MiniDbTest, GroupByAggregates)
 {
     std::vector<Row> input;
