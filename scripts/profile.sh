@@ -44,24 +44,60 @@
 #     the child process; the shim's two site tables add up to 3 MB to
 #     it).
 #
+#   scripts/profile.sh --rss tpch_suite [build-dir]
+#     Peak RSS per query. Builds the simulator's static libraries from
+#     perfbench/CMakeLists.txt (the benchmark's own RelWithDebInfo
+#     build, .bench_build by default), links scripts/query_rss.cc
+#     against them and runs it: fig10's 1-drive SF 0.05 system, then
+#     the 22 queries x {Conv, Biscuit} in the harness's order, printing
+#     after each query the peak RSS so far and how much that query
+#     raised it. tpch_suite only: the other workloads are not a
+#     sequence of queries.
+#
 # Workloads: tpch_suite, placed_batch, serve_mix. build-dir defaults
-# to .profile_build (gprof) or .copies_build (--copies); both are
-# gitignored and reused, so later runs rebuild only what changed.
+# to .profile_build (gprof), .copies_build (--copies) or .bench_build
+# (--rss); all are gitignored and reused, so later runs rebuild only
+# what changed.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-usage="usage: scripts/profile.sh [--copies | --graph] <workload> [build-dir]"
+usage="usage: scripts/profile.sh [--copies | --graph | --rss] <workload> [build-dir]"
 copies=0
 graph=0
+rss=0
 if [[ "${1:-}" == "--copies" ]]; then
     copies=1
     shift
 elif [[ "${1:-}" == "--graph" ]]; then
     graph=1
     shift
+elif [[ "${1:-}" == "--rss" ]]; then
+    rss=1
+    shift
 fi
 workload=${1:?$usage}
+
+if [[ "$rss" == 1 ]]; then
+    if [[ "$workload" != tpch_suite ]]; then
+        echo "$usage" >&2
+        echo "--rss runs tpch_suite only, not '$workload'" >&2
+        exit 2
+    fi
+    build=${2:-.bench_build}
+    cmake -S perfbench -B "$build" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        >/dev/null
+    cmake --build "$build" -j "$(nproc)" --target bisc_serve bisc_tpch \
+        >/dev/null
+    # The flags of the RelWithDebInfo library build, and its one
+    # project-wide definition.
+    c++ -std=c++20 -O2 -g -DNDEBUG -DBISCUIT_OBS_ENABLED=1 -Isrc \
+        scripts/query_rss.cc -o "$build/query_rss" \
+        -Wl,--start-group "$build"/biscuit/*/libbisc_*.a -Wl,--end-group \
+        -pthread
+    "$build/query_rss"
+    exit 0
+fi
 
 run_dir=$(mktemp -d)
 trap 'rm -rf "$run_dir"' EXIT

@@ -511,39 +511,18 @@ RegisterSSDLet("minidb", "idSample", SampleLet);
 RegisterSSDLet("minidb", "idRecheck", RecheckLet);
 
 /**
- * Copy @p n bytes as 8-, 4-, 2- and 1-byte moves of constant width,
- * which the compiler inlines: no library call per cell. A copy of at
- * least 8 bytes ends with one 8-byte move over its last word, which may
- * overlap the word before it.
- */
-inline void
-copyCells(std::uint8_t *dst, const std::uint8_t *src, Bytes n)
-{
-    if (n >= 8) {
-        for (Bytes at = 0; at + 8 < n; at += 8)
-            std::memcpy(dst + at, src + at, 8);
-        std::memcpy(dst + n - 8, src + n - 8, 8);
-    } else if (n >= 4) {
-        std::memcpy(dst, src, 4);
-        std::memcpy(dst + n - 4, src + n - 4, 4);
-    } else if (n >= 2) {
-        std::memcpy(dst, src, 2);
-        std::memcpy(dst + n - 2, src + n - 2, 2);
-    } else if (n == 1) {
-        *dst = *src;
-    }
-}
-
-/**
- * A scan's result layout: the table columns it keeps
- * (scanTablePacked's @p columns, in their order; every column when
- * empty). Kept columns that follow each other in the table as well
- * copy as one segment.
+ * The layout an operator keeps of a table's rows: the table columns
+ * @p columns names, in that order (every column, in table order, when
+ * empty) — a scan's result rows, a join's inner side. Kept columns
+ * that follow each other in the table as well copy as one segment. An
+ * entry out of range or a column named twice panics, naming @p op
+ * ("scan", "join"), the table and the column.
  */
 class Projection
 {
   public:
-    Projection(const Table &table, const std::vector<int> &columns)
+    Projection(const Table &table, const std::vector<int> &columns,
+               const char *op)
         : in_w_(table.rowWidth())
     {
         const Schema &ts = table.schema();
@@ -557,10 +536,10 @@ class Projection
         Bytes to = 0;
         for (int c : kept) {
             BISC_ASSERT(c >= 0 && static_cast<std::size_t>(c) < ts.size(),
-                        "scan of table '", table.name(), "': column ", c,
+                        op, " of table '", table.name(), "': column ", c,
                         " out of range (", ts.size(), " columns)");
             const auto i = static_cast<std::size_t>(c);
-            BISC_ASSERT(!seen[i], "scan of table '", table.name(),
+            BISC_ASSERT(!seen[i], op, " of table '", table.name(),
                         "' keeps column '", ts.at(i).name, "' twice");
             seen[i] = true;
             cols.push_back(ts.at(i));
@@ -965,7 +944,7 @@ runScan(MiniDb &db, Table &table, const ExprPtr &pred,
     // shard.
     std::uint64_t matched_pages = 0;
     std::uint64_t selected_pages = 0;
-    const Projection proj(table, columns);
+    const Projection proj(table, columns, "scan");
     std::vector<ShardRows> per_shard;
     per_shard.reserve(nshards);
     for (std::uint32_t s = 0; s < nshards; ++s)
@@ -1449,30 +1428,30 @@ namespace {
  * Functional side of bnlJoin(), templated over the join-key type and
  * each side's key function (slot -> Key). The probe only ever looks
  * up keys present in the outer side, so inner slots with other keys
- * are dropped without being copied. Each outer key heads a chain of
- * its matching inner slots, newest first: the row order every query
- * result has always had (tpch_answers_test pins it).
+ * are dropped without being copied; a matching one is read (predicate
+ * and key) from its table slot and copied through @p proj. Each outer
+ * key heads a chain of its matching inner rows, newest first: the row
+ * order every query result has always had (tpch_answers_test pins
+ * it).
  */
 template <class Key, class OuterKey, class InnerKey>
 RowSet
-hashJoinSlots(const RowSet &outer, Table &inner, const ExprPtr &inner_pred,
-              const OuterKey &outerKey, const InnerKey &innerKey,
-              std::uint64_t *matched_rows)
+hashJoinSlots(const RowSet &outer, Table &inner, const Projection &proj,
+              const ExprPtr &inner_pred, const OuterKey &outerKey,
+              const InnerKey &innerKey, std::uint64_t *matched_rows)
 {
     constexpr std::uint32_t kNone = ~0u;
-    const Schema &outer_schema = outer.schema();
-    const Schema &inner_schema = inner.schema();
     const Bytes ow = outer.rowWidth();
-    const Bytes iw = inner_schema.rowWidth();
+    const Bytes iw = proj.schema().rowWidth();
 
-    // Outer key -> newest matching inner slot (kNone: none yet).
+    // Outer key -> newest matching inner row (kNone: none yet).
     std::unordered_map<Key, std::uint32_t> head;
     head.reserve(outer.size());
     for (std::size_t i = 0; i < outer.size(); ++i)
         head.try_emplace(outerKey(outer.slot(i)), kNone);
 
-    const BoundPred inner_match(inner_pred, inner_schema);
-    RowSet matched(inner_schema);    // matching inner slots
+    const BoundPred inner_match(inner_pred, inner.schema());
+    RowSet matched(proj.schema());    // kept cells of matching rows
     std::vector<std::uint32_t> next;  // older match of the same key
     inner.forEachSlot([&](const std::uint8_t *slot) {
         if (!inner_match.matches(slot))
@@ -1482,18 +1461,18 @@ hashJoinSlots(const RowSet &outer, Table &inner, const ExprPtr &inner_pred,
             return;
         next.push_back(it->second);
         it->second = static_cast<std::uint32_t>(next.size() - 1);
-        matched.append(slot);
+        proj.copy(matched.appendSlots(1), slot, 1);
     });
     *matched_rows = matched.size();
 
-    RowSet out(Schema::concat(outer_schema, inner_schema));
+    RowSet out(Schema::concat(outer.schema(), proj.schema()));
     for (std::size_t i = 0; i < outer.size(); ++i) {
         const std::uint8_t *o = outer.slot(i);
         for (std::uint32_t m = head.find(outerKey(o))->second; m != kNone;
              m = next[m]) {
             std::uint8_t *dst = out.appendSlots(1);
-            std::memcpy(dst, o, ow);
-            std::memcpy(dst + ow, matched.slot(m), iw);
+            copyCells(dst, o, ow);
+            copyCells(dst + ow, matched.slot(m), iw);
         }
     }
     return out;
@@ -1604,11 +1583,13 @@ placedJoinTiming(MiniDb &db, Table &inner, std::uint64_t blocks,
 RowSet
 bnlJoin(MiniDb &db, const RowSet &outer, Bytes outer_width,
         int outer_col, Table &inner, int inner_col,
-        const ExprPtr &inner_pred, DbStats &stats)
+        const ExprPtr &inner_pred, DbStats &stats,
+        const std::vector<int> &inner_columns)
 {
     OpTimer timer(db, stats, "bnl_join");
+    const Projection proj(inner, inner_columns, "join");
     if (outer.empty())
-        return RowSet(Schema::concat(outer.schema(), inner.schema()));
+        return RowSet(Schema::concat(outer.schema(), proj.schema()));
     auto &host = db.host();
 
     // Keys by slot bytes (SlotKey): an Int64 key as itself, a text key
@@ -1632,7 +1613,7 @@ bnlJoin(MiniDb &db, const RowSet &outer, Bytes outer_width,
                 return v;
             };
         };
-        out = hashJoinSlots<std::int64_t>(outer, inner, inner_pred,
+        out = hashJoinSlots<std::int64_t>(outer, inner, proj, inner_pred,
                                           at(o_off), at(i_off),
                                           &matched_rows);
     } else {
@@ -1646,8 +1627,8 @@ bnlJoin(MiniDb &db, const RowSet &outer, Bytes outer_width,
                 return key;
             };
         };
-        out = hashJoinSlots<std::string>(outer, inner, inner_pred, text(ok),
-                                         text(ik), &matched_rows);
+        out = hashJoinSlots<std::string>(outer, inner, proj, inner_pred,
+                                         text(ok), text(ik), &matched_rows);
     }
 
     // Timing side: block-nested-loop — the inner table is re-read in

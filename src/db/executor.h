@@ -168,14 +168,23 @@ std::string scanStatKey(const Table &table, const pm::KeySet &keys);
  * outer rows — the effect Biscuit's filter-first join order
  * magnifies, paper §V-C) and hash-join *semantics*. @p outer_width is
  * the storage width of one outer row (join-buffer occupancy);
- * @p inner_pred filters inner rows during each pass. Each output slot
- * is the outer slot followed by the inner slot, under
- * Schema::concat(outer schema, inner schema); rows come out in outer
- * order, and an outer row's matches newest (last-scanned) first.
+ * @p inner_pred filters inner rows during each pass.
+ *
+ * The inner side comes out projected, like a scan's rows: the inner
+ * table columns @p inner_columns names, in that order (every column,
+ * in table order, when empty). Each output slot is the outer slot
+ * followed by the matched inner row's kept cells, under
+ * Schema::concat(outer schema, kept inner schema), even for an empty
+ * outer; rows come out in outer order, and an outer row's matches
+ * newest (last-scanned) first. The predicate and the key still read
+ * the whole inner row, and simulated time is charged in table bytes
+ * and rows whatever is kept. An entry out of range or a column named
+ * twice panics.
  */
 RowSet bnlJoin(MiniDb &db, const RowSet &outer, Bytes outer_width,
                int outer_col, Table &inner, int inner_col,
-               const ExprPtr &inner_pred, DbStats &stats);
+               const ExprPtr &inner_pred, DbStats &stats,
+               const std::vector<int> &inner_columns = {});
 
 /** Aggregation spec for groupBy. */
 struct AggSpec

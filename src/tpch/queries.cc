@@ -108,19 +108,20 @@ struct Ctx
     }
 
     /**
-     * Join @p outer on its column @p outer_col. @p outer_width is the
-     * outer rows' width in table bytes (the join buffer holds table
-     * rows), not the projected rows' own width.
+     * Join @p outer on its column @p outer_col, keeping the inner
+     * columns @p inner_columns (every column when empty). @p outer_width
+     * is the outer rows' width in table bytes (the join buffer holds
+     * table rows), not the projected rows' own width.
      */
     RowSet
     join(const RowSet &outer, Bytes outer_width, const char *outer_col,
-         Table &inner, const char *inner_col,
-         const ExprPtr &inner_pred = nullptr)
+         Table &inner, const char *inner_col, const ExprPtr &inner_pred,
+         std::initializer_list<const char *> inner_columns)
     {
         return db::bnlJoin(db, outer, outer_width,
                            outer.schema().indexOf(outer_col), inner,
                            inner.schema().indexOf(inner_col), inner_pred,
-                           out.stats);
+                           out.stats, columnsOf(inner, inner_columns));
     }
 
     /** l_extendedprice * (1 - l_discount) of rows under @p s. */
@@ -149,11 +150,12 @@ colOf(const RowSet &rows, const char *name)
 }
 
 // =====================================================================
-// The 22 queries. Each scan keeps the columns its query reads, and
-// every column is found by name in the row set at hand: joined rows
-// concatenate the outer's kept columns with the inner table's. Width
-// variables track *table* bytes per outer row for the BNL buffer
-// model, whatever the scans kept.
+// The 22 queries. Each scan and each join keeps the columns its query
+// reads, and every column is found by name in the row set at hand:
+// joined rows concatenate the outer's kept columns with the inner's.
+// A join keeps every inner column (an empty list) only where its rows
+// reach the result whole (Q2, Q15, Q18). Width variables track *table*
+// bytes per outer row for the BNL buffer model, whatever was kept.
 // =====================================================================
 
 // Q1: pricing summary report. One-sided shipdate range: the planner
@@ -197,16 +199,19 @@ q2(Ctx &c)
         {"p_partkey", "p_name", "p_mfgr", "p_brand", "p_type", "p_size",
          "p_container", "p_retailprice"});
     auto j1 = c.join(parts.rows, P.rowWidth(), "p_partkey",
-                     c.t("partsupp"), "ps_partkey");
+                     c.t("partsupp"), "ps_partkey", nullptr, {});
     Bytes w1 = P.rowWidth() + c.t("partsupp").rowWidth();
-    auto j2 = c.join(j1, w1, "ps_suppkey", c.t("supplier"), "s_suppkey");
+    auto j2 = c.join(j1, w1, "ps_suppkey", c.t("supplier"), "s_suppkey",
+                     nullptr, {});
     Bytes w2 = w1 + c.t("supplier").rowWidth();
-    auto j3 = c.join(j2, w2, "s_nationkey", c.t("nation"), "n_nationkey");
+    auto j3 = c.join(j2, w2, "s_nationkey", c.t("nation"), "n_nationkey",
+                     nullptr, {});
     Bytes w3 = w2 + c.t("nation").rowWidth();
     auto &R = c.t("region");
     auto j4 = c.join(j3, w3, "n_regionkey", R, "r_regionkey",
                      db::cmp(R.schema(), "r_name", CmpOp::Eq,
-                             std::string("EUROPE")));
+                             std::string("EUROPE")),
+                     {});
     db::sortRows(j4, {{colOf(j4, "s_acctbal"), true}});
     j4.truncate(100);
     return j4;
@@ -224,12 +229,14 @@ q3(Ctx &c)
     auto &O = c.t("orders");
     auto j1 = c.join(cust.rows, C.rowWidth(), "c_custkey", O, "o_custkey",
                      db::cmp(O.schema(), "o_orderdate", CmpOp::Lt,
-                             std::string("1995-03-15")));
+                             std::string("1995-03-15")),
+                     {"o_orderkey", "o_orderdate"});
     Bytes w1 = C.rowWidth() + O.rowWidth();
     auto &L = c.t("lineitem");
     auto j2 = c.join(j1, w1, "o_orderkey", L, "l_orderkey",
                      db::cmp(L.schema(), "l_shipdate", CmpOp::Gt,
-                             std::string("1995-03-15")));
+                             std::string("1995-03-15")),
+                     {"l_extendedprice", "l_discount"});
     c.addRevenue(j2);
     auto grouped = db::groupBy(
         c.db, j2, {colOf(j2, "o_orderkey"), colOf(j2, "o_orderdate")},
@@ -251,10 +258,12 @@ q4(Ctx &c)
                     std::string("1993-09-30")),
         {"o_orderkey", "o_orderpriority"});
     auto &L = c.t("lineitem");
+    // Only the match counts; an empty list would keep every column.
     auto j = c.join(orders.rows, O.rowWidth(), "o_orderkey", L,
                     "l_orderkey",
                     db::cmpCols(L.schema(), "l_commitdate", CmpOp::Lt,
-                                "l_receiptdate"));
+                                "l_receiptdate"),
+                    {"l_orderkey"});
     // EXISTS semantics: one hit per order.
     std::set<std::int64_t> seen;
     RowSet exists(j.schema());
@@ -296,11 +305,14 @@ q5(Ctx &c)
         // NDP plan: filtered orders first. Layout [O, L, C, N, R].
         auto orders = c.primary(O, date_pred, {"o_orderkey", "o_custkey"});
         auto j1 = c.join(orders.rows, O.rowWidth(), "o_orderkey", L,
-                         "l_orderkey");
+                         "l_orderkey", nullptr,
+                         {"l_extendedprice", "l_discount"});
         Bytes w1 = O.rowWidth() + L.rowWidth();
-        auto j2 = c.join(j1, w1, "o_custkey", C, "c_custkey");
+        auto j2 = c.join(j1, w1, "o_custkey", C, "c_custkey", nullptr,
+                         {"c_nationkey"});
         Bytes w2 = w1 + C.rowWidth();
-        j3 = c.join(j2, w2, "c_nationkey", N, "n_nationkey");
+        j3 = c.join(j2, w2, "c_nationkey", N, "n_nationkey", nullptr,
+                    {"n_name", "n_regionkey"});
         w3 = w2 + N.rowWidth();
     } else {
         // MariaDB plan: customer drives; orders/lineitem are BNL
@@ -309,14 +321,17 @@ q5(Ctx &c)
             "conventional plan (customer-outer BNL)";
         auto cust = c.scan(C, nullptr, {"c_custkey", "c_nationkey"});
         auto j1 = c.join(cust.rows, C.rowWidth(), "c_custkey", O,
-                         "o_custkey", date_pred);
+                         "o_custkey", date_pred, {"o_orderkey"});
         Bytes w1 = C.rowWidth() + O.rowWidth();
-        auto j2 = c.join(j1, w1, "o_orderkey", L, "l_orderkey");
+        auto j2 = c.join(j1, w1, "o_orderkey", L, "l_orderkey", nullptr,
+                         {"l_extendedprice", "l_discount"});
         Bytes w2 = w1 + L.rowWidth();
-        j3 = c.join(j2, w2, "c_nationkey", N, "n_nationkey");
+        j3 = c.join(j2, w2, "c_nationkey", N, "n_nationkey", nullptr,
+                    {"n_name", "n_regionkey"});
         w3 = w2 + N.rowWidth();
     }
-    auto j4 = c.join(j3, w3, "n_regionkey", R, "r_regionkey", asia);
+    auto j4 = c.join(j3, w3, "n_regionkey", R, "r_regionkey", asia,
+                     {"r_regionkey"});
 
     c.addRevenue(j4);
     auto grouped = db::groupBy(c.db, j4, {colOf(j4, "n_name")},
@@ -366,10 +381,11 @@ q7(Ctx &c)
         {"n_nationkey", "n_name"});
     auto &S = c.t("supplier");
     auto j1 = c.join(nations.rows, N.rowWidth(), "n_nationkey", S,
-                     "s_nationkey");
+                     "s_nationkey", nullptr, {"s_suppkey"});
     Bytes w1 = N.rowWidth() + S.rowWidth();
     auto &L = c.t("lineitem");
-    auto j2 = c.join(j1, w1, "s_suppkey", L, "l_suppkey");
+    auto j2 = c.join(j1, w1, "s_suppkey", L, "l_suppkey", nullptr,
+                     {"l_extendedprice", "l_discount", "l_shipdate"});
     // The date window applies after the join (not the NDP candidate).
     const int ship = colOf(j2, "l_shipdate");
     RowSet filtered(j2.schema());
@@ -399,12 +415,14 @@ q8(Ctx &c)
         {"o_orderkey", "o_orderdate"});
     auto &L = c.t("lineitem");
     auto j1 = c.join(orders.rows, O.rowWidth(), "o_orderkey", L,
-                     "l_orderkey");
+                     "l_orderkey", nullptr,
+                     {"l_partkey", "l_extendedprice", "l_discount"});
     Bytes w1 = O.rowWidth() + L.rowWidth();
     auto &P = c.t("part");
     auto j2 = c.join(j1, w1, "l_partkey", P, "p_partkey",
                      db::cmp(P.schema(), "p_type", CmpOp::Eq,
-                             std::string("ECONOMY ANODIZED STEEL")));
+                             std::string("ECONOMY ANODIZED STEEL")),
+                     {"p_partkey"});
     c.addRevenue(j2);
     // Group volume by order year.
     int o_date = colOf(j2, "o_orderdate");
@@ -427,13 +445,17 @@ q9(Ctx &c)
                            {"p_partkey"});
     auto &L = c.t("lineitem");
     auto j1 = c.join(parts.rows, P.rowWidth(), "p_partkey", L,
-                     "l_partkey");
+                     "l_partkey", nullptr,
+                     {"l_suppkey", "l_quantity", "l_extendedprice",
+                      "l_discount"});
     Bytes w1 = P.rowWidth() + L.rowWidth();
     auto &S = c.t("supplier");
-    auto j2 = c.join(j1, w1, "l_suppkey", S, "s_suppkey");
+    auto j2 = c.join(j1, w1, "l_suppkey", S, "s_suppkey", nullptr,
+                     {"s_nationkey"});
     Bytes w2 = w1 + S.rowWidth();
     auto &N = c.t("nation");
-    auto j3 = c.join(j2, w2, "s_nationkey", N, "n_nationkey");
+    auto j3 = c.join(j2, w2, "s_nationkey", N, "n_nationkey", nullptr,
+                     {"n_name"});
     const auto &js = j3.schema();
     const db::NumColumn price(js, colOf(j3, "l_extendedprice"));
     const db::NumColumn disc(js, colOf(j3, "l_discount"));
@@ -468,18 +490,21 @@ q10(Ctx &c)
         // NDP plan: filtered orders first. Layout [O, L, C].
         auto orders = c.primary(O, date_pred, {"o_orderkey", "o_custkey"});
         auto j1 = c.join(orders.rows, O.rowWidth(), "o_orderkey", L,
-                         "l_orderkey", returned);
+                         "l_orderkey", returned,
+                         {"l_extendedprice", "l_discount"});
         Bytes w1 = O.rowWidth() + L.rowWidth();
-        j2 = c.join(j1, w1, "o_custkey", C, "c_custkey");
+        j2 = c.join(j1, w1, "o_custkey", C, "c_custkey", nullptr,
+                    {"c_name"});
     } else {
         // MariaDB plan: customer-outer BNL. Layout [C, O, L].
         c.out.planner_note =
             "conventional plan (customer-outer BNL)";
         auto cust = c.scan(C, nullptr, {"c_custkey", "c_name"});
         auto j1 = c.join(cust.rows, C.rowWidth(), "c_custkey", O,
-                         "o_custkey", date_pred);
+                         "o_custkey", date_pred, {"o_orderkey"});
         Bytes w1 = C.rowWidth() + O.rowWidth();
-        j2 = c.join(j1, w1, "o_orderkey", L, "l_orderkey", returned);
+        j2 = c.join(j1, w1, "o_orderkey", L, "l_orderkey", returned,
+                    {"l_extendedprice", "l_discount"});
     }
 
     c.addRevenue(j2);
@@ -502,10 +527,11 @@ q11(Ctx &c)
                              {"n_nationkey"});
     auto &S = c.t("supplier");
     auto j1 = c.join(nations.rows, N.rowWidth(), "n_nationkey", S,
-                     "s_nationkey");
+                     "s_nationkey", nullptr, {"s_suppkey"});
     Bytes w1 = N.rowWidth() + S.rowWidth();
     auto &PS = c.t("partsupp");
-    auto j2 = c.join(j1, w1, "s_suppkey", PS, "ps_suppkey");
+    auto j2 = c.join(j1, w1, "s_suppkey", PS, "ps_suppkey", nullptr,
+                     {"ps_partkey", "ps_availqty", "ps_supplycost"});
     const db::NumColumn cost(j2.schema(), colOf(j2, "ps_supplycost"));
     const db::NumColumn avail(j2.schema(), colOf(j2, "ps_availqty"));
     addComputed(c.db, j2, db::col("value", db::Type::Double),
@@ -541,14 +567,14 @@ q12(Ctx &c)
         // NDP plan: filtered lineitem first. Layout [L, O].
         auto lines = c.primary(L, pred, {"l_orderkey", "l_shipmode"});
         j = c.join(lines.rows, L.rowWidth(), "l_orderkey", O,
-                   "o_orderkey");
+                   "o_orderkey", nullptr, {"o_orderpriority"});
     } else {
         // MariaDB plan: orders-outer BNL. Layout [O, L].
         c.out.planner_note = "conventional plan (orders-outer BNL)";
         auto orders =
             c.scan(O, nullptr, {"o_orderkey", "o_orderpriority"});
         j = c.join(orders.rows, O.rowWidth(), "o_orderkey", L,
-                   "l_orderkey", pred);
+                   "l_orderkey", pred, {"l_shipmode"});
     }
 
     int o_prio = colOf(j, "o_orderpriority");
@@ -609,7 +635,7 @@ q14(Ctx &c)
         auto lines = c.primary(
             L, pred, {"l_partkey", "l_extendedprice", "l_discount"});
         joined = c.join(lines.rows, L.rowWidth(), "l_partkey", P,
-                        "p_partkey");
+                        "p_partkey", nullptr, {"p_type"});
     } else {
         // MariaDB default: smallest table (part) drives the BNL; the
         // big lineitem table is re-scanned once per buffer block,
@@ -617,7 +643,8 @@ q14(Ctx &c)
         c.out.planner_note = "conventional plan (part-outer BNL)";
         auto parts = c.scan(P, nullptr, {"p_partkey", "p_type"});
         joined = c.join(parts.rows, P.rowWidth(), "p_partkey", L,
-                        "l_partkey", pred);
+                        "l_partkey", pred,
+                        {"l_extendedprice", "l_discount"});
     }
     const db::Schema &js = joined.schema();
     const db::NumColumn price(js, colOf(joined, "l_extendedprice"));
@@ -654,9 +681,9 @@ q15(Ctx &c)
                                c.out.stats);
     db::sortRows(grouped, {{1, true}});
     grouped.truncate(1);
-    // Attach the supplier record.
+    // Attach the whole supplier record: it is the result.
     auto &S = c.t("supplier");
-    return c.join(grouped, 16, "l_suppkey", S, "s_suppkey");
+    return c.join(grouped, 16, "l_suppkey", S, "s_suppkey", nullptr, {});
 }
 
 // Q16: part/supplier relationship (simplified: the spec's negated
@@ -673,7 +700,7 @@ q16(Ctx &c)
                            {"p_partkey", "p_brand", "p_type", "p_size"});
     auto &PS = c.t("partsupp");
     auto j = c.join(parts.rows, P.rowWidth(), "p_partkey", PS,
-                    "ps_partkey");
+                    "ps_partkey", nullptr, {"ps_partkey"});
     auto grouped = db::groupBy(
         c.db, j,
         {colOf(j, "p_brand"), colOf(j, "p_type"), colOf(j, "p_size")},
@@ -699,7 +726,8 @@ q17(Ctx &c)
         {"p_partkey"});
     auto &L = c.t("lineitem");
     auto j = c.join(parts.rows, P.rowWidth(), "p_partkey", L,
-                    "l_partkey");
+                    "l_partkey", nullptr,
+                    {"l_quantity", "l_extendedprice"});
     // avg quantity per part, then the below-20% slice.
     int l_qty = colOf(j, "l_quantity");
     int p_key = colOf(j, "p_partkey");
@@ -737,7 +765,8 @@ q18(Ctx &c)
     }
     c.db.host().consumeCpu(db::kRowCpu * per_order.size());
     auto &O = c.t("orders");
-    auto j = c.join(big, 16, "l_orderkey", O, "o_orderkey");
+    // The whole order record is the result.
+    auto j = c.join(big, 16, "l_orderkey", O, "o_orderkey", nullptr, {});
     db::sortRows(j, {{1, true}});
     j.truncate(100);
     return j;
@@ -766,7 +795,8 @@ q19(Ctx &c)
     auto &P = c.t("part");
     auto j = c.join(lines.rows, L.rowWidth(), "l_partkey", P, "p_partkey",
                     db::cmp(P.schema(), "p_brand", CmpOp::Eq,
-                            std::string("Brand#12")));
+                            std::string("Brand#12")),
+                    {"p_partkey"});
     const int price = colOf(j, "l_extendedprice");
     const int disc = colOf(j, "l_discount");
     double rev = 0;
@@ -785,10 +815,11 @@ q20(Ctx &c)
                            {"p_partkey"});
     auto &PS = c.t("partsupp");
     auto j1 = c.join(parts.rows, P.rowWidth(), "p_partkey", PS,
-                     "ps_partkey");
+                     "ps_partkey", nullptr, {"ps_suppkey"});
     Bytes w1 = P.rowWidth() + PS.rowWidth();
     auto &S = c.t("supplier");
-    auto j2 = c.join(j1, w1, "ps_suppkey", S, "s_suppkey");
+    auto j2 = c.join(j1, w1, "ps_suppkey", S, "s_suppkey", nullptr,
+                     {"s_name"});
     auto grouped = db::groupBy(c.db, j2, {colOf(j2, "s_name")},
                                {{AggSpec::Op::Count, -1}},
                                c.out.stats);
@@ -811,10 +842,12 @@ q21(Ctx &c)
     auto j1 = c.join(orders.rows, O.rowWidth(), "o_orderkey", L,
                      "l_orderkey",
                      db::cmpCols(L.schema(), "l_receiptdate", CmpOp::Gt,
-                                 "l_commitdate"));
+                                 "l_commitdate"),
+                     {"l_suppkey"});
     Bytes w1 = O.rowWidth() + L.rowWidth();
     auto &S = c.t("supplier");
-    auto j2 = c.join(j1, w1, "l_suppkey", S, "s_suppkey");
+    auto j2 = c.join(j1, w1, "l_suppkey", S, "s_suppkey", nullptr,
+                     {"s_name"});
     auto grouped = db::groupBy(c.db, j2, {colOf(j2, "s_name")},
                                {{AggSpec::Op::Count, -1}},
                                c.out.stats);

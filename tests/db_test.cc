@@ -714,6 +714,167 @@ TEST_F(MiniDbTest, TextAndDoubleJoinKeysMatchAsTheirValueText)
                  "differ in type");
 }
 
+/** The inner table of the projected-join tests (6 columns, 124 B). */
+Schema
+keyedSchema()
+{
+    return Schema({col("id", Type::Int64), col("name", Type::String, 6),
+                   col("price", Type::Double), col("day", Type::Date),
+                   col("note", Type::String, 86),
+                   col("k", Type::Int64)});
+}
+
+/**
+ * A keyed table of 300 rows, sharded over every drive of @p db, whose
+ * name, price and k keys repeat, so that most outer keys match several
+ * inner rows.
+ */
+Table &
+loadKeyed(MiniDb &db)
+{
+    Table &t = db.createShardedTable("keyed", keyedSchema());
+    std::vector<Row> rows;
+    for (std::int64_t i = 0; i < 300; ++i) {
+        rows.push_back({i, std::string("n") + std::to_string(i % 7),
+                        static_cast<double>(i % 11) + 0.25,
+                        dateAddDays("1995-01-01", i % 13),
+                        std::string("note ") + std::to_string(i),
+                        i % 17});
+    }
+    t.loadRows(rows);
+    return t;
+}
+
+TEST(ProjectedJoin, KeptCellsAreTheFullJoinsByteForByte)
+{
+    // Outer key columns of each key type; keys 0..19 (some miss).
+    const Schema os({col("tag", Type::Int64), col("name", Type::String, 9),
+                     col("price", Type::Double),
+                     col("k", Type::Int64)});
+    RowSet outer(os);
+    for (std::int64_t i = 0; i < 20; ++i) {
+        outer.appendRow({1000 + i, std::string("n") + std::to_string(i),
+                         static_cast<double>(i) + 0.25, i});
+    }
+    const Schema is = keyedSchema();
+    // (outer key, inner key): Int64, text and Double.
+    const std::vector<std::pair<int, int>> keys = {{3, 5}, {1, 1}, {2, 2}};
+    const std::vector<ExprPtr> preds = {
+        nullptr, cmp(is, "day", CmpOp::Lt, std::string("1995-01-09"))};
+    const std::vector<std::vector<int>> lists = {
+        {0, 1, 2, 3, 4, 5},  // identity
+        {4, 0, 3},           // out of table order
+        {2},
+        {5, 1, 2, 0}};
+
+    // The full join's row with only the cells of @p list kept.
+    auto projected = [&](const RowSet &full, const std::vector<int> &list) {
+        std::vector<Column> cols = os.columns();
+        for (int c : list)
+            cols.push_back(is.at(static_cast<std::size_t>(c)));
+        RowSet want{Schema(std::move(cols))};
+        for (std::size_t i = 0; i < full.size(); ++i) {
+            std::uint8_t *dst = want.appendSlots(1);
+            const std::uint8_t *src = full.slot(i);
+            std::memcpy(dst, src, os.rowWidth());
+            Bytes to = os.rowWidth();
+            for (int c : list) {
+                const auto ci = static_cast<std::size_t>(c);
+                std::memcpy(dst + to,
+                            src + os.rowWidth() + is.offsetOf(ci),
+                            is.at(ci).width);
+                to += is.at(ci).width;
+            }
+        }
+        return want;
+    };
+
+    for (std::uint32_t drives : {1u, 2u, 4u}) {
+        sisc::Env env(ssd::testConfig(), drives);
+        host::HostSystem host(env.array);
+        MiniDb db(env, host);
+        Table &inner = loadKeyed(db);
+        ASSERT_EQ(inner.shardCount(), drives);
+        for (const auto &[ok, ik] : keys) {
+            for (std::size_t p = 0; p < preds.size(); ++p) {
+                const std::string where =
+                    std::to_string(drives) + " drives, key " +
+                    is.at(static_cast<std::size_t>(ik)).name +
+                    (preds[p] ? ", predicate" : "");
+                DbStats full_stats;
+                RowSet full;
+                env.run([&] {
+                    full = bnlJoin(db, outer, os.rowWidth(), ok, inner, ik,
+                                   preds[p], full_stats);
+                });
+                ASSERT_GT(full.size(), outer.size()) << where;
+                ASSERT_EQ(full.rowWidth(), os.rowWidth() + is.rowWidth());
+                for (const std::vector<int> &list : lists) {
+                    DbStats stats;
+                    RowSet got;
+                    env.run([&] {
+                        got = bnlJoin(db, outer, os.rowWidth(), ok, inner,
+                                      ik, preds[p], stats, list);
+                    });
+                    const RowSet want = projected(full, list);
+                    ASSERT_EQ(got.schema().size(), want.schema().size());
+                    for (std::size_t c = 0; c < want.schema().size(); ++c) {
+                        EXPECT_EQ(got.schema().at(c).name,
+                                  want.schema().at(c).name);
+                        EXPECT_EQ(got.schema().at(c).width,
+                                  want.schema().at(c).width);
+                    }
+                    ASSERT_EQ(got.size(), want.size()) << where;
+                    EXPECT_EQ(std::memcmp(got.slot(0), want.slot(0),
+                                          want.size() * want.rowWidth()),
+                              0)
+                        << where << ", " << list.size() << " kept";
+                    // Charges are in table bytes and rows.
+                    EXPECT_EQ(stats.pages_to_host, full_stats.pages_to_host);
+                    EXPECT_EQ(stats.rows_examined, full_stats.rows_examined);
+
+                    // An empty outer still yields the projected schema.
+                    RowSet none;
+                    env.run([&] {
+                        none = bnlJoin(db, RowSet(os), os.rowWidth(), ok,
+                                       inner, ik, preds[p], stats, list);
+                    });
+                    EXPECT_TRUE(none.empty());
+                    EXPECT_EQ(none.rowWidth(), want.rowWidth());
+                    EXPECT_EQ(none.schema().size(), want.schema().size());
+                }
+            }
+        }
+    }
+}
+
+TEST(ProjectedJoin, BadInnerColumnListsPanicNamingTheJoin)
+{
+    sisc::Env env(ssd::testConfig(), 1);
+    host::HostSystem host(env.array);
+    MiniDb db(env, host);
+    Table &inner = loadKeyed(db);
+    const Schema os({col("k", Type::Int64)});
+    RowSet outer(os);
+    outer.appendRow({std::int64_t{3}});
+    auto join = [&](const RowSet &o, const std::vector<int> &list) {
+        env.run([&] {
+            DbStats stats;
+            bnlJoin(db, o, os.rowWidth(), 0, inner, 5, nullptr, stats,
+                    list);
+        });
+    };
+    EXPECT_DEATH(join(outer, {0, 6}),
+                 "join of table 'keyed': column 6 out of range");
+    EXPECT_DEATH(join(outer, {-1}),
+                 "join of table 'keyed': column -1 out of range");
+    EXPECT_DEATH(join(outer, {1, 3, 1}),
+                 "join of table 'keyed' keeps column 'name' twice");
+    // The list is checked before an empty outer returns.
+    EXPECT_DEATH(join(RowSet(os), {5, 5}),
+                 "join of table 'keyed' keeps column 'k' twice");
+}
+
 TEST(RowSetTest, ComputedNumericAndStringColumns)
 {
     Schema s({col("id", Type::Int64), col("price", Type::Double),
