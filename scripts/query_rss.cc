@@ -1,6 +1,6 @@
 /**
  * @file
- * Per-query peak-RSS driver for `scripts/profile.sh --rss tpch_suite`:
+ * Per-query peak-RSS report for `scripts/profile.sh --rss tpch_suite`:
  * says which queries raise the process's high-water mark, and by how
  * much.
  *
